@@ -17,7 +17,7 @@ from .association import AssociationSpec, PredictedMate
 from .errors import ParseError, SpecificationError
 from .geometry import CurveSpec, FrameData, SampledCurve
 from .solvers import LambdaSolution
-from .verify import VerificationReport
+from .verify import GATING_TABLE_VERSION, VerificationReport
 
 _CURVE_COLUMNS = ["s", "x", "y", "z", "Tx", "Ty", "Tz", "Nx", "Ny", "Nz",
                   "Bx", "By", "Bz", "kappa", "tau"]
@@ -262,6 +262,6 @@ def report_to_json(report: VerificationReport) -> str:
         "verdict": report.verdict,
         "tolerances": _json_safe(asdict(report.tolerances)),
         "notes": list(report.notes),
-        "gating_table_version": 1,
+        "gating_table_version": GATING_TABLE_VERSION,
     }
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -9,13 +9,16 @@ The scalar offset lambda(s) obeys, depending on the family:
   * implicit first/second-order constraint ODEs (remaining families).
 
 Closed forms are evaluated exactly; quadrature is cumulative composite
-Simpson; initial-value integration is classical fixed-step RK4. Residuals
-are always evaluated with independent finite differences of the lambda
-samples, never with derivatives recycled from the defining equation.
+Simpson; initial-value integration is classical fixed-step RK4, stepped in
+plain Python floats (a float state, or a pair for second-order ODEs) with
+no per-stage arrays. Residuals are always evaluated with independent
+finite differences of the lambda samples, never with derivatives recycled
+from the defining equation.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,6 +38,7 @@ from .numdiff import cumulative_simpson, diff1, diff1_o4, uniform_spacing
 TORSION_FLOOR = 1e-8
 BLOWUP_CAP_DEFAULT = 1e6
 _EXP_LIMIT = 700.0  # log of the largest double
+_DOUBLE_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -271,26 +275,70 @@ def lambda_exponential_pair(
                           constants={"a": a, "b": b, "tau": tau, "c1": c1, "c2": c2})
 
 
-def _rk4_path(f, y0: np.ndarray, grid: np.ndarray, cap: float | None = None) -> np.ndarray:
-    """Classical RK4 over a uniform grid; optional blow-up cap on |y[0]|."""
+def _rk4_path(
+    f, y0: float | tuple[float, float], grid: np.ndarray, cap: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical RK4 over a uniform grid, stepped in plain Python floats.
+
+    The state ``y0`` is a float or, for a second-order ODE, a pair of floats,
+    and ``f(s, y)`` returns the same kind. The stages sit at s_i, s_i + h/2
+    and s_i + h. Returns ``(path, slope)``: the state and ``f`` at every grid
+    point, with shape (n,) for a float state and (n, 2) for a pair.
+
+    After each step every component of the state must be finite and, unless
+    ``cap`` is None, at most ``cap`` in magnitude; otherwise the step raises
+    FiniteEscapeError at its end point. A stage whose float arithmetic
+    overflows or divides by zero (Python floats raise where numpy arrays
+    give inf) is the same escape.
+    """
     grid = np.asarray(grid, dtype=float)
     h = uniform_spacing(grid)
-    y = np.empty((grid.size,) + np.shape(y0), dtype=float)
-    y[0] = y0
-    for i in range(grid.size - 1):
-        s = grid[i]
-        yi = y[i]
-        k1 = f(s, yi)
-        k2 = f(s + 0.5 * h, yi + 0.5 * h * k1)
-        k3 = f(s + 0.5 * h, yi + 0.5 * h * k2)
-        k4 = f(s + h, yi + h * k3)
-        y[i + 1] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if cap is not None and not np.all(np.abs(y[i + 1]) <= cap):
-            raise FiniteEscapeError(
-                f"trajectory escaped |y| > {cap:g} near s={grid[i + 1]:.6g}",
-                s=float(grid[i + 1]),
-            )
-    return y
+    half, sixth = 0.5 * h, h / 6.0
+    limit = _DOUBLE_MAX if cap is None else min(cap, _DOUBLE_MAX)
+    if isinstance(y0, tuple):
+        def axpy(y, c, k):
+            return (y[0] + c * k[0], y[1] + c * k[1])
+
+        def combine(y, k1, k2, k3, k4):
+            return (y[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                    y[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+
+        def within(y):
+            return abs(y[0]) <= limit and abs(y[1]) <= limit
+    else:
+        def axpy(y, c, k):
+            return y + c * k
+
+        def combine(y, k1, k2, k3, k4):
+            return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        def within(y):
+            return abs(y) <= limit
+
+    def escape(s):
+        return FiniteEscapeError(f"trajectory escaped |y| > {limit:g} near s={s:.6g}", s=s)
+
+    points = grid.tolist()
+    y = y0
+    path, slope = [y], []
+    for s, s_next in zip(points, points[1:]):
+        try:
+            k1 = f(s, y)
+            k2 = f(s + half, axpy(y, half, k1))
+            k3 = f(s + half, axpy(y, half, k2))
+            k4 = f(s + h, axpy(y, h, k3))
+            y = combine(y, k1, k2, k3, k4)
+        except (OverflowError, ZeroDivisionError) as err:
+            raise escape(s_next) from err
+        if not within(y):
+            raise escape(s_next)
+        path.append(y)
+        slope.append(k1)
+    try:
+        slope.append(f(points[-1], y))
+    except (OverflowError, ZeroDivisionError) as err:
+        raise escape(points[-1]) from err
+    return np.array(path), np.array(slope)
 
 
 def solve_riccati(
@@ -316,13 +364,14 @@ def solve_riccati(
             f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined"
         )
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
+    def rhs(s: float, lam: float) -> float:
         t = t_fn(s)
         k = k_fn(s)
-        return np.array([(t * k / 2.0) * y[0] ** 2 - (tp_fn(s) / (2.0 * t)) * y[0] + k / (2.0 * t)])
+        return (t * k / 2.0) * lam ** 2 - (tp_fn(s) / (2.0 * t)) * lam + k / (2.0 * t)
 
-    path = _rk4_path(rhs, np.array([float(lambda0)]), grid, cap=cap)
-    lam = path[:, 0]
+    lam, _ = _rk4_path(rhs, float(lambda0), grid, cap=cap)
+    # lambda' stays an array expression rather than the RK4 slope: numpy's
+    # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
     kappas = np.array([k_fn(s) for s in grid])
     tps = np.array([tp_fn(s) for s in grid])
     lam_p = (taus * kappas / 2.0) * lam**2 - (tps / (2.0 * taus)) * lam + kappas / (2.0 * taus)
@@ -464,17 +513,14 @@ def solve_constraint_ode(
         raise SpecificationError("ansatz must be 'ivp' or 'constant'")
 
     if family == "NO":
-        def rhs(s: float, y: np.ndarray) -> np.ndarray:
-            lam = y[0]
+        def rhs(s: float, lam: float) -> float:
             t = t_fn(s)
             if abs(t) < 1e-10:
                 raise SingularOdeError(f"torsion vanishes at s={s:.6g}", s=s)
             num = lam * lam * t * kp_fn(s) + (1.0 - lam * k_fn(s)) * lam * tp_fn(s)
-            return np.array([-num / (2.0 * t)])
+            return -num / (2.0 * t)
 
-        path = _rk4_path(rhs, np.array([float(initial[0])]), grid, cap=cap)
-        lam = path[:, 0]
-        lam_p = np.array([rhs(s, np.array([v]))[0] for s, v in zip(grid, lam)])
+        lam, lam_p = _rk4_path(rhs, float(initial[0]), grid, cap=cap)
         lam_pp = diff1(lam_p, uniform_spacing(grid))
         return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4",
                               {"lambda0": float(initial[0])})
@@ -483,13 +529,11 @@ def solve_constraint_ode(
         if ratio is None:
             raise SpecificationError("BO constraint needs ratio = a/b")
 
-        def rhs(s: float, y: np.ndarray) -> np.ndarray:
+        def rhs(s: float, lam: float) -> float:
             t = t_fn(s)
-            return np.array([sign * ratio * math.sqrt(1.0 + (y[0] * t) ** 2)])
+            return sign * ratio * math.sqrt(1.0 + (lam * t) ** 2)
 
-        path = _rk4_path(rhs, np.array([float(initial[0])]), grid, cap=cap)
-        lam = path[:, 0]
-        lam_p = np.array([rhs(s, np.array([v]))[0] for s, v in zip(grid, lam)])
+        lam, lam_p = _rk4_path(rhs, float(initial[0]), grid, cap=cap)
         lam_pp = diff1(lam_p, uniform_spacing(grid))
         return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4",
                               {"lambda0": float(initial[0]), "ratio": float(ratio)})
@@ -513,13 +557,12 @@ def solve_constraint_ode(
         rest = m0 * (lam * k - 1.0) - k0 * lam * t
         return -rest / coeff
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        return np.array([y[1], second_derivative(s, y[0], y[1])])
+    def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
+        return (y[1], second_derivative(s, y[0], y[1]))
 
-    y0 = np.array([float(initial[0]), float(initial[1])])
-    path = _rk4_path(rhs, y0, grid, cap=cap)
+    path, slope = _rk4_path(rhs, (float(initial[0]), float(initial[1])), grid, cap=cap)
     lam, lam_p = path[:, 0], path[:, 1]
-    lam_pp = np.array([second_derivative(s, a, b) for s, a, b in zip(grid, lam, lam_p)])
+    lam_pp = slope[:, 1]
     return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4",
                           {"lambda0": float(initial[0]), "lambda0_prime": float(initial[1])})
 

@@ -12,6 +12,7 @@ from curvemates.errors import (
     SpecificationError,
     TorsionDegenerateError,
 )
+from curvemates.numdiff import diff1
 from curvemates.solvers import (
     LambdaSolution,
     constant_admissible_lambda,
@@ -199,9 +200,20 @@ def test_riccati_zero_kappa_is_constant():
 
 def test_riccati_finite_escape():
     grid = np.linspace(0.0, 5.0, 5001)
-    with pytest.raises(FiniteEscapeError) as err:
+    with pytest.raises(FiniteEscapeError, match=r"\|y\| > 1e\+06 near s=4\.444$") as err:
         solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, grid)
     assert err.value.s == pytest.approx(math.pi * math.sqrt(2.0), abs=0.05)
+    assert err.value.s == 4.444
+
+
+def test_riccati_torsion_vanishing_at_half_step_escapes():
+    # The grid check passes, but tau is exactly zero at one midpoint stage;
+    # the division by zero there is a located escape at that step's end.
+    h = float(GRID[1] - GRID[0])
+    s0 = float(GRID[1000]) + 0.5 * h
+    with pytest.raises(FiniteEscapeError) as err:
+        solve_riccati(0.7, lambda s: s - s0, 0.3, GRID)
+    assert err.value.s == float(GRID[1001])
 
 
 def test_riccati_torsion_floor():
@@ -283,8 +295,20 @@ def test_constraint_no_ivp_is_constant_on_constant_curvatures():
 def test_constraint_nr_singular_at_degenerate_constant():
     # The constant branch sits exactly on the vanishing second-derivative
     # coefficient; integrating from it must report the singular location.
-    with pytest.raises(SingularOdeError):
+    with pytest.raises(SingularOdeError) as err:
         solve_constraint_ode("NR", INV_SQRT2, INV_SQRT2, (INV_SQRT2, 0.0), GRID)
+    assert err.value.s == 0.0
+
+
+def test_constraint_no_torsion_vanishing_at_half_step():
+    # The torsion is nonzero on every grid point but vanishes exactly at the
+    # midpoint abscissa s_i + h/2 of one step; the error must name that s.
+    h = float(GRID[1] - GRID[0])
+    s0 = float(GRID[1000]) + 0.5 * h
+    assert not np.any(GRID == s0)
+    with pytest.raises(SingularOdeError) as err:
+        solve_constraint_ode("NO", INV_SQRT2, lambda s: s - s0, (0.3, 0.0), GRID)
+    assert err.value.s == s0
 
 
 def test_constraint_bo_first_order():
@@ -293,6 +317,27 @@ def test_constraint_bo_first_order():
     np.testing.assert_allclose(sol.lam, 0.4, atol=1e-12)
     grown = solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), GRID, ratio=0.5)
     assert grown.lam[-1] > 1.0  # sinh-type growth
+
+
+@pytest.mark.parametrize("cap", [math.inf, None])
+@pytest.mark.parametrize("solve, grid, near", [
+    (lambda g, cap: solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, g, cap=cap),
+     np.linspace(0.0, 5.0, 5001), math.pi * math.sqrt(2.0)),
+    (lambda g, cap: solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), g,
+                                         ratio=1.0, cap=cap),
+     np.linspace(0.0, 3000.0, 3001), None),
+    (lambda g, cap: solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g, cap=cap),
+     np.linspace(0.0, 10.0, 2001), None),
+], ids=["riccati", "BO", "BR"])
+def test_rk4_overflow_is_finite_escape(solve, grid, near, cap):
+    # Without a finite cap the trajectory runs until a float overflows; that
+    # must still end in a located FiniteEscapeError, never a bare OverflowError
+    # or non-finite samples.
+    with pytest.raises(FiniteEscapeError) as err:
+        solve(grid, cap)
+    assert grid[0] < err.value.s <= grid[-1]
+    if near is not None:
+        assert err.value.s == pytest.approx(near, abs=0.05)
 
 
 def test_constraint_unknown_family():
@@ -324,3 +369,121 @@ def test_prime_consistency(make):
     h = sol.spacing()
     scale = 1.0 + float(np.max(np.abs(sol.lam)))
     assert sol.prime_consistency() < 5.0 * h * h * scale
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the float RK4 against the numpy-stage reference
+#
+# The reference below is the array-per-stage RK4 and the five right-hand
+# sides the solvers used before they stepped in plain floats. The float
+# version keeps every expression's order and every ``** 2``, so the two
+# must agree bit for bit, not merely within a tolerance.
+
+
+def _ref_rk4_path(f, y0, grid, cap=None):
+    h = float(grid[1] - grid[0])
+    y = np.empty((grid.size,) + np.shape(y0), dtype=float)
+    y[0] = y0
+    for i in range(grid.size - 1):
+        s = grid[i]
+        yi = y[i]
+        k1 = f(s, yi)
+        k2 = f(s + 0.5 * h, yi + 0.5 * h * k1)
+        k3 = f(s + 0.5 * h, yi + 0.5 * h * k2)
+        k4 = f(s + h, yi + h * k3)
+        y[i + 1] = yi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if cap is not None and not np.all(np.abs(y[i + 1]) <= cap):
+            raise FiniteEscapeError("escape", s=float(grid[i + 1]))
+    return y
+
+
+def _ref_fns(kappa, tau):
+    def as_fn(value):
+        return value if callable(value) else (lambda s: float(value))
+
+    def derivative(fn):
+        return lambda s: (fn(s + 1e-5) - fn(s - 1e-5)) / (2.0 * 1e-5)
+
+    k_fn, t_fn = as_fn(kappa), as_fn(tau)
+    kp_fn = derivative(k_fn) if callable(kappa) else (lambda s: 0.0)
+    tp_fn = derivative(t_fn) if callable(tau) else (lambda s: 0.0)
+    return k_fn, t_fn, kp_fn, tp_fn
+
+
+def _ref_solve(family, kappa, tau, lam0, grid, ratio=None):
+    k_fn, t_fn, kp_fn, tp_fn = _ref_fns(kappa, tau)
+    h = float(grid[1] - grid[0])
+    if family == "riccati":
+        def rhs(s, y):
+            t = t_fn(s)
+            k = k_fn(s)
+            return np.array([(t * k / 2.0) * y[0] ** 2 - (tp_fn(s) / (2.0 * t)) * y[0]
+                             + k / (2.0 * t)])
+
+        lam = _ref_rk4_path(rhs, np.array([lam0]), grid, cap=1e6)[:, 0]
+        taus = np.array([t_fn(s) for s in grid])
+        kappas = np.array([k_fn(s) for s in grid])
+        tps = np.array([tp_fn(s) for s in grid])
+        lam_p = ((taus * kappas / 2.0) * lam**2 - (tps / (2.0 * taus)) * lam
+                 + kappas / (2.0 * taus))
+        return lam, lam_p, diff1(lam_p, h)
+    if family in ("NO", "BO"):
+        if family == "NO":
+            def rhs(s, y):
+                lam = y[0]
+                t = t_fn(s)
+                num = lam * lam * t * kp_fn(s) + (1.0 - lam * k_fn(s)) * lam * tp_fn(s)
+                return np.array([-num / (2.0 * t)])
+        else:
+            def rhs(s, y):
+                t = t_fn(s)
+                return np.array([1.0 * ratio * math.sqrt(1.0 + (y[0] * t) ** 2)])
+
+        lam = _ref_rk4_path(rhs, np.array([lam0]), grid, cap=1e6)[:, 0]
+        lam_p = np.array([rhs(s, np.array([v]))[0] for s, v in zip(grid, lam)])
+        return lam, lam_p, diff1(lam_p, h)
+
+    def second_derivative(s, lam, lam_p):
+        k, t = k_fn(s), t_fn(s)
+        kp, tp = kp_fn(s), tp_fn(s)
+        if family == "BR":
+            denom = 1.0 + (lam * t) ** 2
+            num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
+            return num / denom
+        coeff = (lam * t) ** 2 - (1.0 - lam * k) ** 2
+        d = (1.0 - lam * k) * k - lam * t * t
+        k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
+        m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
+        rest = m0 * (lam * k - 1.0) - k0 * lam * t
+        return -rest / coeff
+
+    def rhs(s, y):
+        return np.array([y[1], second_derivative(s, y[0], y[1])])
+
+    path = _ref_rk4_path(rhs, np.array([lam0, 0.0]), grid, cap=1e6)
+    lam, lam_p = path[:, 0], path[:, 1]
+    lam_pp = np.array([second_derivative(s, a, b) for s, a, b in zip(grid, lam, lam_p)])
+    return lam, lam_p, lam_pp
+
+
+@pytest.mark.parametrize("coefficients", ["constant", "callable"])
+@pytest.mark.parametrize("family", ["riccati", "NO", "BO", "BR", "NR"])
+def test_rk4_bit_identical_to_numpy_stage_reference(family, coefficients):
+    grid = np.linspace(0.0, 1.0, 2001)
+    if coefficients == "constant":
+        kappa, tau = 0.8, 0.6
+    else:
+        kappa = lambda s: 0.7 + 0.1 * math.sin(s)  # noqa: E731
+        tau = lambda s: 0.6 + 0.1 * math.cos(3.0 * s)  # noqa: E731
+    ratio = 0.7 if family == "BO" else None
+    if family == "riccati":
+        sol = solve_riccati(kappa, tau, 0.3, grid)
+    else:
+        sol = solve_constraint_ode(family, kappa, tau, (0.3, 0.0), grid, ratio=ratio)
+    lam, lam_p, lam_pp = _ref_solve(family, kappa, tau, 0.3, grid, ratio=ratio)
+    assert np.array_equal(sol.lam, lam)
+    assert np.array_equal(sol.lam_prime, lam_p)
+    assert np.array_equal(sol.lam_double_prime, lam_pp)
+    # NO on constant curvatures keeps lambda constant; every other case moves it.
+    assert np.all(np.isfinite(lam_pp))
+    assert (float(np.ptp(lam)) > 1e-3) != (family == "NO" and coefficients == "constant")
