@@ -6,28 +6,20 @@ association families, construct the mates, and verify the closed-form
 frame and curvature predictions against an independent numeric oracle.
 """
 from .association import (
+    FAMILIES,
     AssociationSpec,
-    KLMCoefficients,
     PredictedMate,
-    XYZCoefficients,
     associate,
     classify_special_case,
     construct_mate,
-    klm,
     mate_curvatures_closed,
     plane_unit_vector,
-    predicted_curvatures,
-    predicted_frame,
-    xyz,
 )
 from .errors import CurveMatesError
 from .geometry import (
     CurveSpec,
     FrameData,
-    FrenetFrame,
     SampledCurve,
-    evaluate,
-    frenet_apparatus,
     frenet_residuals,
     reparametrize_arclength,
     sample_curve,
@@ -45,13 +37,11 @@ from .solvers import (
     solve_riccati,
 )
 from .verify import (
-    GATING_TABLE,
     Tolerances,
     VerificationReport,
     audit_curvature_formulas,
     check_association,
     check_distance,
-    compare_frames,
     verify_mate,
 )
 

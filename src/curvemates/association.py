@@ -12,30 +12,29 @@ derivatives of alpha* have closed-form components in the base frame:
 with matching second and third derivatives. The mate's tangent is the
 normalized first derivative, its binormal the normalized cross product of
 the first two derivatives, and N* = B* x T*; predicted frames and
-curvatures below are evaluated from those exact component vectors. The
-catalogued printed curvature formulas are kept verbatim for the formula
-audit in :mod:`curvemates.verify`.
+curvatures below are evaluated on the whole grid from those exact component
+vectors.
+
+FAMILIES holds what distinguishes the nine families: the coefficient and
+base-curve prerequisites, which verification checks gate the verdict, the
+cross-product coefficient constraint, and the catalogued printed curvature
+formulas, kept verbatim for the formula audit in :mod:`curvemates.verify`.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    PlanarityError,
-    SingularConfigurationError,
-    SpecificationError,
-)
-from .geometry import FrameData, FrenetFrame, SampledCurve
+from .errors import PlanarityError, SpecificationError
+from .geometry import FrameData, SampledCurve
 from .solvers import LambdaSolution
 
 VECTORS = ("T", "N", "B")
-PLANES = ("O", "P", "R")
 # Which mate frame vector is normal to each plane.
 PLANE_NORMAL = {"O": "B", "P": "T", "R": "N"}
-_COEFF_NAMES = {"O": ("a", "b"), "P": ("c", "d"), "R": ("e", "f")}
 
 _DENOM_FLOOR = 1e-12
 
@@ -51,23 +50,15 @@ class AssociationSpec:
     def __post_init__(self):
         if self.vector not in VECTORS:
             raise SpecificationError(f"offset vector must be one of {VECTORS}")
-        if self.plane not in PLANES:
-            raise SpecificationError(f"plane must be one of {PLANES}")
+        if self.code not in FAMILIES:
+            raise SpecificationError("plane must be one of ('O', 'P', 'R')")
         c = (float(self.coeffs[0]), float(self.coeffs[1]))
         object.__setattr__(self, "coeffs", c)
-        if c[0] == 0.0 and c[1] == 0.0:
-            raise SpecificationError("plane coefficients must not both vanish")
-        if self.vector == "T" and self.plane == "O" and c[1] == 0.0:
-            raise SpecificationError("tangent/osculating association requires b != 0")
-        if self.vector == "T" and self.plane == "R" and c[1] == 0.0:
-            raise SpecificationError("tangent/rectifying association requires f != 0")
+        FAMILIES[self.code].check_coeffs(c)
 
     @property
     def code(self) -> str:
         return self.vector + self.plane
-
-    def coeff_names(self) -> tuple[str, str]:
-        return _COEFF_NAMES[self.plane]
 
     def ratio(self) -> float:
         """First-over-second coefficient (a/b or e/f), used by the linear ODE."""
@@ -76,43 +67,12 @@ class AssociationSpec:
         return self.coeffs[0] / self.coeffs[1]
 
 
-@dataclass(frozen=True)
-class KLMCoefficients:
-    """Cross-product components of a normal-offset mate at one point."""
-
-    K: float
-    L: float
-    M: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.K**2 + self.L**2 + self.M**2)
-
-
-@dataclass(frozen=True)
-class XYZCoefficients:
-    """Cross-product components of a binormal-offset mate at one point."""
-
-    X: float
-    Y: float
-    Z: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.X**2 + self.Y**2 + self.Z**2)
-
-
-def plane_unit_vector(frame: FrenetFrame, spec: AssociationSpec) -> np.ndarray:
-    """Unit combination of the mate's frame spanning the selected plane."""
+def plane_unit_vector(frames: FrameData, spec: AssociationSpec) -> np.ndarray:
+    """Unit combinations of the mate's frame spanning the selected plane, per row."""
     p, q = spec.coeffs
-    norm = math.hypot(p, q)
-    if norm == 0.0:
-        raise SpecificationError("plane coefficients must not both vanish")
-    if spec.plane == "O":
-        v = p * frame.T + q * frame.N
-    elif spec.plane == "P":
-        v = p * frame.N + q * frame.B
-    else:
-        v = p * frame.T + q * frame.B
-    return v / norm
+    first, second = {"O": (frames.T, frames.N), "P": (frames.N, frames.B),
+                     "R": (frames.T, frames.B)}[spec.plane]
+    return (p * first + q * second) / math.hypot(p, q)
 
 
 def construct_mate(
@@ -153,20 +113,6 @@ def xyz_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p):
     Y = lam * tau**2 - lam_pp + lam_p * lam * tau * kappa
     Z = -lam * tau_p - 2.0 * lam_p * tau + kappa + lam**2 * tau**2 * kappa
     return X, Y, Z
-
-
-def klm(lam: float, lam_p: float, lam_pp: float, frame: FrenetFrame) -> KLMCoefficients:
-    """KLM coefficients at one point from a base frame."""
-    K, L, M = klm_coefficients(lam, lam_p, lam_pp, frame.kappa, frame.tau,
-                               frame.kappa_prime, frame.tau_prime)
-    return KLMCoefficients(K=float(K), L=float(L), M=float(M))
-
-
-def xyz(lam: float, lam_p: float, lam_pp: float, frame: FrenetFrame) -> XYZCoefficients:
-    """XYZ coefficients at one point from a base frame."""
-    X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, frame.kappa, frame.tau,
-                               frame.kappa_prime, frame.tau_prime)
-    return XYZCoefficients(X=float(X), Y=float(Y), Z=float(Z))
 
 
 def _first_derivative_components(vector, lam, lam_p, kappa, tau):
@@ -249,39 +195,6 @@ def predicted_frames_grid(
     return T_star, N_star, B_star, defined
 
 
-def predicted_frame(
-    base_frame: FrenetFrame,
-    spec: AssociationSpec,
-    lam: float,
-    lam_derivs: tuple[float, float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form mate frame at one point.
-
-    Raises SingularConfigurationError naming the vanishing expression when
-    the mate speed or cross product is below 1e-12.
-    """
-    lam_p, lam_pp = lam_derivs
-    lam_a = np.array([float(lam)])
-    u = _first_derivative_components(spec.vector, lam_a, np.array([lam_p]),
-                                     np.array([base_frame.kappa]), np.array([base_frame.tau]))[0]
-    w = _cross_components(spec.vector, lam_a, np.array([lam_p]), np.array([lam_pp]),
-                          np.array([base_frame.kappa]), np.array([base_frame.tau]),
-                          np.array([base_frame.kappa_prime]), np.array([base_frame.tau_prime]))[0]
-    un = float(np.linalg.norm(u))
-    wn = float(np.linalg.norm(w))
-    if un < _DENOM_FLOOR:
-        raise SingularConfigurationError("mate speed vanishes", expression="|alpha*'|")
-    if wn < _DENOM_FLOOR:
-        raise SingularConfigurationError(
-            "mate cross product vanishes", expression="|alpha*' x alpha*''|"
-        )
-    basis = np.stack([base_frame.T, base_frame.N, base_frame.B])
-    T_star = (u / un) @ basis
-    B_star = (w / wn) @ basis
-    N_star = np.cross(B_star, T_star)
-    return T_star, N_star, B_star
-
-
 def mate_curvatures_closed(
     frames: FrameData, vector: str, lam_sol: LambdaSolution,
     lam_ppp: np.ndarray | None = None,
@@ -320,135 +233,193 @@ def _safe_div(num, den):
     return np.where(ok, out, np.nan)
 
 
+# Catalogued printed formulas for kappa*, tau*, one per family, evaluated
+# verbatim. Each takes the two plane coefficients plus the keyword arrays
+# passed by predicted_curvature_arrays and returns (kappa*, tau*).
+
+
+def _printed_to(a, b, lam, **_):
+    ks = _safe_div(b, lam * math.hypot(a, b))
+    ts = np.zeros_like(lam)
+    return ks, ts
+
+
+def _printed_tp(p, q, lam, k, t, kp, tp, **_):
+    ks = _safe_div(np.sqrt(k**2 + t**2), lam * k)
+    ts = _safe_div(k * tp - kp * t, lam * k * (k**2 + t**2))
+    return ks, ts
+
+
+def _printed_tr(e, f, lam, k, t, kp, tp, **_):
+    ks = _safe_div(t * f**2, lam * k * (e**2 + f**2))
+    num = f * (k**2 * t * e**3 + k**2 * t * e * f**2 + t**3 * e * f**2
+               + k * tp * e**2 * f + k * tp * f**3
+               - kp * t * e**2 * f - kp * t * f**3)
+    den = lam * k * (t**2 * e**2 * f**2 + t**2 * f**4 + k**2 * e**4
+                     + 2.0 * k**2 * e**2 * f**2 + k**2 * f**4)
+    ts = _safe_div(num, den)
+    return ks, ts
+
+
+def _printed_no(a, b, lam, lam_p, lam_pp, k, t, kp, tp, kpp, tpp, **_):
+    K, L, M = klm_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
+    G = M * (lam * k - 1.0) - K * lam * t
+    ks = _safe_div(a**4 * G, b * (a**2 + b**2) * lam_p**4)
+    third_T = (lam * k**3 + lam * k * t**2 - 3.0 * lam_p * kp
+               - lam * kpp - 3.0 * lam_pp * k - k**2)
+    third_B = (k * t - lam * k**2 * t - lam * t**3
+               + 3.0 * lam_p * tp + lam * tpp + 3.0 * lam_pp * t)
+    ts = _safe_div(b * lam_p, a * G) * (K * third_T + M * third_B)
+    return ks, ts
+
+
+def _printed_np(c, d, lam, lam_pp, k, t, kp, tp, kpp, tpp, **_):
+    zeros = np.zeros_like(lam)
+    kk, ll, mm = klm_coefficients(lam, zeros, lam_pp, k, t, kp, tp)
+    G = mm * (lam * k - 1.0) - kk * lam * t
+    ks = _safe_div(ll * c**3 * math.hypot(c, d), d**4 * G**3)
+    ts = _safe_div(ll**2 * (c**2 + d**2), d**2) * (
+        kk * (k**3 * lam + k * t**2 * lam - lam * kpp - k**2)
+        + ll * (-3.0 * lam * t * tp - 3.0 * lam * kp * k + kp)
+        + mm * (-k**2 * t * lam - t**3 * lam + lam * tpp + k * t)
+    )
+    return ks, ts
+
+
+def _printed_nr(e, f, lam, lam_p, lam_pp, lam_ppp, k, t, kp, tp, kpp, tpp, **_):
+    K, L, M = klm_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
+    ks = _safe_div(e**3 * L, f * (e**2 + f**2) * lam_p**3)
+    ts = _safe_div(L**2 * (e**2 + f**2), f**2) * (
+        K * (lam * k**3 + lam * k * t**2 - lam * kpp - k**2
+             - 3.0 * lam_pp * k - 3.0 * lam_p * kp)
+        + L * (-3.0 * lam * k * kp - 3.0 * lam * t * tp - 3.0 * k**2 * lam_p
+               - 3.0 * lam_p * t**2 + lam_ppp + kp)
+        + M * (-lam * k**2 * t - lam * t**3 + lam * tpp + k * t
+               + 3.0 * lam_pp * t + 3.0 * lam_p * tp)
+    )
+    return ks, ts
+
+
+def _printed_bo(a, b, lam, lam_p, lam_pp, k, t, kp, tp, tpp, **_):
+    X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
+    G = X * lam * t + Y
+    ks = _safe_div(-(a**4) * G, lam_p**2 * b * (a**2 + b**2) ** 1.5)
+    ts = _safe_div(b**2 * lam_p**2, a**2 * G**2) * (
+        X * (lam * t * kp + 3.0 * lam_p * t * k + 2.0 * lam * tp * k - k**2)
+        + Y * (lam * t**3 + lam * t * k**2 - lam * tpp
+               - 3.0 * lam_p * tp - 3.0 * lam_pp * t + kp)
+    )
+    return ks, ts
+
+
+def _printed_bp(c, d, lam, k, t, kp, tp, tpp, **_):
+    core = -lam * tp + k + lam**2 * t**2
+    ks = _safe_div(-(d**2) * math.hypot(c, d) * (lam * t**2 * (1.0 + lam**2 * t**2)) ** 3,
+                   c**3 * core**2)
+    num = d**2 * (lam**2 * t**3 * (lam * t * kp + 2.0 * tp * k * lam - k**2)
+                  + lam * t**2 * (lam * t * k**2 + lam * t**3 - tpp * lam + kp)
+                  + core * (-3.0 * tp * t * lam + k * t))
+    ts = _safe_div(num, (c**2 + d**2) * core**2)
+    return ks, ts
+
+
+def _printed_br(e, f, lam, lam_p, lam_pp, lam_ppp, k, t, kp, tp, tpp, **_):
+    X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
+    ks = _safe_div(Z * e**3, f * (e**2 + f**2) * lam_p**3)
+    ts = _safe_div(f**2, Z**2 * (e**2 + f**2)) * (
+        X * (lam * t * kp + 2.0 * lam * tp * k + 3.0 * lam_p * t * k - k**2)
+        + Y * (lam * t * k**2 + lam * t**3 - lam * tpp
+               - 3.0 * lam_pp * t - 3.0 * lam_p * tp + kp)
+        + Z * (-3.0 * lam * t * tp - 3.0 * lam_p * t**2 + k * t + lam_ppp)
+    )
+    return ks, ts
+
+
+@dataclass(frozen=True)
+class Family:
+    """What distinguishes one associated-curve family.
+
+    ``gates`` says which residual groups of the verification gate the
+    verdict (True) and which are reported for audit only (False).
+    ``coefficient`` names the family's cross-product coefficient constraint
+    and computes its raw value from the cross-product components (K, L, M
+    for normal offsets, X, Y, Z for binormal ones), lambda, kappa and tau.
+    ``curvatures`` is the printed kappa*, tau* formula. ``nonzero`` names
+    the second plane coefficient when the family needs it nonzero;
+    ``planar_base`` and ``constant_offset`` are prerequisites of
+    :func:`associate`.
+    """
+
+    vector: str
+    plane: str
+    title: str
+    gates: dict
+    curvatures: Callable
+    coefficient: tuple[str, Callable] | None = None
+    nonzero: str | None = None
+    planar_base: bool = False
+    constant_offset: bool = False
+
+    def check_coeffs(self, coeffs: tuple[float, float]) -> None:
+        if not (math.isfinite(coeffs[0]) and math.isfinite(coeffs[1])):
+            raise SpecificationError("plane coefficients must be finite")
+        if coeffs[0] == 0.0 and coeffs[1] == 0.0:
+            raise SpecificationError("plane coefficients must not both vanish")
+        if self.nonzero is not None and coeffs[1] == 0.0:
+            raise SpecificationError(f"{self.title} association requires {self.nonzero} != 0")
+
+
+def _gates(constraint: bool, frames: bool, curvatures: bool) -> dict:
+    return {"constraint": constraint, "frames": frames, "curvatures": curvatures}
+
+
+# Printed curvature formulas of the normal and binormal families are
+# audit-only; the tangent/rectifying family's printed curvatures and its
+# defining orthogonality are audit-only because they are unattainable for
+# curves with positive curvature (the first-order offset relation forces a
+# nonzero normal component of the mate cross product), which the report
+# surfaces instead of enshrining. Gating is versioned by
+# verify.GATING_TABLE_VERSION.
+FAMILIES = {f.vector + f.plane: f for f in (
+    Family("T", "O", "tangent/osculating", _gates(True, True, True), _printed_to,
+           nonzero="b", planar_base=True),
+    Family("T", "P", "tangent/normal", _gates(True, True, True), _printed_tp),
+    Family("T", "R", "tangent/rectifying", _gates(False, True, False), _printed_tr,
+           nonzero="f"),
+    Family("N", "O", "normal/osculating", _gates(True, False, False), _printed_no,
+           coefficient=("L-coefficient", lambda K, L, M, lam, k, t: L)),
+    Family("N", "P", "normal/normal", _gates(True, True, False), _printed_np,
+           constant_offset=True),
+    Family("N", "R", "normal/rectifying", _gates(True, False, False), _printed_nr,
+           coefficient=("NR-coefficient",
+                        lambda K, L, M, lam, k, t: M * (lam * k - 1.0) - K * lam * t)),
+    Family("B", "O", "binormal/osculating", _gates(True, False, False), _printed_bo,
+           coefficient=("Z-coefficient", lambda X, Y, Z, lam, k, t: Z)),
+    Family("B", "P", "binormal/normal", _gates(True, True, False), _printed_bp,
+           constant_offset=True),
+    Family("B", "R", "binormal/rectifying", _gates(True, False, False), _printed_br,
+           coefficient=("BR-coefficient", lambda X, Y, Z, lam, k, t: -X * lam * t - Y)),
+)}
+
+
 def predicted_curvature_arrays(
     frames: FrameData, spec: AssociationSpec, lam_sol: LambdaSolution,
     lam_ppp: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Catalogued printed formulas for kappa*, tau*, evaluated verbatim.
+    """The family's catalogued printed formulas for kappa*, tau*.
 
     Points where a printed denominator vanishes become NaN; formulas under
     the audit posture are reported and flagged, never silently repaired.
     """
-    lam, lam_p, lam_pp = lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime
     if lam_ppp is None:
         lam_ppp = lam_sol.lam_third()
-    k, t = frames.kappa, frames.tau
-    kp, tp = frames.kappa_prime, frames.tau_prime
-    kpp, tpp = frames.kappa_second_or_zero(), frames.tau_second_or_zero()
-    p, q = spec.coeffs
-    code = spec.code
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if code == "TO":
-            a, b = p, q
-            ks = _safe_div(b, lam * math.hypot(a, b))
-            ts = np.zeros_like(lam)
-        elif code == "TP":
-            ks = _safe_div(np.sqrt(k**2 + t**2), lam * k)
-            ts = _safe_div(k * tp - kp * t, lam * k * (k**2 + t**2))
-        elif code == "TR":
-            e, f = p, q
-            ks = _safe_div(t * f**2, lam * k * (e**2 + f**2))
-            num = f * (k**2 * t * e**3 + k**2 * t * e * f**2 + t**3 * e * f**2
-                       + k * tp * e**2 * f + k * tp * f**3
-                       - kp * t * e**2 * f - kp * t * f**3)
-            den = lam * k * (t**2 * e**2 * f**2 + t**2 * f**4 + k**2 * e**4
-                             + 2.0 * k**2 * e**2 * f**2 + k**2 * f**4)
-            ts = _safe_div(num, den)
-        elif code == "NO":
-            a, b = p, q
-            K, L, M = klm_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
-            G = M * (lam * k - 1.0) - K * lam * t
-            ks = _safe_div(a**4 * G, b * (a**2 + b**2) * lam_p**4)
-            third_T = (lam * k**3 + lam * k * t**2 - 3.0 * lam_p * kp
-                       - lam * kpp - 3.0 * lam_pp * k - k**2)
-            third_B = (k * t - lam * k**2 * t - lam * t**3
-                       + 3.0 * lam_p * tp + lam * tpp + 3.0 * lam_pp * t)
-            ts = _safe_div(b * lam_p, a * G) * (K * third_T + M * third_B)
-        elif code == "NP":
-            c, d = p, q
-            zeros = np.zeros_like(lam)
-            kk, ll, mm = klm_coefficients(lam, zeros, lam_pp, k, t, kp, tp)
-            G = mm * (lam * k - 1.0) - kk * lam * t
-            ks = _safe_div(ll * c**3 * math.hypot(c, d), d**4 * G**3)
-            ts = _safe_div(ll**2 * (c**2 + d**2), d**2) * (
-                kk * (k**3 * lam + k * t**2 * lam - lam * kpp - k**2)
-                + ll * (-3.0 * lam * t * tp - 3.0 * lam * kp * k + kp)
-                + mm * (-k**2 * t * lam - t**3 * lam + lam * tpp + k * t)
-            )
-        elif code == "NR":
-            e, f = p, q
-            K, L, M = klm_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
-            ks = _safe_div(e**3 * L, f * (e**2 + f**2) * lam_p**3)
-            ts = _safe_div(L**2 * (e**2 + f**2), f**2) * (
-                K * (lam * k**3 + lam * k * t**2 - lam * kpp - k**2
-                     - 3.0 * lam_pp * k - 3.0 * lam_p * kp)
-                + L * (-3.0 * lam * k * kp - 3.0 * lam * t * tp - 3.0 * k**2 * lam_p
-                       - 3.0 * lam_p * t**2 + lam_ppp + kp)
-                + M * (-lam * k**2 * t - lam * t**3 + lam * tpp + k * t
-                       + 3.0 * lam_pp * t + 3.0 * lam_p * tp)
-            )
-        elif code == "BO":
-            a, b = p, q
-            X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
-            G = X * lam * t + Y
-            ks = _safe_div(-(a**4) * G, lam_p**2 * b * (a**2 + b**2) ** 1.5)
-            ts = _safe_div(b**2 * lam_p**2, a**2 * G**2) * (
-                X * (lam * t * kp + 3.0 * lam_p * t * k + 2.0 * lam * tp * k - k**2)
-                + Y * (lam * t**3 + lam * t * k**2 - lam * tpp
-                       - 3.0 * lam_p * tp - 3.0 * lam_pp * t + kp)
-            )
-        elif code == "BP":
-            c, d = p, q
-            core = -lam * tp + k + lam**2 * t**2
-            ks = _safe_div(-(d**2) * math.hypot(c, d) * (lam * t**2 * (1.0 + lam**2 * t**2)) ** 3,
-                           c**3 * core**2)
-            num = d**2 * (lam**2 * t**3 * (lam * t * kp + 2.0 * tp * k * lam - k**2)
-                          + lam * t**2 * (lam * t * k**2 + lam * t**3 - tpp * lam + kp)
-                          + core * (-3.0 * tp * t * lam + k * t))
-            ts = _safe_div(num, (c**2 + d**2) * core**2)
-        elif code == "BR":
-            e, f = p, q
-            X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
-            ks = _safe_div(Z * e**3, f * (e**2 + f**2) * lam_p**3)
-            ts = _safe_div(f**2, Z**2 * (e**2 + f**2)) * (
-                X * (lam * t * kp + 2.0 * lam * tp * k + 3.0 * lam_p * t * k - k**2)
-                + Y * (lam * t * k**2 + lam * t**3 - lam * tpp
-                       - 3.0 * lam_pp * t - 3.0 * lam_p * tp + kp)
-                + Z * (-3.0 * lam * t * tp - 3.0 * lam_p * t**2 + k * t + lam_ppp)
-            )
-        else:  # pragma: no cover
-            raise SpecificationError(f"unknown family {code}")
-    return ks, ts
-
-
-def predicted_curvatures(
-    spec: AssociationSpec,
-    frame: FrenetFrame,
-    lam: float,
-    lam_p: float = 0.0,
-    lam_pp: float = 0.0,
-    lam_ppp: float = 0.0,
-) -> tuple[float, float]:
-    """Printed kappa*, tau* at one point; raises on vanishing denominators."""
-    grid = np.array([0.0, 1.0])
-    ones = np.ones(2)
-    frames = FrameData(
-        T=np.tile(frame.T, (2, 1)), N=np.tile(frame.N, (2, 1)), B=np.tile(frame.B, (2, 1)),
-        kappa=ones * frame.kappa, tau=ones * frame.tau,
-        kappa_prime=ones * frame.kappa_prime, tau_prime=ones * frame.tau_prime,
-        speed=ones, kappa_second=ones * frame.kappa_second,
-        tau_second=ones * frame.tau_second,
-    )
-    sol = LambdaSolution(grid=grid, lam=ones * lam, lam_prime=ones * lam_p,
-                         lam_double_prime=ones * lam_pp, provenance="constant")
-    ks, ts = predicted_curvature_arrays(frames, spec, sol, lam_ppp=ones * lam_ppp)
-    if not (np.isfinite(ks[0]) and np.isfinite(ts[0])):
-        raise SingularConfigurationError(
-            f"printed curvature formula of {spec.code} divides by a vanishing expression",
-            expression=spec.code,
+        return FAMILIES[spec.code].curvatures(
+            *spec.coeffs, lam=lam_sol.lam, lam_p=lam_sol.lam_prime,
+            lam_pp=lam_sol.lam_double_prime, lam_ppp=lam_ppp,
+            k=frames.kappa, t=frames.tau, kp=frames.kappa_prime, tp=frames.tau_prime,
+            kpp=frames.kappa_second_or_zero(), tpp=frames.tau_second_or_zero(),
         )
-    return float(ks[0]), float(ts[0])
 
 
 def classify_special_case(spec: AssociationSpec, lam_sol: LambdaSolution) -> str:
@@ -500,9 +471,9 @@ def associate(
 ) -> PredictedMate:
     """Construct the mate of ``base`` for the given family.
 
-    Enforces the family prerequisites: tangent/osculating mates exist only
-    for planar bases (max |tau| < planarity_tol), and the normal-plane
-    families require a constant offset.
+    Enforces the family prerequisites in FAMILIES: tangent/osculating mates
+    exist only for planar bases (max |tau| < planarity_tol), and the
+    normal-plane families require a constant offset.
     """
     if base.frames is None:
         raise SpecificationError("base curve must carry frames")
@@ -510,13 +481,14 @@ def associate(
     if float(np.max(np.abs(base.frames.speed - 1.0))) > 1e-4:
         raise SpecificationError("base curve must be arc-length parametrized")
 
-    if spec.code == "TO":
+    family = FAMILIES[spec.code]
+    if family.planar_base:
         max_tau = float(np.max(np.abs(base.frames.tau)))
         if max_tau >= planarity_tol:
             raise PlanarityError(
-                f"tangent/osculating association requires a planar base; max |tau| = {max_tau:.3e}"
+                f"{family.title} association requires a planar base; max |tau| = {max_tau:.3e}"
             )
-    if spec.plane == "P" and spec.vector in ("N", "B") and not lam_sol.is_constant(1e-8):
+    if family.constant_offset and not lam_sol.is_constant(1e-8):
         raise SpecificationError(
             f"{spec.code} association requires a constant offset (lambda' = 0)"
         )

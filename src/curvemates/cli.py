@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import io as cio
-from .association import AssociationSpec, associate
+from .association import FAMILIES, AssociationSpec, associate
 from .errors import (
     AlignmentError,
     CurveMatesError,
@@ -86,6 +86,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise UsageError(f"--grid expects min:max:n, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--grid bounds must be finite, got {text!r}")
     if not (lo < hi and n >= 7):
         raise UsageError("--grid requires min < max and n >= 7")
     return np.linspace(lo, hi, n)
@@ -113,8 +115,8 @@ def _parse_coeffs(text: str) -> tuple[float, float]:
 
 def _family_spec(family: str, coeffs: tuple[float, float] | None) -> AssociationSpec:
     family = family.upper()
-    if len(family) != 2 or family[0] not in "TNB" or family[1] not in "OPR":
-        raise UsageError(f"--family must be one of TO,TP,TR,NO,NP,NR,BO,BP,BR, got {family!r}")
+    if family not in FAMILIES:
+        raise UsageError(f"--family must be one of {','.join(FAMILIES)}, got {family!r}")
     if coeffs is None:
         coeffs = (1.0, 1.0)
     try:

@@ -38,14 +38,6 @@ class PlanarityError(SpecificationError):
     """Tangent/osculating association attempted on a non-planar base curve."""
 
 
-class SingularConfigurationError(CurveMatesError):
-    """A closed-form denominator vanished; carries the expression name."""
-
-    def __init__(self, message: str, expression: str | None = None):
-        super().__init__(message)
-        self.expression = expression
-
-
 class AlignmentError(CurveMatesError):
     """Grids of two objects that must share samples do not match."""
 
@@ -76,10 +68,6 @@ class SingularOdeError(CurveMatesError):
 
 class QuadratureRangeError(CurveMatesError):
     """Exponential overflow in an integrating-factor solve; split the domain."""
-
-
-class ContractError(CurveMatesError):
-    """An input violated a documented contract (for example non-orthonormal frames)."""
 
 
 class UsageError(CurveMatesError):

@@ -124,78 +124,6 @@ class CurveSpec:
         return table[: order + 1]
 
 
-def evaluate(curve: CurveSpec, s: float, order: int = 0) -> list[np.ndarray]:
-    """Position and derivatives of ``curve`` at ``s`` up to ``order`` (<= 3).
-
-    Analytic curves are exact; sampled curves use second-order stencils on
-    their own grid (cubic interpolation between grid points).
-    """
-    if not 0 <= order <= 3:
-        raise ValueError("order must be in 0..3")
-    lo, hi = curve.domain()
-    if not (lo <= s <= hi):
-        raise DomainError(f"s={s} outside curve domain [{lo}, {hi}]")
-    if curve.is_analytic:
-        return [d[0] for d in curve._analytic_derivs(np.array([s]), order)]
-
-    pts = curve.points
-    n = pts.shape[0]
-    min_needed = {0: 2, 1: 3, 2: 4, 3: 7}[order]
-    if n < min_needed:
-        raise InsufficientDataError(
-            f"order-{order} derivative needs at least {min_needed} samples, have {n}"
-        )
-    grid = pts[:, 0]
-    pos = pts[:, 1:4]
-    h = uniform_spacing(grid)
-    arrays = [pos]
-    if order >= 1:
-        arrays.append(diff1(pos, h))
-    if order >= 2:
-        arrays.append(diff2(pos, h))
-    if order >= 3:
-        arrays.append(diff3(pos, h))
-    idx = int(round((s - grid[0]) / h))
-    if 0 <= idx < n and abs(grid[idx] - s) <= 1e-9 * max(1.0, abs(s)):
-        return [a[idx] for a in arrays]
-    from scipy.interpolate import CubicSpline
-
-    return [CubicSpline(grid, a, axis=0)(s) for a in arrays]
-
-
-@dataclass(frozen=True)
-class FrenetFrame:
-    """Frenet data of one curve point.
-
-    kappa_prime/tau_prime (and the optional second derivatives) are taken
-    with respect to arc length.
-    """
-
-    s: float
-    position: np.ndarray
-    T: np.ndarray
-    N: np.ndarray
-    B: np.ndarray
-    kappa: float
-    tau: float
-    kappa_prime: float = 0.0
-    tau_prime: float = 0.0
-    kappa_second: float = 0.0
-    tau_second: float = 0.0
-
-    def validate(self, tol: float = 1e-9) -> None:
-        for name, v in (("T", self.T), ("N", self.N), ("B", self.B)):
-            if abs(np.linalg.norm(v) - 1.0) > tol:
-                raise CurvatureDegenerateError(f"frame vector {name} is not unit")
-        for a, b, name in ((self.T, self.N, "T.N"), (self.T, self.B, "T.B"), (self.N, self.B, "N.B")):
-            if abs(float(np.dot(a, b))) > tol:
-                raise CurvatureDegenerateError(f"frame not orthogonal: {name}")
-        if np.max(np.abs(np.cross(self.T, self.N) - self.B)) > tol:
-            raise CurvatureDegenerateError("frame not right-handed: B != T x N")
-        if self.kappa < 0:
-            raise CurvatureDegenerateError("kappa must be nonnegative")
-
-
 @dataclass(frozen=True)
 class FrameData:
     """Vectorized frame arrays aligned with a sample grid."""
@@ -247,24 +175,6 @@ class SampledCurve:
 
     def with_frames(self, frames: FrameData) -> "SampledCurve":
         return replace(self, frames=frames)
-
-    def frame_at(self, i: int) -> FrenetFrame:
-        if self.frames is None:
-            raise SpecificationError("curve carries no frames")
-        f = self.frames
-        ks = f.kappa_second_or_zero()
-        ts = f.tau_second_or_zero()
-        return FrenetFrame(
-            s=float(self.grid[i]),
-            position=self.positions[i],
-            T=f.T[i], N=f.N[i], B=f.B[i],
-            kappa=float(f.kappa[i]), tau=float(f.tau[i]),
-            kappa_prime=float(f.kappa_prime[i]), tau_prime=float(f.tau_prime[i]),
-            kappa_second=float(ks[i]), tau_second=float(ts[i]),
-        )
-
-    def frame_list(self) -> list[FrenetFrame]:
-        return [self.frame_at(i) for i in range(self.n)]
 
 
 def _frenet_from_derivs(
@@ -370,52 +280,6 @@ def sample_curve(
         speed_dev = float(np.max(np.abs(frames.speed - 1.0)))
     return SampledCurve(grid=grid, positions=pos, frames=frames,
                         unit_speed=frames is not None and speed_dev < 1e-6)
-
-
-def frenet_apparatus(
-    curve: CurveSpec | SampledCurve,
-    s: float,
-    kappa_min: float = KAPPA_FLOOR_DEFAULT,
-) -> FrenetFrame:
-    """Frenet frame at one parameter value.
-
-    Raises CurvatureDegenerateError when kappa falls below ``kappa_min``
-    (straight segments have no principal normal).
-    """
-    if isinstance(curve, SampledCurve):
-        if curve.frames is not None:
-            i = int(np.argmin(np.abs(curve.grid - s)))
-            frame = curve.frame_at(i)
-            if frame.kappa <= kappa_min:
-                raise CurvatureDegenerateError(f"kappa={frame.kappa:g} below floor at s={s}")
-            return frame
-        spec = CurveSpec.from_samples(
-            np.column_stack([curve.grid, curve.positions])
-        )
-        return frenet_apparatus(spec, s, kappa_min)
-
-    if curve.is_analytic:
-        d0, d1, d2, d3 = (np.asarray(v, dtype=float) for v in evaluate(curve, s, 3))
-        T, N, B, kappa, tau, speed, _ = _frenet_from_derivs(
-            d1[None, :], d2[None, :], d3[None, :], kappa_min, strict=True,
-            grid=np.array([s]),
-        )
-        return FrenetFrame(s=float(s), position=d0, T=T[0], N=N[0], B=B[0],
-                           kappa=float(kappa[0]), tau=float(tau[0]))
-
-    pts = curve.points
-    if pts.shape[0] < 7:
-        raise InsufficientDataError("Frenet apparatus of samples needs at least 7 points")
-    grid = pts[:, 0]
-    lo, hi = curve.domain()
-    if not (lo <= s <= hi):
-        raise DomainError(f"s={s} outside curve domain [{lo}, {hi}]")
-    frames = frenet_frames_sampled(grid, pts[:, 1:4], kappa_min, strict=False)
-    i = int(np.argmin(np.abs(grid - s)))
-    if not frames.valid[i]:
-        raise CurvatureDegenerateError(f"kappa below floor {kappa_min:g} at s={grid[i]}")
-    curve_s = SampledCurve(grid=grid, positions=pts[:, 1:4], frames=frames)
-    return curve_s.frame_at(i)
 
 
 @dataclass(frozen=True)

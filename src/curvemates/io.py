@@ -110,7 +110,7 @@ def curve_from_json(text: str) -> CurveSpec:
             return CurveSpec.helix(obj["a"], obj["b"])
         if kind == "samples":
             return CurveSpec.from_samples(obj["points"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed curve JSON: {exc}") from None
     except SpecificationError as exc:
         raise ParseError(str(exc)) from None
@@ -131,7 +131,7 @@ def association_from_json(text: str) -> AssociationSpec:
                                coeffs=tuple(obj["coeffs"]))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid association JSON: {exc}") from None
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed association JSON: {exc}") from None
     except SpecificationError as exc:
         raise ParseError(str(exc)) from None

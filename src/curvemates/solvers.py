@@ -450,7 +450,14 @@ def riccati_linearize(
                           constants={"mu0": float(mu0)})
 
 
-_CONSTRAINT_FAMILIES = ("NO", "NR", "BO", "BR")
+def _constraint_family(family: str):
+    """The FAMILIES entry of a family with a cross-product coefficient constraint."""
+    from .association import FAMILIES  # association imports this module
+
+    entry = FAMILIES.get(family)
+    if entry is None or entry.coefficient is None:
+        raise SpecificationError(f"unknown constraint family {family!r}")
+    return entry
 
 
 def constant_admissible_lambda(family: str, kappa: float, tau: float) -> float:
@@ -491,8 +498,7 @@ def solve_constraint_ode(
     lambda' = sign*ratio*sqrt(1 + lambda^2 tau^2)). ansatz="constant"
     returns the family's constant branch instead of integrating.
     """
-    if family not in _CONSTRAINT_FAMILIES:
-        raise SpecificationError(f"unknown constraint family {family!r}")
+    _constraint_family(family)
     grid = np.asarray(grid, dtype=float)
 
     k_fn = _as_fn(kappa, "kappa")
@@ -579,6 +585,7 @@ def constraint_residual(
     """
     from .association import klm_coefficients, xyz_coefficients
 
+    entry = _constraint_family(family)
     grid = sol.grid
     h = sol.spacing()
     k = _as_grid_array(kappa, grid)
@@ -589,15 +596,9 @@ def constraint_residual(
     lam_p = diff1_o4(lam, h)
     lam_pp = diff1_o4(lam_p, h)
 
-    if family in ("NO", "NR"):
-        K, L, M = klm_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
-        norm = np.sqrt(K**2 + L**2 + M**2)
-        raw = L if family == "NO" else M * (lam * k - 1.0) - K * lam * t
-    elif family in ("BO", "BR"):
-        X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, k, t, kp, tp)
-        norm = np.sqrt(X**2 + Y**2 + Z**2)
-        raw = Z if family == "BO" else -X * lam * t - Y
-    else:
-        raise SpecificationError(f"unknown constraint family {family!r}")
+    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
+    c1, c2, c3 = cross(lam, lam_p, lam_pp, k, t, kp, tp)
+    norm = np.sqrt(c1**2 + c2**2 + c3**2)
+    raw = entry.coefficient[1](c1, c2, c3, lam, k, t)
     scale = np.where(norm > 1e-12, norm, 1.0)
     return (np.abs(raw) / scale)[4:-4]

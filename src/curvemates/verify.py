@@ -9,12 +9,13 @@ The oracle recomputes the mate's Frenet apparatus from its positions alone
   * closed-form frames against the numeric frames,
   * printed curvature formulas against numeric curvatures.
 
-Which checks gate the verdict and which are audit-only is fixed in
-GATING_TABLE (versioned). Frame gating uses the angle between spanned
-lines; raw signed angles and sign-flip fractions are reported alongside so
-orientation conventions are never silently absorbed. Points where the mate
-is curvature-degenerate or its speed collapses (offset cusps) are excluded
-from gating and enumerated in the report.
+Which checks gate the verdict and which are audit-only is fixed per family
+in association.FAMILIES (versioned by GATING_TABLE_VERSION). Frame gating
+uses the angle between spanned lines; raw signed angles and sign-flip
+fractions are reported alongside so orientation conventions are never
+silently absorbed. Points where the mate is curvature-degenerate or its
+speed collapses (offset cusps) are excluded from gating and enumerated in
+the report.
 """
 from __future__ import annotations
 
@@ -23,37 +24,12 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .association import (
-    AssociationSpec,
-    PLANE_NORMAL,
-    PredictedMate,
-    predicted_curvature_arrays,
-)
-from .errors import ContractError, SpecificationError
+from .association import FAMILIES, PLANE_NORMAL, AssociationSpec, PredictedMate
+from .errors import SpecificationError
 from .geometry import FrameData, SampledCurve, frenet_frames_sampled
 from .solvers import LambdaSolution, constraint_residual
 
 GATING_TABLE_VERSION = 1
-
-# Per family: which residual groups gate the verdict (True) versus being
-# reported for audit only (False). Printed curvature formulas of the normal
-# and binormal families are audit-only; the tangent/rectifying family's
-# printed curvatures and its defining orthogonality are audit-only because
-# they are unattainable for curves with positive curvature (the first-order
-# offset relation forces a nonzero normal component of the mate cross
-# product), which the report surfaces instead of enshrining.
-GATING_TABLE = {
-    "TO": {"constraint": True, "frames": True, "curvatures": True},
-    "TP": {"constraint": True, "frames": True, "curvatures": True},
-    "TR": {"constraint": False, "frames": True, "curvatures": False},
-    "NO": {"constraint": True, "frames": False, "curvatures": False},
-    "NP": {"constraint": True, "frames": True, "curvatures": False},
-    "NR": {"constraint": True, "frames": False, "curvatures": False},
-    "BO": {"constraint": True, "frames": False, "curvatures": False},
-    "BP": {"constraint": True, "frames": True, "curvatures": False},
-    "BR": {"constraint": True, "frames": False, "curvatures": False},
-}
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -78,11 +54,14 @@ class Tolerances:
     boundary_skip: int = 2
 
     def replace(self, **overrides) -> "Tolerances":
+        """Copy with overrides; each value must be a number >= 0 (NaN is not)."""
         data = asdict(self)
         for key, value in overrides.items():
             if key not in data:
                 raise SpecificationError(f"unknown tolerance {key!r}")
             data[key] = type(data[key])(value)
+            if not data[key] >= 0:
+                raise SpecificationError(f"tolerance {key} must be >= 0, got {value!r}")
         return Tolerances(**data)
 
 
@@ -112,51 +91,12 @@ def _vector_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return raw, line
 
 
-def compare_frames(
-    predicted: tuple[np.ndarray, np.ndarray, np.ndarray],
-    numeric: tuple[np.ndarray, np.ndarray, np.ndarray],
-    tol_angle: float = 1e-4,
-) -> tuple[float, float, float]:
-    """Raw angles between predicted and numeric frame vectors at one point.
-
-    Signs are not absorbed: antipodal vectors report pi. Inputs must be
-    orthonormal right-handed triads.
-    """
-    for name, triad in (("predicted", predicted), ("numeric", numeric)):
-        t, n, b = (np.asarray(v, dtype=float) for v in triad)
-        gram_ok = (
-            abs(np.linalg.norm(t) - 1) < 1e-6
-            and abs(np.linalg.norm(n) - 1) < 1e-6
-            and abs(np.linalg.norm(b) - 1) < 1e-6
-            and abs(float(np.dot(t, n))) < 1e-6
-            and abs(float(np.dot(t, b))) < 1e-6
-            and abs(float(np.dot(n, b))) < 1e-6
-        )
-        if not gram_ok:
-            raise ContractError(f"{name} triad is not orthonormal")
-    angles = []
-    for u, v in zip(predicted, numeric):
-        u = np.asarray(u, dtype=float)[None, :]
-        v = np.asarray(v, dtype=float)[None, :]
-        raw, _ = _vector_angles(u, v)
-        angles.append(float(raw[0]))
-    return tuple(angles)
-
-
 def _bands_from_mask(grid: np.ndarray, bad: np.ndarray) -> list:
     """Contiguous grid intervals covered by a boolean mask."""
-    bands = []
-    in_band = False
-    start = 0.0
-    for i, flag in enumerate(bad):
-        if flag and not in_band:
-            in_band, start = True, float(grid[i])
-        elif not flag and in_band:
-            bands.append([start, float(grid[i - 1])])
-            in_band = False
-    if in_band:
-        bands.append([start, float(grid[-1])])
-    return bands
+    edges = np.diff(np.concatenate(([False], bad, [False])).astype(np.int8))
+    starts = grid[np.flatnonzero(edges == 1)]
+    ends = grid[np.flatnonzero(edges == -1) - 1]
+    return np.column_stack([starts, ends]).tolist()
 
 
 def _gate_mask(
@@ -218,13 +158,11 @@ def check_distance(
 
 
 def audit_curvature_formulas(
-    spec: AssociationSpec,
-    base_frames: FrameData,
-    lam_sol: LambdaSolution,
+    predicted: PredictedMate,
     numeric: FrameData,
     mask: np.ndarray | None = None,
 ) -> dict:
-    """Relative printed-formula-vs-oracle deltas for kappa*, tau*.
+    """Relative deltas of the printed kappa*, tau* in ``predicted`` against the oracle.
 
     kappa deltas compare magnitudes (numeric curvature is nonnegative by
     definition while printed formulas inherit the sign of lambda); tau
@@ -233,12 +171,11 @@ def audit_curvature_formulas(
     formula that fails to evaluate (vanishing printed denominator) reports
     an infinite delta.
     """
-    ks_f, ts_f = predicted_curvature_arrays(base_frames, spec, lam_sol)
     if mask is None:
-        mask = np.ones(lam_sol.grid.shape, dtype=bool)
+        mask = np.ones(predicted.lam.grid.shape, dtype=bool)
     ks_n = numeric.kappa[mask]
     ts_n = numeric.tau[mask]
-    ks_f, ts_f = ks_f[mask], ts_f[mask]
+    ks_f, ts_f = predicted.kappa_star[mask], predicted.tau_star[mask]
     out = {}
     if ks_f.size == 0:
         out["kappa"] = 0.0
@@ -289,7 +226,8 @@ def check_association(
     numeric = frenet_frames_sampled(mate.grid, mate.positions,
                                     kappa_min=tols.kappa_min, strict=False)
     gate, bands = _gate_mask(mate.grid, mate.positions, numeric, tols)
-    gates_for = GATING_TABLE[spec.code]
+    family = FAMILIES[spec.code]
+    gates_for = family.gates
     notes = []
     gated: dict[str, bool] = {}
 
@@ -306,15 +244,13 @@ def check_association(
         notes.append("gated set empty: every point is degenerate or boundary")
     gated[key] = gates_for["constraint"]
 
-    if lam_sol is not None:
-        coeff_key = {"NO": "L-coefficient", "BO": "Z-coefficient",
-                     "NR": "NR-coefficient", "BR": "BR-coefficient"}.get(spec.code)
-        if coeff_key is not None:
-            res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
-                                      base.frames.tau, base.frames.kappa_prime,
-                                      base.frames.tau_prime)
-            constraint_residuals[coeff_key] = float(np.max(res)) if res.size else 0.0
-            gated[coeff_key] = gates_for["constraint"]
+    coeff_key = family.coefficient[0] if family.coefficient else None
+    if lam_sol is not None and coeff_key is not None:
+        res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
+                                  base.frames.tau, base.frames.kappa_prime,
+                                  base.frames.tau_prime)
+        constraint_residuals[coeff_key] = float(np.max(res)) if res.size else 0.0
+        gated[coeff_key] = gates_for["constraint"]
 
     distance = None
     if lam_sol is not None:
@@ -344,9 +280,7 @@ def check_association(
                 frame_flips[name] = 0.0
             gated[f"frame_{name}"] = gates_for["frames"]
 
-        curvature_deltas = audit_curvature_formulas(
-            spec, base.frames, predicted.lam, numeric, mask=gate & predicted.defined
-        )
+        curvature_deltas = audit_curvature_formulas(predicted, numeric, mask=both)
         gated["kappa"] = gates_for["curvatures"]
         gated["tau"] = gates_for["curvatures"]
 
@@ -366,10 +300,8 @@ def check_association(
     failed = []
     if constraint_residuals.get(key, 0.0) > tols.constraint and gated[key]:
         failed.append(key)
-    for coeff_key in ("L-coefficient", "Z-coefficient", "NR-coefficient", "BR-coefficient"):
-        if coeff_key in constraint_residuals and gated.get(coeff_key) and \
-                constraint_residuals[coeff_key] > tols.constraint:
-            failed.append(coeff_key)
+    if gated.get(coeff_key) and constraint_residuals[coeff_key] > tols.constraint:
+        failed.append(coeff_key)
     if distance is not None and distance > tols.distance:
         failed.append("distance")
     for name in ("T", "N", "B"):

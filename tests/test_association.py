@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 
 from curvemates import (
+    FAMILIES,
     AssociationSpec,
     CurveSpec,
-    FrenetFrame,
+    FrameData,
     associate,
     classify_special_case,
     construct_mate,
-    klm,
     mate_curvatures_closed,
     plane_unit_vector,
-    predicted_curvatures,
-    predicted_frame,
     sample_curve,
-    xyz,
 )
-from curvemates.association import predicted_frames_grid
+from curvemates.association import (
+    klm_coefficients,
+    predicted_curvature_arrays,
+    predicted_frames_grid,
+    xyz_coefficients,
+)
 from curvemates.errors import (
     AlignmentError,
     PlanarityError,
-    SingularConfigurationError,
     SpecificationError,
 )
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.solvers import (
+    LambdaSolution,
     lambda_constant,
     lambda_involute,
     solve_riccati,
@@ -35,12 +37,18 @@ from curvemates.solvers import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def identity_frame(**kw):
-    defaults = dict(s=0.0, position=np.zeros(3), T=np.array([1.0, 0, 0]),
-                    N=np.array([0, 1.0, 0]), B=np.array([0, 0, 1.0]),
-                    kappa=1.0, tau=0.0)
-    defaults.update(kw)
-    return FrenetFrame(**defaults)
+def identity_frames(kappa=1.0, tau=0.0):
+    """One-point FrameData with the standard basis as T, N, B."""
+    one = np.ones(1)
+    return FrameData(T=np.array([[1.0, 0, 0]]), N=np.array([[0, 1.0, 0]]),
+                     B=np.array([[0, 0, 1.0]]), kappa=kappa * one, tau=tau * one,
+                     kappa_prime=0 * one, tau_prime=0 * one, speed=one)
+
+
+def one_point(lam, lam_p=0.0, lam_pp=0.0):
+    """One-point LambdaSolution."""
+    return LambdaSolution(grid=[0.0], lam=[lam], lam_prime=[lam_p],
+                          lam_double_prime=[lam_pp], provenance="closed-form")
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +64,16 @@ def test_spec_validation():
         AssociationSpec(vector="T", plane="R", coeffs=(1.0, 0.0))  # f must be nonzero
     with pytest.raises(SpecificationError):
         AssociationSpec(vector="Q", plane="O", coeffs=(1.0, 1.0))
+    with pytest.raises(SpecificationError):
+        AssociationSpec(vector="T", plane="X", coeffs=(1.0, 1.0))
     assert AssociationSpec(vector="N", plane="O", coeffs=(0.0, 1.0)).code == "NO"
+
+
+@pytest.mark.parametrize("code", list(FAMILIES))
+@pytest.mark.parametrize("coeffs", [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0)])
+def test_spec_rejects_nonfinite_coefficients(code, coeffs):
+    with pytest.raises(SpecificationError, match="finite"):
+        AssociationSpec(code[0], code[1], coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +81,18 @@ def test_spec_validation():
 
 
 def test_plane_unit_vector_osculating_symmetric():
-    v = plane_unit_vector(identity_frame(), AssociationSpec("T", "O", (1.0, 1.0)))
-    np.testing.assert_allclose(v, [INV_SQRT2, INV_SQRT2, 0.0], atol=1e-15)
+    v = plane_unit_vector(identity_frames(), AssociationSpec("T", "O", (1.0, 1.0)))
+    np.testing.assert_allclose(v, [[INV_SQRT2, INV_SQRT2, 0.0]], atol=1e-15)
 
 
 def test_plane_unit_vector_normal_plane_example():
-    v = plane_unit_vector(identity_frame(), AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)))
-    np.testing.assert_allclose(v, [0.0, -INV_SQRT2, INV_SQRT2], atol=1e-15)
+    v = plane_unit_vector(identity_frames(), AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)))
+    np.testing.assert_allclose(v, [[0.0, -INV_SQRT2, INV_SQRT2]], atol=1e-15)
 
 
 def test_plane_unit_vector_degenerate_axis():
-    v = plane_unit_vector(identity_frame(), AssociationSpec("N", "R", (1.0, 0.0)))
-    np.testing.assert_allclose(v, [1.0, 0.0, 0.0], atol=1e-15)
+    v = plane_unit_vector(identity_frames(), AssociationSpec("N", "R", (1.0, 0.0)))
+    np.testing.assert_allclose(v, [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -118,18 +135,17 @@ def test_construct_mate_distance_identity(helix_base, grid_0_2):
 
 
 def test_klm_constant_offset_constant_curvatures():
-    frame = identity_frame(kappa=INV_SQRT2, tau=INV_SQRT2)
     lam = 0.4
-    out = klm(lam, 0.0, 0.0, frame)
+    K, L, M = klm_coefficients(lam, 0.0, 0.0, INV_SQRT2, INV_SQRT2, 0.0, 0.0)
     d = (1.0 - lam * INV_SQRT2) * INV_SQRT2 - lam * 0.5
-    assert out.K == pytest.approx(-lam * INV_SQRT2 * d, rel=1e-12)
-    assert out.L == pytest.approx(0.0, abs=1e-15)
-    assert out.M == pytest.approx((1.0 - lam * INV_SQRT2) * d, rel=1e-12)
+    assert K == pytest.approx(-lam * INV_SQRT2 * d, rel=1e-12)
+    assert L == pytest.approx(0.0, abs=1e-15)
+    assert M == pytest.approx((1.0 - lam * INV_SQRT2) * d, rel=1e-12)
 
 
 def test_klm_zero_offset_reduces_to_base():
-    out = klm(0.0, 0.0, 0.0, identity_frame(kappa=0.8, tau=0.3))
-    assert (out.K, out.L, out.M) == pytest.approx((0.0, 0.0, 0.8))
+    out = klm_coefficients(0.0, 0.0, 0.0, 0.8, 0.3, 0.0, 0.0)
+    assert out == pytest.approx((0.0, 0.0, 0.8))
 
 
 def test_klm_matches_finite_difference_cross_product():
@@ -150,35 +166,34 @@ def test_klm_matches_finite_difference_cross_product():
     d2 = diff2(mate.positions, h)
     cross = np.cross(d1, d2)
     i = 2000
-    frame = base.frame_at(i)
-    out = klm(lam[i], 1.0, 0.0, frame)
-    expected = out.K * frame.T + out.L * frame.N + out.M * frame.B
+    f = base.frames
+    K, L, M = klm_coefficients(lam[i], 1.0, 0.0, f.kappa[i], f.tau[i],
+                               f.kappa_prime[i], f.tau_prime[i])
+    expected = K * f.T[i] + L * f.N[i] + M * f.B[i]
     np.testing.assert_allclose(cross[i], expected, atol=5e-6)
 
 
 def test_xyz_constant_offset():
-    frame = identity_frame(kappa=0.9, tau=0.6)
     lam = 0.5
-    out = xyz(lam, 0.0, 0.0, frame)
-    assert out.X == pytest.approx(lam**2 * 0.6**3, rel=1e-12)
-    assert out.Y == pytest.approx(lam * 0.36, rel=1e-12)
-    assert out.Z == pytest.approx(0.9 * (1.0 + lam**2 * 0.36), rel=1e-12)
+    X, Y, Z = xyz_coefficients(lam, 0.0, 0.0, 0.9, 0.6, 0.0, 0.0)
+    assert X == pytest.approx(lam**2 * 0.6**3, rel=1e-12)
+    assert Y == pytest.approx(lam * 0.36, rel=1e-12)
+    assert Z == pytest.approx(0.9 * (1.0 + lam**2 * 0.36), rel=1e-12)
 
 
 def test_xyz_zero_offset():
-    out = xyz(0.0, 0.0, 0.0, identity_frame(kappa=0.9, tau=0.6))
-    assert (out.X, out.Y, out.Z) == pytest.approx((0.0, 0.0, 0.9))
+    out = xyz_coefficients(0.0, 0.0, 0.0, 0.9, 0.6, 0.0, 0.0)
+    assert out == pytest.approx((0.0, 0.0, 0.9))
 
 
 def test_xyz_on_riccati_trajectory_start():
     # lambda(0) = 0, lambda'(0) = 1/2 is the start of the vanishing-Z
     # trajectory: all three components are zero there (the mate starts at an
     # inflection of its own).
-    frame = identity_frame(kappa=INV_SQRT2, tau=INV_SQRT2)
-    out = xyz(0.0, 0.5, 0.0, frame)
-    assert out.X == pytest.approx(0.0, abs=1e-15)
-    assert out.Y == pytest.approx(0.0, abs=1e-15)
-    assert out.Z == pytest.approx(0.0, abs=1e-15)
+    X, Y, Z = xyz_coefficients(0.0, 0.5, 0.0, INV_SQRT2, INV_SQRT2, 0.0, 0.0)
+    assert X == pytest.approx(0.0, abs=1e-15)
+    assert Y == pytest.approx(0.0, abs=1e-15)
+    assert Z == pytest.approx(0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +201,29 @@ def test_xyz_on_riccati_trajectory_start():
 
 
 def test_predicted_frame_tangent_normal_plane_is_base_normal():
-    frame = identity_frame(kappa=INV_SQRT2, tau=INV_SQRT2)
-    spec = AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2))
-    T, N, B = predicted_frame(frame, spec, 0.7, (-1.0, 0.0))
-    np.testing.assert_allclose(T, frame.N, atol=1e-12)
+    frames = identity_frames(kappa=INV_SQRT2, tau=INV_SQRT2)
+    T, N, B, defined = predicted_frames_grid(frames, "T", one_point(0.7, -1.0))
+    assert defined[0]
+    np.testing.assert_allclose(T, frames.N, atol=1e-12)
     # Orthonormal right-handed triad.
     np.testing.assert_allclose(np.cross(T, N), B, atol=1e-12)
 
 
 def test_predicted_frame_tangent_rectifying_combination():
     # e = f = 1 with the family's offset relation 1 + lambda' = lambda*kappa.
-    frame = identity_frame(kappa=INV_SQRT2, tau=INV_SQRT2)
+    frames = identity_frames(kappa=INV_SQRT2, tau=INV_SQRT2)
     lam = math.sqrt(2.0)
     lam_p = lam * INV_SQRT2 - 1.0
-    T, N, B = predicted_frame(frame, AssociationSpec("T", "R", (1.0, 1.0)), lam, (lam_p, 0.0))
-    np.testing.assert_allclose(T, (frame.T + frame.N) * INV_SQRT2, atol=1e-12)
+    T, N, B, defined = predicted_frames_grid(frames, "T", one_point(lam, lam_p))
+    assert defined[0]
+    np.testing.assert_allclose(T, (frames.T + frames.N) * INV_SQRT2, atol=1e-12)
 
 
 def test_predicted_frame_singular_configuration():
-    frame = identity_frame(kappa=1.0, tau=0.0)
-    with pytest.raises(SingularConfigurationError):
-        predicted_frame(frame, AssociationSpec("T", "P", (-1.0, 1.0)), 0.0, (-1.0, 0.0))
+    # Zero offset on the involute: the mate speed 1 + lambda' vanishes.
+    T, N, B, defined = predicted_frames_grid(identity_frames(), "T", one_point(0.0, -1.0))
+    assert not defined[0]
+    assert np.all(np.isnan(np.concatenate([T, N, B])))
 
 
 def test_predicted_frames_grid_orthonormal(helix_base, grid_0_2):
@@ -224,24 +241,27 @@ def test_predicted_frames_grid_orthonormal(helix_base, grid_0_2):
 
 
 def test_predicted_curvatures_tangent_normal_plane_helix():
-    frame = identity_frame(kappa=INV_SQRT2, tau=INV_SQRT2)
+    frames = identity_frames(kappa=INV_SQRT2, tau=INV_SQRT2)
     spec = AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2))
-    ks, ts = predicted_curvatures(spec, frame, 1.0, -1.0, 0.0, 0.0)
-    assert ks == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert ts == pytest.approx(0.0, abs=1e-15)
+    ks, ts = predicted_curvature_arrays(frames, spec, one_point(1.0, -1.0), lam_ppp=np.zeros(1))
+    assert ks[0] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert ts[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_predicted_curvatures_tangent_osculating():
-    frame = identity_frame(kappa=1.0, tau=0.0)
-    ks, ts = predicted_curvatures(AssociationSpec("T", "O", (1.0, 1.0)), frame, 1.0, 0.0, 1.0)
-    assert ks == pytest.approx(INV_SQRT2, rel=1e-12)
-    assert ts == 0.0
+    spec = AssociationSpec("T", "O", (1.0, 1.0))
+    ks, ts = predicted_curvature_arrays(identity_frames(), spec, one_point(1.0, 0.0, 1.0),
+                                        lam_ppp=np.zeros(1))
+    assert ks[0] == pytest.approx(INV_SQRT2, rel=1e-12)
+    assert ts[0] == 0.0
 
 
 def test_predicted_curvatures_zero_offset_guard():
-    frame = identity_frame(kappa=1.0, tau=0.5)
-    with pytest.raises(SingularConfigurationError):
-        predicted_curvatures(AssociationSpec("T", "P", (-1.0, 1.0)), frame, 0.0, -1.0)
+    # A vanishing printed denominator is NaN, never a silently repaired value.
+    frames = identity_frames(kappa=1.0, tau=0.5)
+    spec = AssociationSpec("T", "P", (-1.0, 1.0))
+    ks, ts = predicted_curvature_arrays(frames, spec, one_point(0.0, -1.0), lam_ppp=np.zeros(1))
+    assert np.isnan(ks[0]) and np.isnan(ts[0])
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,39 @@ def test_cli_usage_errors():
     assert main(["frenet", "--curve", '{"kind":"circle","r":1.0}', "--grid", "bad"]) == 64
 
 
+HELIX = json.dumps({"kind": "helix", "a": INV_SQRT2, "b": INV_SQRT2})
+
+
+@pytest.mark.parametrize("curve", [
+    '{"kind": "circle", "r": "x"}',
+    '{"kind": "helix", "a": "x", "b": 0.5}',
+    '{"kind": "samples", "points": [[0, 0, 0, 0], [1, "x", 0, 0]]}',
+])
+def test_bad_curve_numbers_exit_64(tmp_path, capsys, curve):
+    # A parse error, not a traceback and not exit 1 ("verification failed").
+    assert main(["verify", "--curve", curve, "--family", "TO", "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--family", "BO", "--grid", "0:3:61", "--tol", "constraint=nan"],
+    ["--family", "BO", "--grid", "0:3:61", "--tol", "frame_angle=-1e-4"],
+    ["--family", "NP", "--coeffs", "nan,1"],
+    ["--family", "NP", "--coeffs", "1,inf"],
+    ["--family", "NO", "--grid", "0:inf:10"],
+    ["--family", "NO", "--grid=-inf:1:10"],
+])
+def test_nonfinite_or_negative_inputs_exit_64(tmp_path, args):
+    assert main(["verify", "--curve", HELIX, *args, "--out", str(tmp_path)]) == 64
+
+
+def test_nan_tolerance_env_exit_64(tmp_path, monkeypatch):
+    monkeypatch.setenv("CURVEMATES_TOL_CONSTRAINT", "nan")
+    assert main(["verify", "--curve", HELIX, "--family", "BO", "--grid", "0:3:61",
+                 "--out", str(tmp_path)]) == 64
+
+
 def test_cli_deterministic_outputs(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (a, b):

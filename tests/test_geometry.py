@@ -6,8 +6,6 @@ import pytest
 from curvemates import (
     CurveSpec,
     SampledCurve,
-    evaluate,
-    frenet_apparatus,
     frenet_residuals,
     reparametrize_arclength,
     sample_curve,
@@ -20,51 +18,75 @@ from curvemates.errors import (
     SpecificationError,
 )
 from curvemates.geometry import FrameData, frenet_frames_sampled
+from curvemates.numdiff import diff1, diff3
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def assert_right_handed_frames(f, tol=1e-9):
+    """Unit, mutually orthogonal, B = T x N and kappa >= 0 on every row."""
+    for v in (f.T, f.N, f.B):
+        np.testing.assert_allclose(np.linalg.norm(v, axis=1), 1.0, atol=tol)
+    for u, v in ((f.T, f.N), (f.T, f.B), (f.N, f.B)):
+        np.testing.assert_allclose(np.einsum("ij,ij->i", u, v), 0.0, atol=tol)
+    np.testing.assert_allclose(np.cross(f.T, f.N), f.B, atol=tol)
+    assert np.all(f.kappa >= 0)
+
+
 # ---------------------------------------------------------------------------
-# CurveSpec and evaluate
+# CurveSpec and sampling
 
 
 def test_evaluate_circle_first_order():
-    derivs = evaluate(CurveSpec.circle(1.0), 0.0, order=1)
-    np.testing.assert_allclose(derivs[0], [1.0, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(derivs[1], [0.0, 1.0, 0.0], atol=1e-15)
+    base = sample_curve(CurveSpec.circle(1.0), np.array([0.0]))
+    np.testing.assert_allclose(base.positions[0], [1.0, 0.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(base.frames.T[0], [0.0, 1.0, 0.0], atol=1e-15)
+    assert base.frames.speed[0] == 1.0
 
 
 def test_evaluate_helix_second_order(unit_helix_spec):
-    pos, d1, d2 = evaluate(unit_helix_spec, 0.0, order=2)
-    np.testing.assert_allclose(pos, [INV_SQRT2, 0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(d1, [0.0, INV_SQRT2, INV_SQRT2], atol=1e-15)
-    np.testing.assert_allclose(d2, [-INV_SQRT2, 0.0, 0.0], atol=1e-15)
+    base = sample_curve(unit_helix_spec, np.array([0.0]))
+    f = base.frames
+    np.testing.assert_allclose(base.positions[0], [INV_SQRT2, 0.0, 0.0], atol=1e-15)
+    # Unit speed, so alpha' = T and alpha'' = kappa N.
+    np.testing.assert_allclose(f.speed[0] * f.T[0], [0.0, INV_SQRT2, INV_SQRT2], atol=1e-15)
+    np.testing.assert_allclose(f.kappa[0] * f.N[0], [-INV_SQRT2, 0.0, 0.0], atol=1e-15)
 
 
 def test_evaluate_sampled_too_short_for_third_order():
     s = np.linspace(0.0, 1.0, 5)
     pts = np.column_stack([s, np.cos(s), np.sin(s), 0 * s])
-    curve = CurveSpec.from_samples(pts)
     with pytest.raises(InsufficientDataError):
-        evaluate(curve, 0.5, order=3)
+        frenet_frames_sampled(s, pts[:, 1:])
+    with pytest.raises(InsufficientDataError):
+        sample_curve(CurveSpec.from_samples(pts), s)
 
 
 def test_evaluate_sampled_matches_analytic():
     s = np.linspace(0.0, 2.0, 801)
     pts = np.column_stack([s, np.cos(s), np.sin(s), 0 * s])
     curve = CurveSpec.from_samples(pts)
-    pos, d1, d2, d3 = evaluate(curve, 1.0, order=3)
-    np.testing.assert_allclose(d1, [-math.sin(1), math.cos(1), 0], atol=1e-4)
-    np.testing.assert_allclose(d3, [math.sin(1), -math.cos(1), 0], atol=1e-3)
+    base = sample_curve(curve, s)
+    i = 400  # s = 1
+    np.testing.assert_allclose(base.frames.T[i], [-math.sin(1), math.cos(1), 0], atol=1e-4)
+    np.testing.assert_allclose(diff3(base.positions, s[1] - s[0])[i],
+                               [math.sin(1), -math.cos(1), 0], atol=1e-3)
+    # Off the sample grid, positions come from the cubic interpolant.
+    fine = np.linspace(0.0, 2.0, 1203)
+    off = sample_curve(curve, fine, with_frames=False)
+    np.testing.assert_allclose(off.positions, np.column_stack([np.cos(fine), np.sin(fine),
+                                                               0 * fine]), atol=1e-9)
+    np.testing.assert_allclose(diff1(off.positions, fine[1] - fine[0])[601],
+                               [-math.sin(1), math.cos(1), 0], atol=1e-4)
 
 
 def test_evaluate_domain_and_order_errors():
     s = np.linspace(0.0, 1.0, 9)
     curve = CurveSpec.from_samples(np.column_stack([s, s, 0 * s, 0 * s]))
     with pytest.raises(DomainError):
-        evaluate(curve, 2.0, order=0)
-    with pytest.raises(ValueError):
-        evaluate(CurveSpec.circle(1.0), 0.0, order=4)
+        sample_curve(curve, np.array([0.0, 2.0]), with_frames=False)
+    with pytest.raises(DomainError):
+        reparametrize_arclength(curve, (0.0, 2.0), n=9)
 
 
 def test_curvespec_validation():
@@ -77,39 +99,41 @@ def test_curvespec_validation():
 
 
 # ---------------------------------------------------------------------------
-# frenet_apparatus
+# Frenet frames
 
 
 def test_frenet_unit_circle():
-    frame = frenet_apparatus(CurveSpec.circle(1.0), 0.0)
-    np.testing.assert_allclose(frame.T, [0, 1, 0], atol=1e-12)
-    np.testing.assert_allclose(frame.N, [-1, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(frame.B, [0, 0, 1], atol=1e-12)
-    assert frame.kappa == pytest.approx(1.0, abs=1e-12)
-    assert frame.tau == pytest.approx(0.0, abs=1e-12)
-    frame.validate()
+    f = sample_curve(CurveSpec.circle(1.0), np.array([0.0])).frames
+    np.testing.assert_allclose(f.T[0], [0, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(f.N[0], [-1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(f.B[0], [0, 0, 1], atol=1e-12)
+    assert f.kappa[0] == pytest.approx(1.0, abs=1e-12)
+    assert f.tau[0] == pytest.approx(0.0, abs=1e-12)
+    assert_right_handed_frames(f)
 
 
 @pytest.mark.parametrize("s", [0.0, 0.7, 3.1])
 def test_frenet_helix_constant_curvatures(unit_helix_spec, s):
-    frame = frenet_apparatus(unit_helix_spec, s)
-    assert frame.kappa == pytest.approx(INV_SQRT2, rel=1e-12)
-    assert frame.tau == pytest.approx(INV_SQRT2, rel=1e-12)
-    frame.validate()
+    f = sample_curve(unit_helix_spec, np.array([s])).frames
+    assert f.kappa[0] == pytest.approx(INV_SQRT2, rel=1e-12)
+    assert f.tau[0] == pytest.approx(INV_SQRT2, rel=1e-12)
+    assert_right_handed_frames(f)
 
 
 def test_frenet_straight_line_degenerate():
     s = np.linspace(0.0, 1.0, 21)
     pts = np.column_stack([s, s, 2 * s, 3 * s])
     with pytest.raises(CurvatureDegenerateError):
-        frenet_apparatus(CurveSpec.from_samples(pts), 0.5)
+        sample_curve(CurveSpec.from_samples(pts), s)
+    numeric = frenet_frames_sampled(s, pts[:, 1:], strict=False)
+    assert not np.any(numeric.valid)
 
 
 def test_closed_form_curvatures_match_numeric():
     for spec in (CurveSpec.circle(2.0), CurveSpec.helix(0.8, 0.6), CurveSpec.helix(2.0, 0.0)):
-        frame = frenet_apparatus(spec, 0.9)
-        assert frame.kappa == pytest.approx(spec.closed_form_curvature(), rel=1e-6)
-        assert frame.tau == pytest.approx(spec.closed_form_torsion(), abs=1e-6)
+        f = sample_curve(spec, np.array([0.9])).frames
+        assert f.kappa[0] == pytest.approx(spec.closed_form_curvature(), rel=1e-6)
+        assert f.tau[0] == pytest.approx(spec.closed_form_torsion(), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

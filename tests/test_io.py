@@ -34,6 +34,12 @@ def test_curve_json_errors():
         cio.curve_from_json('{"kind": "sphere"}')
     with pytest.raises(ParseError):
         cio.curve_from_json('{"kind": "circle", "r": -1.0}')
+    for bad in ('{"kind": "circle", "r": "x"}', '{"kind": "helix", "a": 1, "b": "x"}',
+                '{"kind": "samples", "points": [[0, 0, 0, 0], [1, 0, "x", 0]]}'):
+        with pytest.raises(ParseError):
+            cio.curve_from_json(bad)
+    with pytest.raises(ParseError):
+        cio.association_from_json('{"vector": "T", "plane": "P", "coeffs": ["x", 1]}')
 
 
 def test_association_json_round_trip():

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 from curvemates import (
     AssociationSpec,
     CurveSpec,
-    FrenetFrame,
+    FrameData,
     classify_special_case,
-    compare_frames,
     construct_mate,
     plane_unit_vector,
     sample_curve,
 )
 from curvemates.association import klm_coefficients, xyz_coefficients
 from curvemates.solvers import LambdaSolution, lambda_constant, solve_linear
+from curvemates.verify import _vector_angles
 
 from conftest import rotation_matrix
 
@@ -25,9 +25,12 @@ positive = st.floats(min_value=0.05, max_value=3.0)
 
 
 def random_frame(axis_angle, spin, kappa=1.0, tau=0.5):
+    """One-point FrameData whose T, N, B are the columns of a random rotation."""
     R = rotation_matrix([math.cos(axis_angle), math.sin(axis_angle), 0.7], spin)
-    return FrenetFrame(s=0.0, position=np.zeros(3), T=R[:, 0], N=R[:, 1], B=R[:, 2],
-                       kappa=kappa, tau=tau)
+    one = np.ones(1)
+    return FrameData(T=R[None, :, 0], N=R[None, :, 1], B=R[None, :, 2],
+                     kappa=kappa * one, tau=tau * one, kappa_prime=0 * one,
+                     tau_prime=0 * one, speed=one)
 
 
 @given(lam=finite, lam_p=finite, lam_pp=finite, kappa=positive, tau=finite,
@@ -67,9 +70,9 @@ def test_plane_unit_vector_unit_and_in_plane(axis_angle, spin, p, q, plane):
     if plane in ("O", "R") and vector == "T" and q == 0.0:
         return
     spec = AssociationSpec(vector=vector, plane=plane, coeffs=(p, q))
-    v = plane_unit_vector(frame, spec)
+    v = plane_unit_vector(frame, spec)[0]
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-    normal = {"O": frame.B, "P": frame.T, "R": frame.N}[plane]
+    normal = {"O": frame.B, "P": frame.T, "R": frame.N}[plane][0]
     assert abs(float(np.dot(v, normal))) < 1e-12
 
 
@@ -104,13 +107,13 @@ def test_classification_scale_invariant(scale):
 def test_compare_frames_symmetric_and_zero_on_identity(axis_angle, spin, axis_angle2, spin2):
     f1 = random_frame(axis_angle, spin)
     f2 = random_frame(axis_angle2, spin2)
-    a = (f1.T, f1.N, f1.B)
-    b = (f2.T, f2.N, f2.B)
-    forward = compare_frames(a, b)
-    backward = compare_frames(b, a)
+    a = np.concatenate([f1.T, f1.N, f1.B])
+    b = np.concatenate([f2.T, f2.N, f2.B])
+    forward = _vector_angles(a, b)
+    backward = _vector_angles(b, a)
     np.testing.assert_allclose(forward, backward, atol=1e-12)
     # arccos turns ulp-level dot noise into ~sqrt(eps) angles.
-    np.testing.assert_allclose(compare_frames(a, a), 0.0, atol=1e-7)
+    np.testing.assert_allclose(_vector_angles(a, a), 0.0, atol=1e-7)
 
 
 @given(a=st.floats(min_value=0.1, max_value=2.0), b=st.floats(min_value=-2.0, max_value=2.0))

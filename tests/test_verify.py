@@ -1,19 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from curvemates import (
+    FAMILIES,
     AssociationSpec,
     SampledCurve,
     associate,
     check_association,
     check_distance,
-    compare_frames,
     sample_curve,
     verify_mate,
 )
-from curvemates.errors import ContractError
+from curvemates.errors import SpecificationError
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.solvers import (
     lambda_constant,
@@ -21,60 +22,88 @@ from curvemates.solvers import (
     solve_linear,
     solve_riccati,
 )
-from curvemates.verify import GATING_TABLE, Tolerances
+from curvemates.verify import (
+    GATING_TABLE_VERSION,
+    Tolerances,
+    _bands_from_mask,
+    _vector_angles,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+IDENTITY = np.eye(3)  # rows T, N, B
 
 
 # ---------------------------------------------------------------------------
-# compare_frames
+# frame comparison: raw angles report signs, line angles gate
 
 
 def test_compare_frames_identical():
-    triad = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    assert compare_frames(triad, triad) == pytest.approx((0.0, 0.0, 0.0))
+    raw, line = _vector_angles(IDENTITY, IDENTITY)
+    np.testing.assert_allclose(raw, 0.0)
+    np.testing.assert_allclose(line, 0.0)
 
 
 def test_compare_frames_binormal_flip_reported_not_masked():
-    a = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    b = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, -1.0]))
-    angles = compare_frames(a, b)
-    assert angles[0] == pytest.approx(0.0)
-    assert angles[1] == pytest.approx(0.0)
-    assert angles[2] == pytest.approx(math.pi)
+    flipped = IDENTITY * np.array([[1.0], [1.0], [-1.0]])
+    raw, line = _vector_angles(IDENTITY, flipped)
+    np.testing.assert_allclose(raw, [0.0, 0.0, math.pi])
+    np.testing.assert_allclose(line, 0.0)
 
 
 def test_compare_frames_symmetry():
-    a = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
     c, s = math.cos(0.3), math.sin(0.3)
-    b = (np.array([c, s, 0]), np.array([-s, c, 0]), np.array([0, 0, 1.0]))
-    assert compare_frames(a, b) == pytest.approx(compare_frames(b, a))
-
-
-def test_compare_frames_rejects_non_orthonormal():
-    good = (np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    bad = (np.array([1.0, 0.5, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-    with pytest.raises(ContractError):
-        compare_frames(bad, good)
+    rotated = np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
+    forward = _vector_angles(IDENTITY, rotated)
+    backward = _vector_angles(rotated, IDENTITY)
+    np.testing.assert_allclose(forward, backward)
+    np.testing.assert_allclose(forward[0], [0.3, 0.3, 0.0], atol=1e-7)
 
 
 def test_compare_frames_predicted_binormal_vs_numeric(circle_base, grid_0_2):
     # The closed-form binormal of the constructed planar mate agrees with the
     # numeric oracle; the commonly printed opposite-sign value shows up as a
-    # reported pi, never silently absorbed.
+    # reported pi and a sign-flip fraction of 1, never silently absorbed.
     sol = solve_linear(circle_base.frames.kappa, 1.0, 1.0, grid_0_2)
-    pred = associate(circle_base, AssociationSpec("T", "O", (1.0, 1.0)), sol)
-    numeric = frenet_frames_sampled(grid_0_2, pred.mate.positions, strict=False)
-    i = 1000
-    angles = compare_frames(
-        (pred.T_star[i], pred.N_star[i], pred.B_star[i]),
-        (numeric.T[i], numeric.N[i], numeric.B[i]),
-    )
-    assert max(angles) < 1e-4
-    flipped = (pred.T_star[i], -pred.N_star[i], -pred.B_star[i])
-    raw = compare_frames(flipped, (numeric.T[i], numeric.N[i], numeric.B[i]))
-    assert raw[1] == pytest.approx(math.pi, abs=1e-3)
-    assert raw[2] == pytest.approx(math.pi, abs=1e-3)
+    spec = AssociationSpec("T", "O", (1.0, 1.0))
+    pred = associate(circle_base, spec, sol)
+    report = check_association(circle_base, pred.mate, spec, lam_sol=sol, predicted=pred)
+    assert max(report.frame_raw_angles.values()) < 1e-4
+    assert report.frame_sign_flips == {"T": 0.0, "N": 0.0, "B": 0.0}
+    flipped = dataclasses.replace(pred, N_star=-pred.N_star, B_star=-pred.B_star)
+    report = check_association(circle_base, pred.mate, spec, lam_sol=sol, predicted=flipped)
+    assert report.frame_raw_angles["N"] == pytest.approx(math.pi, abs=1e-3)
+    assert report.frame_raw_angles["B"] == pytest.approx(math.pi, abs=1e-3)
+    assert report.frame_sign_flips == {"T": 0.0, "N": 1.0, "B": 1.0}
+    assert max(report.frame_errors.values()) < 1e-4
+
+
+def _bands_loop(grid, bad):
+    """Reference: the per-point loop that _bands_from_mask replaced."""
+    bands = []
+    in_band = False
+    start = 0.0
+    for i, flag in enumerate(bad):
+        if flag and not in_band:
+            in_band, start = True, float(grid[i])
+        elif not flag and in_band:
+            bands.append([start, float(grid[i - 1])])
+            in_band = False
+    if in_band:
+        bands.append([start, float(grid[-1])])
+    return bands
+
+
+def test_bands_from_mask_matches_loop():
+    rng = np.random.default_rng(7)
+    n = 41
+    grid = np.sort(rng.uniform(-3.0, 3.0, n))
+    masks = [np.ones(n, bool), np.zeros(n, bool), np.arange(n) == 0, np.arange(n) == n - 1,
+             (np.arange(n) == 0) | (np.arange(n) == n - 1)]
+    masks += [rng.random(n) < rng.random() for _ in range(300)]
+    for bad in masks:
+        got = _bands_from_mask(grid, bad)
+        assert got == _bands_loop(grid, bad)
+        assert all(type(x) is float for band in got for x in band)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +237,39 @@ def test_audit_curvature_formula_matches_for_involute(unit_helix_spec):
 
 
 def test_gating_table_shape():
-    assert set(GATING_TABLE) == {"TO", "TP", "TR", "NO", "NP", "NR", "BO", "BP", "BR"}
-    for entry in GATING_TABLE.values():
-        assert set(entry) == {"constraint", "frames", "curvatures"}
+    assert list(FAMILIES) == ["TO", "TP", "TR", "NO", "NP", "NR", "BO", "BP", "BR"]
+    for code, family in FAMILIES.items():
+        assert family.vector + family.plane == code
+        assert set(family.gates) == {"constraint", "frames", "curvatures"}
+    # Gating version 1: (constraint, frames, curvatures) per family.
+    assert GATING_TABLE_VERSION == 1
+    table = {code: tuple(f.gates[g] for g in ("constraint", "frames", "curvatures"))
+             for code, f in FAMILIES.items()}
+    assert table == {
+        "TO": (True, True, True), "TP": (True, True, True), "TR": (False, True, False),
+        "NO": (True, False, False), "NP": (True, True, False), "NR": (True, False, False),
+        "BO": (True, False, False), "BP": (True, True, False), "BR": (True, False, False),
+    }
+    coefficients = {code: f.coefficient[0] for code, f in FAMILIES.items() if f.coefficient}
+    assert coefficients == {"NO": "L-coefficient", "NR": "NR-coefficient",
+                            "BO": "Z-coefficient", "BR": "BR-coefficient"}
 
 
 def test_tolerances_override():
     tols = Tolerances().replace(constraint=1e-3, band_pad=2)
     assert tols.constraint == 1e-3
     assert tols.band_pad == 2
+    assert Tolerances().replace(audit_flag=0.0).audit_flag == 0.0
     with pytest.raises(Exception):
         Tolerances().replace(bogus=1.0)
+
+
+@pytest.mark.parametrize("key,value", [("constraint", math.nan), ("constraint", "nan"),
+                                       ("frame_angle", -1e-4), ("band_pad", -1),
+                                       ("kappa_min", "-inf")])
+def test_tolerances_reject_nan_and_negative(key, value):
+    with pytest.raises(SpecificationError):
+        Tolerances().replace(**{key: value})
 
 
 def test_report_gated_set_matches_table(helix_base, grid_0_2):
