@@ -169,6 +169,25 @@ def _embed(components: np.ndarray, frames: FrameData) -> np.ndarray:
             + components[..., 2:3] * frames.B)
 
 
+def _closed_form_setup(
+    frames: FrameData, vector: str, lam_sol: LambdaSolution
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(u, w, |u|, |w|, defined) with u = alpha*' and w = alpha*' x alpha*''.
+
+    u and w are base-frame components. ``defined`` masks points where both
+    norms exceed the floor; a zero norm is returned as 1 so that dividing by
+    it is safe (those points are not defined).
+    """
+    lam, lam_p = lam_sol.lam, lam_sol.lam_prime
+    u = _first_derivative_components(vector, lam, lam_p, frames.kappa, frames.tau)
+    w = _cross_components(vector, lam, lam_p, lam_sol.lam_double_prime, frames.kappa,
+                          frames.tau, frames.kappa_prime, frames.tau_prime)
+    un = np.linalg.norm(u, axis=-1)
+    wn = np.linalg.norm(w, axis=-1)
+    defined = (un > _DENOM_FLOOR) & (wn > _DENOM_FLOOR)
+    return u, w, np.where(un > 0, un, 1.0), np.where(wn > 0, wn, 1.0), defined
+
+
 def predicted_frames_grid(
     frames: FrameData, vector: str, lam_sol: LambdaSolution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -177,17 +196,9 @@ def predicted_frames_grid(
     Returns (T*, N*, B*, defined) where ``defined`` masks points at which
     either the mate speed or its cross product vanishes; those rows are NaN.
     """
-    lam, lam_p, lam_pp = lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime
-    u = _first_derivative_components(vector, lam, lam_p, frames.kappa, frames.tau)
-    w = _cross_components(vector, lam, lam_p, lam_pp, frames.kappa, frames.tau,
-                          frames.kappa_prime, frames.tau_prime)
-    un = np.linalg.norm(u, axis=-1)
-    wn = np.linalg.norm(w, axis=-1)
-    defined = (un > _DENOM_FLOOR) & (wn > _DENOM_FLOOR)
-    su = np.where(un > 0, un, 1.0)
-    sw = np.where(wn > 0, wn, 1.0)
-    T_star = _embed(u / su[:, None], frames)
-    B_star = _embed(w / sw[:, None], frames)
+    u, w, un, wn, defined = _closed_form_setup(frames, vector, lam_sol)
+    T_star = _embed(u / un[:, None], frames)
+    B_star = _embed(w / wn[:, None], frames)
     N_star = np.cross(B_star, T_star)
     bad = ~defined
     for arr in (T_star, N_star, B_star):
@@ -204,25 +215,15 @@ def mate_curvatures_closed(
     kappa* = |w| / |u|^3 and tau* = <w, alpha*'''> / |w|^2 with the
     component vectors above. Returns (kappa*, tau*, defined).
     """
-    lam, lam_p, lam_pp = lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime
     if lam_ppp is None:
         lam_ppp = lam_sol.lam_third()
-    k, t = frames.kappa, frames.tau
-    kp, tp = frames.kappa_prime, frames.tau_prime
-    kpp, tpp = frames.kappa_second_or_zero(), frames.tau_second_or_zero()
-    u = _first_derivative_components(vector, lam, lam_p, k, t)
-    w = _cross_components(vector, lam, lam_p, lam_pp, k, t, kp, tp)
-    d3 = _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp,
-                                      k, t, kp, tp, kpp, tpp)
-    un = np.linalg.norm(u, axis=-1)
-    wn = np.linalg.norm(w, axis=-1)
-    defined = (un > _DENOM_FLOOR) & (wn > _DENOM_FLOOR)
-    su = np.where(un > 0, un, 1.0)
-    sw = np.where(wn > 0, wn, 1.0)
-    kappa_star = wn / su**3
-    tau_star = np.einsum("ij,ij->i", w, d3) / sw**2
-    kappa_star = np.where(defined, kappa_star, np.nan)
-    tau_star = np.where(defined, tau_star, np.nan)
+    _, w, un, wn, defined = _closed_form_setup(frames, vector, lam_sol)
+    d3 = _third_derivative_components(
+        vector, lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime, lam_ppp,
+        frames.kappa, frames.tau, frames.kappa_prime, frames.tau_prime,
+        frames.kappa_second_or_zero(), frames.tau_second_or_zero())
+    kappa_star = np.where(defined, wn / un**3, np.nan)
+    tau_star = np.where(defined, np.einsum("ij,ij->i", w, d3) / wn**2, np.nan)
     return kappa_star, tau_star, defined
 
 
@@ -467,12 +468,11 @@ def associate(
     base: SampledCurve,
     spec: AssociationSpec,
     lam_sol: LambdaSolution,
-    planarity_tol: float = 1e-6,
 ) -> PredictedMate:
     """Construct the mate of ``base`` for the given family.
 
     Enforces the family prerequisites in FAMILIES: tangent/osculating mates
-    exist only for planar bases (max |tau| < planarity_tol), and the
+    exist only for planar bases (max |tau| < 1e-6), and the
     normal-plane families require a constant offset.
     """
     if base.frames is None:
@@ -484,7 +484,7 @@ def associate(
     family = FAMILIES[spec.code]
     if family.planar_base:
         max_tau = float(np.max(np.abs(base.frames.tau)))
-        if max_tau >= planarity_tol:
+        if max_tau >= 1e-6:
             raise PlanarityError(
                 f"{family.title} association requires a planar base; max |tau| = {max_tau:.3e}"
             )
@@ -495,13 +495,14 @@ def associate(
 
     mate = construct_mate(base, spec.vector, lam_sol)
     T_star, N_star, B_star, defined = predicted_frames_grid(base.frames, spec.vector, lam_sol)
-    ks, ts = predicted_curvature_arrays(base.frames, spec, lam_sol)
-    ks_c, ts_c, defined_c = mate_curvatures_closed(base.frames, spec.vector, lam_sol)
+    lam_ppp = lam_sol.lam_third()
+    ks, ts = predicted_curvature_arrays(base.frames, spec, lam_sol, lam_ppp)
+    ks_c, ts_c, _ = mate_curvatures_closed(base.frames, spec.vector, lam_sol, lam_ppp)
     return PredictedMate(
         base=base, mate=mate, family=spec, lam=lam_sol,
         T_star=T_star, N_star=N_star, B_star=B_star,
         kappa_star=ks, tau_star=ts,
         kappa_star_closed=ks_c, tau_star_closed=ts_c,
-        defined=defined & defined_c,
+        defined=defined,
         classification=classify_special_case(spec, lam_sol),
     )

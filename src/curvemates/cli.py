@@ -324,7 +324,8 @@ def cmd_example(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser, curve_required: bool = True) -> None:
     sub.add_argument("--grid", default=f"{DEFAULT_GRID[0]}:{DEFAULT_GRID[1]}:{DEFAULT_GRID[2]}",
-                     help="sample grid as min:max:n (default [0, 2pi] with 2001 points)")
+                     help="sample grid as min:max:n (default [0, 2pi] with 2001 points); "
+                          "a negative min needs '=', as in --grid=-1:1:201")
     sub.add_argument("--out", default=None, help="output directory (default .)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--tol", action="append", metavar="KEY=VAL",
@@ -333,7 +334,8 @@ def _add_common(sub: argparse.ArgumentParser, curve_required: bool = True) -> No
         sub.add_argument("--curve", required=True,
                          help="curve JSON (inline or a file path)")
     sub.add_argument("--family", help="family code: TO TP TR NO NP NR BO BP BR")
-    sub.add_argument("--coeffs", help="plane coefficients, e.g. 1,1")
+    sub.add_argument("--coeffs", help="plane coefficients, e.g. 1,1; a value that "
+                     "starts with '-' needs '=', as in --coeffs=-1,1")
     sub.add_argument("--c0", type=float, default=None)
     sub.add_argument("--c1", type=float, default=None)
     sub.add_argument("--c2", type=float, default=None)

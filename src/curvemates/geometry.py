@@ -126,7 +126,12 @@ class CurveSpec:
 
 @dataclass(frozen=True)
 class FrameData:
-    """Vectorized frame arrays aligned with a sample grid."""
+    """Vectorized frame arrays aligned with a sample grid.
+
+    ``direction_error`` is the leading finite-difference error of the T and
+    B directions, per point, for frames differentiated from samples; it is
+    None for exact analytic frames and for frames read from a file.
+    """
 
     T: np.ndarray
     N: np.ndarray
@@ -139,6 +144,7 @@ class FrameData:
     kappa_second: np.ndarray | None = None
     tau_second: np.ndarray | None = None
     valid: np.ndarray | None = None
+    direction_error: np.ndarray | None = None
 
     def kappa_second_or_zero(self) -> np.ndarray:
         return self.kappa_second if self.kappa_second is not None else np.zeros_like(self.kappa)
@@ -203,7 +209,7 @@ def _frenet_from_derivs(
     T = d1 / safe_speed[..., None]
     B = cross / safe_cn[..., None]
     N = np.cross(B, T)
-    return T, N, B, kappa, tau, speed, valid
+    return T, N, B, kappa, tau, speed, cn, valid
 
 
 def frenet_frames_sampled(
@@ -215,7 +221,9 @@ def frenet_frames_sampled(
     """Numeric frames for sampled positions (O(h^2) stencils).
 
     With strict=False degenerate points are masked in ``valid`` instead of
-    raising; their frame rows are not meaningful.
+    raising; their frame rows are not meaningful. ``direction_error`` is the
+    h^2-scaled leading stencil error of T (amplified by 1/speed at cusps)
+    plus that of B (amplified by 1/|a' x a''| at inflections).
     """
     grid = np.asarray(grid, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -225,7 +233,7 @@ def frenet_frames_sampled(
     d1 = diff1(positions, h)
     d2 = diff2(positions, h)
     d3 = diff3(positions, h)
-    T, N, B, kappa, tau, speed, valid = _frenet_from_derivs(
+    T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(
         d1, d2, d3, kappa_min, strict=strict, grid=grid
     )
     # Derivatives of the curvatures with respect to arc length: chain rule
@@ -235,16 +243,19 @@ def frenet_frames_sampled(
     tp = diff1(tau, h) / safe_speed
     ks = diff2(kappa, h) / safe_speed**2
     ts = diff2(tau, h) / safe_speed**2
+    n2, n3, n4 = (np.linalg.norm(d, axis=1) for d in (d2, d3, diff1(d3, h)))
+    tiny = 1e-300
+    est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
+    est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
     return FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau, kappa_prime=kp,
                      tau_prime=tp, speed=speed, kappa_second=ks, tau_second=ts,
-                     valid=valid)
+                     valid=valid, direction_error=est_tangent + est_binormal)
 
 
 def sample_curve(
     spec: CurveSpec,
     grid: np.ndarray,
     with_frames: bool = True,
-    kappa_min: float = KAPPA_FLOOR_DEFAULT,
 ) -> SampledCurve:
     """Sample a CurveSpec on ``grid``; analytic curves get exact frames."""
     grid = np.asarray(grid, dtype=float)
@@ -255,8 +266,8 @@ def sample_curve(
         d0, d1, d2, d3 = spec._analytic_derivs(grid, 3)
         frames = None
         if with_frames:
-            T, N, B, kappa, tau, speed, _ = _frenet_from_derivs(
-                d1, d2, d3, kappa_min, strict=True, grid=grid
+            T, N, B, kappa, tau, speed, _, _ = _frenet_from_derivs(
+                d1, d2, d3, KAPPA_FLOOR_DEFAULT, strict=True, grid=grid
             )
             zeros = np.zeros_like(kappa)
             # Named families have constant curvature and torsion.
@@ -274,7 +285,7 @@ def sample_curve(
         pos = pts[:, 1:4]
     else:
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(grid)
-    frames = frenet_frames_sampled(grid, pos, kappa_min) if with_frames else None
+    frames = frenet_frames_sampled(grid, pos) if with_frames else None
     speed_dev = 0.0
     if frames is not None:
         speed_dev = float(np.max(np.abs(frames.speed - 1.0)))
@@ -295,7 +306,7 @@ class FrenetResiduals:
                 float(self.binormal.max()))
 
 
-def frenet_residuals(curve: SampledCurve, h: float | None = None) -> FrenetResiduals:
+def frenet_residuals(curve: SampledCurve) -> FrenetResiduals:
     """Finite-difference check of T' = kN, N' = -kT + tB, B' = -tN.
 
     The identities hold for unit-speed curves; residuals decay as O(h^2)
@@ -304,8 +315,6 @@ def frenet_residuals(curve: SampledCurve, h: float | None = None) -> FrenetResid
     if curve.frames is None:
         raise SpecificationError("frenet_residuals requires a curve with frames")
     step = curve.spacing()
-    if h is not None and not math.isclose(h, step, rel_tol=1e-6):
-        raise SpecificationError(f"h={h} incompatible with grid spacing {step}")
     f = curve.frames
     dT = diff1(f.T, step)
     dN = diff1(f.N, step)
@@ -344,9 +353,12 @@ def reparametrize_arclength(
     if curve.is_analytic:
         d1 = curve._analytic_derivs(t_fine, 1)[1]
     else:
-        sampled = sample_curve(curve, t_fine, with_frames=False)
-        d1 = diff1(sampled.positions, uniform_spacing(t_fine))
+        d1 = diff1(sample_curve(curve, t_fine, with_frames=False).positions,
+                   uniform_spacing(t_fine))
     speed = np.linalg.norm(d1, axis=1)
+    # The (m, 3) fine-grid arrays are the largest this function holds; free
+    # them before the quadrature and the PCHIP fit add their own.
+    del d1
     if np.min(speed) <= tol:
         bad = float(t_fine[int(np.argmin(speed))])
         raise RegularityError(

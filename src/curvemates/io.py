@@ -53,7 +53,10 @@ def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None
     return "\n".join(lines) + "\n"
 
 
-def _parse_csv(text: str, expected_header: list[str]) -> tuple[np.ndarray, list[str]]:
+def _parse_csv(
+    text: str, expected_header: list[str], finite: tuple[str, ...] = ()
+) -> tuple[np.ndarray, list[str]]:
+    """Numeric rows and comment lines; the ``finite`` columns must hold finite values."""
     comments = []
     header = None
     data = []
@@ -80,7 +83,14 @@ def _parse_csv(text: str, expected_header: list[str]) -> tuple[np.ndarray, list[
             raise ParseError(f"line {lineno}: {exc}") from None
     if header is None or not data:
         raise ParseError("empty CSV")
-    return np.asarray(data, dtype=float), comments
+    array = np.asarray(data, dtype=float)
+    for name in finite:
+        column = array[:, expected_header.index(name)]
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ParseError(f"data row {bad[0] + 1}: {name} must be finite, "
+                             f"got {float(column[bad[0]])!r}")
+    return array, comments
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +195,7 @@ def lambda_to_csv(sol: LambdaSolution) -> str:
 
 
 def lambda_from_csv(text: str) -> LambdaSolution:
-    data, comments = _parse_csv(text, _LAMBDA_COLUMNS)
+    data, comments = _parse_csv(text, _LAMBDA_COLUMNS, finite=tuple(_LAMBDA_COLUMNS))
     provenance = "closed-form"
     constants: dict[str, float] = {}
     for comment in comments:
@@ -224,8 +234,12 @@ def mate_to_csv(pred: PredictedMate) -> str:
 
 
 def mate_positions_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, mate positions, lambda) from a mate CSV."""
-    data, _ = _parse_csv(text, _MATE_COLUMNS)
+    """(grid, mate positions, lambda) from a mate CSV; all three must be finite.
+
+    The mate frame and curvature columns may hold nan, which mate_to_csv
+    writes where the closed form is undefined.
+    """
+    data, _ = _parse_csv(text, _MATE_COLUMNS, finite=("s", "lambda", "xs", "ys", "zs"))
     return data[:, 0], data[:, 16:19], data[:, 15]
 
 

@@ -12,14 +12,14 @@ import numpy as np
 from .errors import InsufficientDataError
 
 
-def uniform_spacing(grid: np.ndarray, rtol: float = 1e-8) -> float:
+def uniform_spacing(grid: np.ndarray) -> float:
     """Return the spacing of a uniform grid, validating uniformity."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise InsufficientDataError("grid needs at least 2 points")
     steps = np.diff(grid)
     h = float(steps[0])
-    if h <= 0 or not np.allclose(steps, h, rtol=rtol, atol=0.0):
+    if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=0.0):
         raise InsufficientDataError("grid must be uniform and increasing")
     return h
 

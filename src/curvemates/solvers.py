@@ -95,7 +95,7 @@ def _as_grid_array(value, grid: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_fn(value, name: str) -> Callable[[float], float]:
+def _as_fn(value) -> Callable[[float], float]:
     if callable(value):
         return value
     v = float(value)
@@ -351,12 +351,12 @@ def solve_riccati(
     the rearranged vanishing of the binormal cross-product coefficient.
     """
     grid = np.asarray(grid, dtype=float)
-    k_fn = _as_fn(kappa, "kappa")
-    t_fn = _as_fn(tau, "tau")
+    k_fn = _as_fn(kappa)
+    t_fn = _as_fn(tau)
     if tau_prime is None:
         tp_fn = (lambda s: 0.0) if not callable(tau) else _fn_derivative(t_fn)
     else:
-        tp_fn = _as_fn(tau_prime, "tau_prime")
+        tp_fn = _as_fn(tau_prime)
 
     taus = np.array([t_fn(s) for s in grid])
     if float(np.min(np.abs(taus))) <= TORSION_FLOOR:
@@ -488,24 +488,23 @@ def solve_constraint_ode(
     kappa_prime=None, tau_prime=None,
     ansatz: str = "ivp",
     ratio: float | None = None,
-    sign: float = 1.0,
     cap: float = BLOWUP_CAP_DEFAULT,
 ) -> LambdaSolution:
     """Integrate the implicit constraint ODE of an associated-curve family.
 
     family: "NO" (first order, cross-coefficient along the normal = 0),
     "NR"/"BR" (second order, affine in lambda''), "BO" (first order,
-    lambda' = sign*ratio*sqrt(1 + lambda^2 tau^2)). ansatz="constant"
+    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). ansatz="constant"
     returns the family's constant branch instead of integrating.
     """
     _constraint_family(family)
     grid = np.asarray(grid, dtype=float)
 
-    k_fn = _as_fn(kappa, "kappa")
-    t_fn = _as_fn(tau, "tau")
-    kp_fn = _as_fn(kappa_prime, "kappa_prime") if kappa_prime is not None else (
+    k_fn = _as_fn(kappa)
+    t_fn = _as_fn(tau)
+    kp_fn = _as_fn(kappa_prime) if kappa_prime is not None else (
         _fn_derivative(k_fn) if callable(kappa) else (lambda s: 0.0))
-    tp_fn = _as_fn(tau_prime, "tau_prime") if tau_prime is not None else (
+    tp_fn = _as_fn(tau_prime) if tau_prime is not None else (
         _fn_derivative(t_fn) if callable(tau) else (lambda s: 0.0))
 
     if ansatz == "constant":
@@ -537,7 +536,7 @@ def solve_constraint_ode(
 
         def rhs(s: float, lam: float) -> float:
             t = t_fn(s)
-            return sign * ratio * math.sqrt(1.0 + (lam * t) ** 2)
+            return ratio * math.sqrt(1.0 + (lam * t) ** 2)
 
         lam, lam_p = _rk4_path(rhs, float(initial[0]), grid, cap=cap)
         lam_pp = diff1(lam_p, uniform_spacing(grid))

@@ -54,14 +54,16 @@ class Tolerances:
     boundary_skip: int = 2
 
     def replace(self, **overrides) -> "Tolerances":
-        """Copy with overrides; each value must be a number >= 0 (NaN is not)."""
+        """Copy with overrides; each value must be a finite number >= 0."""
         data = asdict(self)
         for key, value in overrides.items():
             if key not in data:
                 raise SpecificationError(f"unknown tolerance {key!r}")
+            number = float(value)
+            if not (math.isfinite(number) and number >= 0):
+                raise SpecificationError(
+                    f"tolerance {key} must be finite and >= 0, got {value!r}")
             data[key] = type(data[key])(value)
-            if not data[key] >= 0:
-                raise SpecificationError(f"tolerance {key} must be >= 0, got {value!r}")
         return Tolerances(**data)
 
 
@@ -99,38 +101,19 @@ def _bands_from_mask(grid: np.ndarray, bad: np.ndarray) -> list:
     return np.column_stack([starts, ends]).tolist()
 
 
-def _gate_mask(
-    grid: np.ndarray, positions: np.ndarray, numeric: FrameData, tol: Tolerances
-) -> tuple[np.ndarray, list]:
+def _gate_mask(grid: np.ndarray, numeric: FrameData, tol: Tolerances) -> tuple[np.ndarray, list]:
     """Points eligible for gating, plus the excluded degenerate bands.
 
-    A point is excluded when the mate is curvature-degenerate there or when
-    the leading finite-difference error of the oracle's frame directions
-    (h^2-scaled, amplified by 1/speed at cusps and by 1/|a' x a''| at
-    inflections) is too large to certify the constraint tolerance.
+    A point is excluded when the oracle frames are not valid there (speed
+    or curvature below its floor) or when their ``direction_error`` is too
+    large to certify the constraint tolerance.
     """
-    from .numdiff import diff1, diff2, diff3
-
-    h = float(grid[1] - grid[0])
-    d1 = diff1(positions, h)
-    d2 = diff2(positions, h)
-    d3 = diff3(positions, h)
-    d4 = diff1(d3, h)
-    sp = np.linalg.norm(d1, axis=1)
-    wn = np.linalg.norm(np.cross(d1, d2), axis=1)
-    n1, n2, n3, n4 = (np.linalg.norm(d, axis=1) for d in (d1, d2, d3, d4))
-    tiny = 1e-300
-    est_tangent = (h * h / 6.0) * n3 / np.maximum(sp, tiny)
-    est_binormal = h * h * (n3 * n2 / 6.0 + n1 * n4 / 12.0) / np.maximum(wn, tiny)
-    est = est_tangent + est_binormal
+    est = numeric.direction_error
     # Degenerate means both unresolvable at the gate tolerance and
     # anomalously worse than the grid's well-resolved floor; a uniformly
     # coarse grid is not a degeneracy.
     ill = (est > tol.band_safety * tol.constraint) & (est > 5.0 * np.percentile(est, 20.0))
-
-    bad = (numeric.kappa < tol.kappa_min) | (sp < 1e-12) | ill
-    if numeric.valid is not None:
-        bad |= ~numeric.valid
+    bad = ill | ~numeric.valid
     if tol.band_pad > 0 and np.any(bad):
         padded = bad.copy()
         for shift in range(1, tol.band_pad + 1):
@@ -157,12 +140,8 @@ def check_distance(
     return float(np.max(np.abs(dist - np.abs(lam_sol.lam))))
 
 
-def audit_curvature_formulas(
-    predicted: PredictedMate,
-    numeric: FrameData,
-    mask: np.ndarray | None = None,
-) -> dict:
-    """Relative deltas of the printed kappa*, tau* in ``predicted`` against the oracle.
+def _relative_deltas(ks_f, ts_f, ks_n, ts_n) -> tuple[float, float]:
+    """Worst relative (kappa, tau) deltas of formula values against the oracle's.
 
     kappa deltas compare magnitudes (numeric curvature is nonnegative by
     definition while printed formulas inherit the sign of lambda); tau
@@ -171,35 +150,35 @@ def audit_curvature_formulas(
     formula that fails to evaluate (vanishing printed denominator) reports
     an infinite delta.
     """
-    if mask is None:
-        mask = np.ones(predicted.lam.grid.shape, dtype=bool)
-    ks_n = numeric.kappa[mask]
-    ts_n = numeric.tau[mask]
-    ks_f, ts_f = predicted.kappa_star[mask], predicted.tau_star[mask]
-    out = {}
-    if ks_f.size == 0:
-        out["kappa"] = 0.0
-        out["tau"] = 0.0
-        out["gated_points"] = 0
-        return out
+    kappa = tau = math.inf
     if np.all(np.isfinite(ks_f)):
-        out["kappa"] = float(np.max(np.abs(np.abs(ks_f) - ks_n) / np.maximum(ks_n, 1e-300)))
-    else:
-        out["kappa"] = math.inf
+        kappa = float(np.max(np.abs(np.abs(ks_f) - ks_n) / np.maximum(ks_n, 1e-300)))
     if np.all(np.isfinite(ts_f)):
         scale = np.maximum(np.maximum(np.abs(ts_n), np.abs(ts_f)), ks_n)
-        out["tau"] = float(np.max(np.abs(ts_f - ts_n) / np.maximum(scale, 1e-300)))
-    else:
-        out["tau"] = math.inf
-    out["gated_points"] = int(ks_f.size)
-    return out
+        tau = float(np.max(np.abs(ts_f - ts_n) / np.maximum(scale, 1e-300)))
+    return kappa, tau
+
+
+def audit_curvature_formulas(
+    predicted: PredictedMate,
+    numeric: FrameData,
+    mask: np.ndarray | None = None,
+) -> dict:
+    """Relative deltas of the printed kappa*, tau* in ``predicted`` against the oracle."""
+    if mask is None:
+        mask = np.ones(predicted.lam.grid.shape, dtype=bool)
+    ks_f = predicted.kappa_star[mask]
+    if ks_f.size == 0:
+        return {"kappa": 0.0, "tau": 0.0, "gated_points": 0}
+    kappa, tau = _relative_deltas(ks_f, predicted.tau_star[mask],
+                                  numeric.kappa[mask], numeric.tau[mask])
+    return {"kappa": kappa, "tau": tau, "gated_points": int(ks_f.size)}
 
 
 def check_association(
     base: SampledCurve,
     mate: SampledCurve,
     spec: AssociationSpec,
-    tol: float | None = None,
     lam_sol: LambdaSolution | None = None,
     predicted: PredictedMate | None = None,
     tolerances: Tolerances | None = None,
@@ -214,8 +193,6 @@ def check_association(
     compared against the oracle.
     """
     tols = tolerances or Tolerances()
-    if tol is not None:
-        tols = tols.replace(constraint=tol)
     if mate.n < 7:
         raise SpecificationError("mate needs at least 7 samples")
     if base.frames is None:
@@ -225,7 +202,7 @@ def check_association(
 
     numeric = frenet_frames_sampled(mate.grid, mate.positions,
                                     kappa_min=tols.kappa_min, strict=False)
-    gate, bands = _gate_mask(mate.grid, mate.positions, numeric, tols)
+    gate, bands = _gate_mask(mate.grid, numeric, tols)
     family = FAMILIES[spec.code]
     gates_for = family.gates
     notes = []
@@ -285,24 +262,16 @@ def check_association(
         gated["tau"] = gates_for["curvatures"]
 
         if np.any(both):
-            closed_k = predicted.kappa_star_closed[both]
-            ks_n = numeric.kappa[both]
-            curvature_deltas["kappa_closed"] = float(
-                np.max(np.abs(np.abs(closed_k) - ks_n) / np.maximum(ks_n, 1e-300))
-            )
-            closed_t = predicted.tau_star_closed[both]
-            ts_n = numeric.tau[both]
-            scale = np.maximum(np.maximum(np.abs(ts_n), np.abs(closed_t)), ks_n)
-            curvature_deltas["tau_closed"] = float(
-                np.max(np.abs(closed_t - ts_n) / np.maximum(scale, 1e-300))
-            )
+            curvature_deltas["kappa_closed"], curvature_deltas["tau_closed"] = _relative_deltas(
+                predicted.kappa_star_closed[both], predicted.tau_star_closed[both],
+                numeric.kappa[both], numeric.tau[both])
 
     failed = []
     if constraint_residuals.get(key, 0.0) > tols.constraint and gated[key]:
         failed.append(key)
     if gated.get(coeff_key) and constraint_residuals[coeff_key] > tols.constraint:
         failed.append(coeff_key)
-    if distance is not None and distance > tols.distance:
+    if distance is not None and not distance <= tols.distance:
         failed.append("distance")
     for name in ("T", "N", "B"):
         if gated.get(f"frame_{name}") and frame_errors.get(name, 0.0) > tols.frame_angle:
@@ -348,10 +317,9 @@ def check_association(
     )
 
 
-def verify_mate(pred: PredictedMate, tolerances: Tolerances | None = None,
-                tol: float | None = None) -> VerificationReport:
+def verify_mate(pred: PredictedMate, tolerances: Tolerances | None = None) -> VerificationReport:
     """Full verification of an associated mate built by ``associate``."""
     return check_association(
-        pred.base, pred.mate, pred.family, tol=tol,
+        pred.base, pred.mate, pred.family,
         lam_sol=pred.lam, predicted=pred, tolerances=tolerances,
     )

@@ -80,7 +80,7 @@ def test_criterion_01_circle_tangent_osculating_reproduction():
     for c0 in (-1.0, 0.0, 1.0):
         sol = solve_linear(base.frames.kappa, 1.0, 1.0 + c0, grid)
         worst_dev = max(worst_dev, float(np.max(np.abs(sol.lam - (1.0 + c0 * np.exp(grid))))))
-        report = verify_mate(associate(base, spec, sol), tol=1e-5)
+        report = verify_mate(associate(base, spec, sol))
         verdicts.append(report.verdict)
     ok = worst_dev < 1e-8 and all(v == "pass" for v in verdicts)
     _criterion(1, "circle tangent/osculating reproduction",

@@ -164,6 +164,7 @@ def test_bad_curve_numbers_exit_64(tmp_path, capsys, curve):
 @pytest.mark.parametrize("args", [
     ["--family", "BO", "--grid", "0:3:61", "--tol", "constraint=nan"],
     ["--family", "BO", "--grid", "0:3:61", "--tol", "frame_angle=-1e-4"],
+    ["--family", "BO", "--grid", "0:3:61", "--tol", "kappa_min=inf"],
     ["--family", "NP", "--coeffs", "nan,1"],
     ["--family", "NP", "--coeffs", "1,inf"],
     ["--family", "NO", "--grid", "0:inf:10"],
@@ -171,6 +172,36 @@ def test_bad_curve_numbers_exit_64(tmp_path, capsys, curve):
 ])
 def test_nonfinite_or_negative_inputs_exit_64(tmp_path, args):
     assert main(["verify", "--curve", HELIX, *args, "--out", str(tmp_path)]) == 64
+
+
+def _set_nan(path, columns):
+    """Rewrite the named columns of every data row of a CSV file to nan."""
+    lines = read(path).splitlines()
+    at = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    index = [lines[at].split(",").index(name) for name in columns]
+    for i in range(at + 1, len(lines)):
+        cells = lines[i].split(",")
+        for j in index:
+            cells[j] = "nan"
+        lines[i] = ",".join(cells)
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name,columns", [("mate.csv", ("xs", "ys", "zs")),
+                                          ("lambda.csv", ("lambda",))])
+def test_verify_nonfinite_files_exit_64(tmp_path, capsys, name, columns):
+    # A non-finite file must not verify as an empty, passing gated set.
+    ex, out = str(tmp_path / "ex"), str(tmp_path / "out")
+    assert main(["example", "1", "--grid", "0:2:401", "--out", ex]) == 0
+    _set_nan(os.path.join(ex, name), columns)
+    code = main(["verify", "--curve", '{"kind":"circle","r":1.0}', "--family", "TO",
+                 "--coeffs=1,1", "--grid", "0:2:401", "--out", out,
+                 "--mate", os.path.join(ex, "mate.csv"),
+                 "--lambda-csv", os.path.join(ex, "lambda.csv")])
+    assert code == 64
+    assert f"{columns[0]} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "report.json"))
 
 
 def test_nan_tolerance_env_exit_64(tmp_path, monkeypatch):

@@ -55,6 +55,7 @@ def test_sampled_curve_csv_round_trip(helix_base):
     np.testing.assert_array_equal(again.positions, helix_base.positions)
     np.testing.assert_array_equal(again.frames.T, helix_base.frames.T)
     np.testing.assert_array_equal(again.frames.kappa, helix_base.frames.kappa)
+    assert again.frames.direction_error is None
     # Byte-identical re-serialization (full round-trip floats).
     assert cio.sampled_curve_to_csv(again) == text
 
@@ -74,10 +75,19 @@ def test_mate_csv_round_trip(helix_base, grid_0_2):
     sol = lambda_involute(1.0, grid_0_2)
     pred = associate(helix_base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)), sol)
     text = cio.mate_to_csv(pred)
+    # The mate frame is undefined at the involute cusp (s = 1): its cells read nan.
+    assert ",nan," in text
     grid, pos, lam = cio.mate_positions_from_csv(text)
     np.testing.assert_array_equal(grid, grid_0_2)
     np.testing.assert_array_equal(pos, pred.mate.positions)
     np.testing.assert_array_equal(lam, sol.lam)
+    lines = text.splitlines()
+    for column in ("s", "lambda", "xs", "ys", "zs"):
+        cells = lines[2].split(",")
+        cells[lines[1].split(",").index(column)] = "nan"
+        bad = "\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n"
+        with pytest.raises(ParseError, match=f"data row 1: {column} must be finite"):
+            cio.mate_positions_from_csv(bad)
 
 
 def test_report_json_schema(helix_base, grid_0_2):
@@ -120,3 +130,6 @@ def test_csv_parse_errors():
         cio.lambda_from_csv("s,lambda,lambda_prime,lambda_double_prime\n0,1,x,0\n")
     with pytest.raises(ParseError):
         cio.lambda_from_csv("")
+    for row in ("nan,1,0,0", "0,nan,0,0", "0,1,inf,0", "0,1,0,-inf"):
+        with pytest.raises(ParseError, match="data row 1: .* must be finite"):
+            cio.lambda_from_csv(f"# provenance=x\ns,lambda,lambda_prime,lambda_double_prime\n{row}\n")

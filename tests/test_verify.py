@@ -18,6 +18,7 @@ from curvemates.errors import SpecificationError
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.solvers import (
     lambda_constant,
+    lambda_half_curvature,
     lambda_involute,
     solve_linear,
     solve_riccati,
@@ -26,6 +27,7 @@ from curvemates.verify import (
     GATING_TABLE_VERSION,
     Tolerances,
     _bands_from_mask,
+    _gate_mask,
     _vector_angles,
 )
 
@@ -106,6 +108,70 @@ def test_bands_from_mask_matches_loop():
         assert all(type(x) is float for band in got for x in band)
 
 
+def _gate_mask_reference(grid, positions, numeric, tol):
+    """Reference: the gate mask that differentiated the positions itself."""
+    from curvemates.numdiff import diff1, diff2, diff3
+
+    h = float(grid[1] - grid[0])
+    d1 = diff1(positions, h)
+    d2 = diff2(positions, h)
+    d3 = diff3(positions, h)
+    d4 = diff1(d3, h)
+    sp = np.linalg.norm(d1, axis=1)
+    wn = np.linalg.norm(np.cross(d1, d2), axis=1)
+    n1, n2, n3, n4 = (np.linalg.norm(d, axis=1) for d in (d1, d2, d3, d4))
+    tiny = 1e-300
+    est_tangent = (h * h / 6.0) * n3 / np.maximum(sp, tiny)
+    est_binormal = h * h * (n3 * n2 / 6.0 + n1 * n4 / 12.0) / np.maximum(wn, tiny)
+    est = est_tangent + est_binormal
+    ill = (est > tol.band_safety * tol.constraint) & (est > 5.0 * np.percentile(est, 20.0))
+
+    bad = (numeric.kappa < tol.kappa_min) | (sp < 1e-12) | ill
+    if numeric.valid is not None:
+        bad |= ~numeric.valid
+    if tol.band_pad > 0 and np.any(bad):
+        padded = bad.copy()
+        for shift in range(1, tol.band_pad + 1):
+            padded[shift:] |= bad[:-shift]
+            padded[:-shift] |= bad[shift:]
+        bad = padded
+    bands = _bands_from_mask(grid, bad)
+    gate = ~bad
+    k = tol.boundary_skip
+    if k > 0:
+        gate[:k] = False
+        gate[-k:] = False
+    return gate, bands
+
+
+@pytest.mark.parametrize("n", [2001, 20001])
+def test_gate_mask_matches_reference(unit_helix_spec, n):
+    grid = np.linspace(0.0, 3.0, n)
+    base = sample_curve(unit_helix_spec, grid)
+    assert base.frames.direction_error is None
+    mates = [
+        # involute cusp at s = 2
+        associate(base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)),
+                  lambda_involute(2.0, grid)).mate.positions,
+        # normal offset 1/(2 kappa) collapses onto the helix axis
+        associate(base, AssociationSpec("N", "O", (1.0, 1.0)),
+                  lambda_half_curvature(INV_SQRT2, grid)).mate.positions,
+        # binormal/normal offset whose printed formulas raise the audit flag
+        associate(base, AssociationSpec("B", "P", (1.0, 1.0)),
+                  lambda_constant(1.0, grid)).mate.positions,
+        # sampled curve with an inflection at s = 1.5
+        np.column_stack([grid - 1.5, (grid - 1.5) ** 3, 0.2 * np.sin(2.0 * (grid - 1.5))]),
+    ]
+    for tol in (Tolerances(), Tolerances(kappa_min=1e-3, band_pad=0, boundary_skip=0)):
+        for positions in mates:
+            numeric = frenet_frames_sampled(grid, positions, kappa_min=tol.kappa_min,
+                                            strict=False)
+            gate, bands = _gate_mask(grid, numeric, tol)
+            ref_gate, ref_bands = _gate_mask_reference(grid, positions, numeric, tol)
+            np.testing.assert_array_equal(gate, ref_gate)
+            assert bands == ref_bands
+
+
 # ---------------------------------------------------------------------------
 # check_distance
 
@@ -145,7 +211,7 @@ def test_check_association_circle_tangent_osculating(circle_base, grid_0_2):
     sol = solve_linear(circle_base.frames.kappa, 1.0, 1.0, grid_0_2)
     spec = AssociationSpec("T", "O", (1.0, 1.0))
     pred = associate(circle_base, spec, sol)
-    report = check_association(circle_base, pred.mate, spec, tol=1e-5,
+    report = check_association(circle_base, pred.mate, spec,
                                lam_sol=sol, predicted=pred)
     assert report.verdict == "pass"
     assert report.constraint_residuals["<T,B*>"] < 1e-6
@@ -164,11 +230,22 @@ def test_check_association_involute_away_from_cusp(unit_helix_spec):
     assert any(lo <= 2.0 <= hi for lo, hi in report.excluded_bands)
 
 
+def test_check_association_nan_offset_fails_distance(helix_base, grid_0_2):
+    sol = lambda_involute(1.0, grid_0_2)
+    spec = AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2))
+    pred = associate(helix_base, spec, sol)
+    nan_sol = dataclasses.replace(sol, lam=np.full_like(sol.lam, np.nan))
+    report = check_association(helix_base, pred.mate, spec, lam_sol=nan_sol, predicted=pred)
+    assert math.isnan(report.distance_check)
+    assert report.verdict == "fail"
+    assert report.notes[-1].endswith(": distance")
+
+
 def test_check_association_translated_copy_fails(helix_base, grid_0_2):
     mate = SampledCurve(grid=grid_0_2,
                         positions=helix_base.positions + np.array([1.0, 0.0, 0.0]))
     spec = AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2))
-    report = check_association(helix_base, mate, spec, tol=1e-5)
+    report = check_association(helix_base, mate, spec)
     assert report.verdict == "fail"
     assert report.constraint_residuals["<T,T*>"] == pytest.approx(1.0, abs=1e-6)
 
@@ -266,7 +343,8 @@ def test_tolerances_override():
 
 @pytest.mark.parametrize("key,value", [("constraint", math.nan), ("constraint", "nan"),
                                        ("frame_angle", -1e-4), ("band_pad", -1),
-                                       ("kappa_min", "-inf")])
+                                       ("kappa_min", "-inf"), ("kappa_min", math.inf),
+                                       ("constraint", "inf"), ("band_pad", math.inf)])
 def test_tolerances_reject_nan_and_negative(key, value):
     with pytest.raises(SpecificationError):
         Tolerances().replace(**{key: value})
