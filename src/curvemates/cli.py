@@ -327,7 +327,6 @@ def _add_common(sub: argparse.ArgumentParser, curve_required: bool = True) -> No
                      help="sample grid as min:max:n (default [0, 2pi] with 2001 points); "
                           "a negative min needs '=', as in --grid=-1:1:201")
     sub.add_argument("--out", default=None, help="output directory (default .)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--tol", action="append", metavar="KEY=VAL",
                      help="tolerance override (also CURVEMATES_TOL_<KEY> env vars)")
     if curve_required:
@@ -352,6 +351,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("frenet", help="sample a curve with its Frenet frames")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = subs.add_parser("solve-lambda", help="solve the offset function of a family")
     _add_common(p)

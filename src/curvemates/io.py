@@ -2,6 +2,10 @@
 
 Floats are serialized with repr (shortest round-trip decimal form) so every
 file reloads bit-identically; writes go through a temp file plus rename.
+CSV rows are written and parsed in blocks of ``_BLOCK_ROWS`` rows. Within a
+block each distinct float of a column (keyed by its bits, so -0.0 stays
+apart from 0.0) is formatted once; repr depends only on the bits, so the
+bytes are the same as formatting every cell.
 """
 from __future__ import annotations
 
@@ -41,6 +45,11 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+# Rows per block when writing and parsing CSV. Only one block's cell strings
+# are alive at a time, so that memory does not grow with the row count.
+_BLOCK_ROWS = 2048
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -48,8 +57,14 @@ def _fmt(x: float) -> str:
 def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None = None) -> str:
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
+    for start in range(0, len(bits), _BLOCK_ROWS):
+        columns = []
+        for column in bits[start:start + _BLOCK_ROWS].T:
+            keys, inverse = np.unique(column, return_inverse=True)
+            texts = list(map(repr, keys.view(np.float64).tolist()))
+            columns.append([texts[i] for i in inverse.tolist()])
+        lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
 
 
@@ -60,7 +75,7 @@ def _parse_csv(
     comments = []
     header = None
     data = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -74,16 +89,22 @@ def _parse_csv(
                     f"unexpected header {header}; expected {expected_header}"
                 )
             continue
-        cells = line.split(",")
-        if len(cells) != len(expected_header):
-            raise ParseError(f"line {lineno}: expected {len(expected_header)} columns")
-        try:
-            data.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+        data.append(line)
     if header is None or not data:
         raise ParseError("empty CSV")
-    array = np.asarray(data, dtype=float)
+    width = len(expected_header)
+    array = np.empty((len(data), width))
+    for start in range(0, len(data), _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        # Per-row counts: a short row and a long row would balance in the joined split.
+        if any(line.count(",") != width - 1 for line in block):
+            raise ParseError(_row_error(text, width))
+        cells = ",".join(block).split(",")
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+        except ValueError:
+            raise ParseError(_row_error(text, width)) from None
+        array[start:start + len(block)] = values.reshape(-1, width)
     for name in finite:
         column = array[:, expected_header.index(name)]
         bad = np.flatnonzero(~np.isfinite(column))
@@ -91,6 +112,27 @@ def _parse_csv(
             raise ParseError(f"data row {bad[0] + 1}: {name} must be finite, "
                              f"got {float(column[bad[0]])!r}")
     return array, comments
+
+
+def _row_error(text: str, width: int) -> str:
+    """The located message of the first malformed data row, found by a rescan."""
+    header_seen = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            header_seen = True
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"line {lineno}: expected {width} columns"
+        try:
+            for cell in cells:
+                float(cell)
+        except ValueError as exc:
+            return f"line {lineno}: {exc}"
+    return "malformed data row"
 
 
 # ---------------------------------------------------------------------------

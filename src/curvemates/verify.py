@@ -199,6 +199,10 @@ def check_association(
         raise SpecificationError("base curve must carry frames")
     if base.grid.shape != mate.grid.shape or not np.allclose(base.grid, mate.grid, atol=1e-12):
         raise SpecificationError("base and mate grids must coincide")
+    nonfinite = np.flatnonzero(~np.isfinite(mate.positions).all(axis=1))
+    if nonfinite.size:
+        raise SpecificationError(
+            f"mate positions must be finite; first non-finite row at s={mate.grid[nonfinite[0]]:.6g}")
 
     numeric = frenet_frames_sampled(mate.grid, mate.positions,
                                     kappa_min=tols.kappa_min, strict=False)

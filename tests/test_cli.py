@@ -149,6 +149,21 @@ def test_cli_usage_errors():
 HELIX = json.dumps({"kind": "helix", "a": INV_SQRT2, "b": INV_SQRT2})
 
 
+def test_format_only_on_frenet(tmp_path, capsys):
+    out = str(tmp_path)
+    for argv in (["example", "1"],
+                 ["solve-lambda", "--curve", HELIX, "--family", "TP"],
+                 ["associate", "--curve", HELIX, "--family", "TP"],
+                 ["verify", "--curve", HELIX, "--family", "TP"]):
+        # Only frenet writes JSON; elsewhere the flag would silently write CSV.
+        assert main(argv + ["--grid", "0:1:9", "--format", "json", "--out", out]) == 64
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+    assert os.listdir(out) == []
+    assert main(["frenet", "--curve", HELIX, "--grid", "0:1:9", "--format", "json",
+                 "--out", out]) == 0
+    assert os.listdir(out) == ["frenet.json"]
+
+
 @pytest.mark.parametrize("curve", [
     '{"kind": "circle", "r": "x"}',
     '{"kind": "helix", "a": "x", "b": 0.5}',

@@ -8,9 +8,66 @@ import pytest
 from curvemates import AssociationSpec, CurveSpec, associate, verify_mate
 from curvemates.errors import ParseError
 from curvemates import io as cio
+from curvemates.cli import _example_setup
 from curvemates.solvers import lambda_involute, solve_linear
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+               5e-324, 1e16, 1e-5, 0.1]
+
+
+def _reference_rows_to_csv(header, rows, comments=None):
+    """The per-cell writer that the blocked one must match byte for byte."""
+    lines = [f"# {c}" for c in (comments or [])]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse_csv(text, expected_header):
+    """The per-row parser that the blocked one must match, messages included."""
+    comments = []
+    header = None
+    data = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+            continue
+        if header is None:
+            header = [c.strip() for c in line.split(",")]
+            assert header == expected_header
+            continue
+        cells = line.split(",")
+        if len(cells) != len(expected_header):
+            raise ParseError(f"line {lineno}: expected {len(expected_header)} columns")
+        try:
+            data.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return np.asarray(data, dtype=float), comments
+
+
+def _assert_same_parse(text, header):
+    array, comments = cio._parse_csv(text, header)
+    ref_array, ref_comments = _reference_parse_csv(text, header)
+    assert comments == ref_comments
+    assert array.shape == ref_array.shape
+    assert array.tobytes() == ref_array.tobytes()
+
+
+def _edge_table(rows):
+    """Columns: constant, all distinct, edge values with repeats, a ramp through 0."""
+    rng = np.random.default_rng(7)
+    return np.column_stack([
+        np.full(rows, 0.1),
+        rng.standard_normal(rows),
+        rng.choice(np.array(EDGE_VALUES), rows),
+        np.linspace(-1.0, 1.0, rows),
+    ])
 
 
 def test_curve_json_round_trip():
@@ -133,3 +190,81 @@ def test_csv_parse_errors():
     for row in ("nan,1,0,0", "0,nan,0,0", "0,1,inf,0", "0,1,0,-inf"):
         with pytest.raises(ParseError, match="data row 1: .* must be finite"):
             cio.lambda_from_csv(f"# provenance=x\ns,lambda,lambda_prime,lambda_double_prime\n{row}\n")
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_example_csv_matches_per_cell_writer(index, monkeypatch):
+    grid = np.linspace(0.0, 2.0 * math.pi, 2001)
+    base, spec, sol = _example_setup(index, 0.0, grid)
+    pred = associate(base, spec, sol)
+    writers = ((cio.sampled_curve_to_csv, base, cio._CURVE_COLUMNS),
+               (cio.lambda_to_csv, sol, cio._LAMBDA_COLUMNS),
+               (cio.mate_to_csv, pred, cio._MATE_COLUMNS))
+    texts = [write(obj) for write, obj, _ in writers]
+    monkeypatch.setattr(cio, "_rows_to_csv", _reference_rows_to_csv)
+    assert texts == [write(obj) for write, obj, _ in writers]
+    for text, (_, _, header) in zip(texts, writers):
+        _assert_same_parse(text, header)
+
+
+def test_rows_to_csv_matches_per_cell_writer():
+    header = ["a", "b", "c", "d"]
+    tables = [
+        _edge_table(2 * cio._BLOCK_ROWS + 1),  # rows span two block boundaries
+        _edge_table(1),
+        np.array([EDGE_VALUES]),
+        np.array(EDGE_VALUES).reshape(-1, 1),
+    ]
+    for rows in tables:
+        names = header if rows.shape[1] == 4 else [f"c{i}" for i in range(rows.shape[1])]
+        text = cio._rows_to_csv(names, rows, ["note=1"])
+        assert text == _reference_rows_to_csv(names, rows, ["note=1"])
+        _assert_same_parse(text, names)
+    assert cio._rows_to_csv(["a"], np.array([[-0.0], [0.0]])) == "a\n-0.0\n0.0\n"
+
+
+def _long_csv():
+    """2 * block + 1 data rows with comments, blank lines and padded cells."""
+    header = ["a", "b", "c", "d"]
+    lines = cio._rows_to_csv(header, _edge_table(2 * cio._BLOCK_ROWS + 1),
+                             ["first"]).splitlines()
+    lines.insert(10, "# between rows")
+    lines.insert(20, "")
+    lines.insert(cio._BLOCK_ROWS + 30, "   ")
+    lines[40] = " " + lines[40].replace(",", " , ") + "\t"
+    return header, lines
+
+
+def test_parse_csv_matches_per_row_parser():
+    header, lines = _long_csv()
+    text = "\n".join(lines) + "\n"
+    _assert_same_parse(text, header)
+    array, comments = cio._parse_csv(text, header)
+    assert comments == ["first", "between rows"]
+    assert array.shape == (2 * cio._BLOCK_ROWS + 1, 4)
+
+
+def test_parse_csv_errors_after_first_block():
+    header, lines = _long_csv()
+    row = cio._BLOCK_ROWS + 100  # a line index inside the second block
+    cases = {
+        "bad cell": (lines[row].replace(",", ",x", 1), lines[row + 1],
+                     f"line {row + 1}: could not convert string to float: 'x"),
+        "short row": (lines[row].rsplit(",", 1)[0], lines[row + 1],
+                      f"line {row + 1}: expected 4 columns"),
+        "long row": (lines[row] + ",1.0", lines[row + 1],
+                     f"line {row + 1}: expected 4 columns"),
+        # Three cells then five: a joined split would still count 8 = 2 * 4.
+        "short then long": (lines[row].rsplit(",", 1)[0], lines[row + 1] + ",2.0",
+                            f"line {row + 1}: expected 4 columns"),
+    }
+    for name, (first, second, message) in cases.items():
+        bad = lines.copy()
+        bad[row], bad[row + 1] = first, second
+        text = "\n".join(bad) + "\n"
+        with pytest.raises(ParseError) as exc:
+            cio._parse_csv(text, header)
+        with pytest.raises(ParseError) as ref:
+            _reference_parse_csv(text, header)
+        assert str(exc.value) == str(ref.value), name
+        assert str(exc.value).startswith(message), name

@@ -241,6 +241,21 @@ def test_check_association_nan_offset_fails_distance(helix_base, grid_0_2):
     assert report.notes[-1].endswith(": distance")
 
 
+def test_check_association_rejects_nonfinite_mate(helix_base, grid_0_2):
+    spec = AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2))
+    for first in (0, 700):
+        positions = helix_base.positions.copy()
+        positions[first:] = np.nan
+        mate = SampledCurve(grid=grid_0_2, positions=positions)
+        with pytest.raises(SpecificationError,
+                           match=f"first non-finite row at s={grid_0_2[first]:.6g}$"):
+            check_association(helix_base, mate, spec)
+    positions = helix_base.positions.copy()
+    positions[5, 2] = np.inf
+    with pytest.raises(SpecificationError, match=f"s={grid_0_2[5]:.6g}$"):
+        check_association(helix_base, SampledCurve(grid=grid_0_2, positions=positions), spec)
+
+
 def test_check_association_translated_copy_fails(helix_base, grid_0_2):
     mate = SampledCurve(grid=grid_0_2,
                         positions=helix_base.positions + np.array([1.0, 0.0, 0.0]))
