@@ -26,6 +26,7 @@ from .errors import (
     UsageError,
 )
 from .geometry import CurveSpec, SampledCurve, sample_curve
+from .numdiff import same_grid
 from .solvers import (
     LambdaSolution,
     lambda_constant,
@@ -271,7 +272,7 @@ def cmd_verify(args) -> int:
             raise UsageError(f"mate file not found: {args.mate}")
         with open(args.mate) as handle:
             mate_grid, mate_pos, _ = cio.mate_positions_from_csv(handle.read())
-        if mate_grid.shape != grid.shape or not np.allclose(mate_grid, grid, atol=1e-12):
+        if not same_grid(mate_grid, grid):
             raise AlignmentError("mate file grid does not match --grid")
         mate = SampledCurve(grid=mate_grid, positions=mate_pos)
     report = check_association(base, mate, spec, lam_sol=sol, predicted=pred,
@@ -322,26 +323,30 @@ def cmd_example(args) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def _add_common(sub: argparse.ArgumentParser, curve_required: bool = True) -> None:
+def _add_options(sub: argparse.ArgumentParser, *groups: str) -> None:
+    """Register --grid, --out and the option groups that the subcommand reads."""
     sub.add_argument("--grid", default=f"{DEFAULT_GRID[0]}:{DEFAULT_GRID[1]}:{DEFAULT_GRID[2]}",
                      help="sample grid as min:max:n (default [0, 2pi] with 2001 points); "
                           "a negative min needs '=', as in --grid=-1:1:201")
     sub.add_argument("--out", default=None, help="output directory (default .)")
-    sub.add_argument("--tol", action="append", metavar="KEY=VAL",
-                     help="tolerance override (also CURVEMATES_TOL_<KEY> env vars)")
-    if curve_required:
+    if "curve" in groups:
         sub.add_argument("--curve", required=True,
                          help="curve JSON (inline or a file path)")
-    sub.add_argument("--family", help="family code: TO TP TR NO NP NR BO BP BR")
-    sub.add_argument("--coeffs", help="plane coefficients, e.g. 1,1; a value that "
-                     "starts with '-' needs '=', as in --coeffs=-1,1")
-    sub.add_argument("--c0", type=float, default=None)
-    sub.add_argument("--c1", type=float, default=None)
-    sub.add_argument("--c2", type=float, default=None)
-    sub.add_argument("--lambda0", type=float, default=None)
-    sub.add_argument("--lambda0-prime", dest="lambda0_prime", type=float, default=None)
-    sub.add_argument("--lambda-csv", dest="lambda_csv", default=None,
-                     help="load the offset function from a CSV instead of solving")
+    if "family" in groups:
+        sub.add_argument("--family", required=True,
+                         help="family code: TO TP TR NO NP NR BO BP BR")
+        sub.add_argument("--coeffs", help="plane coefficients, e.g. 1,1; a value that "
+                         "starts with '-' needs '=', as in --coeffs=-1,1")
+        for name in ("--c1", "--c2", "--lambda0", "--lambda0-prime"):
+            sub.add_argument(name, type=float, default=None)
+    if "c0" in groups:
+        sub.add_argument("--c0", type=float, default=None)
+    if "tol" in groups:
+        sub.add_argument("--tol", action="append", metavar="KEY=VAL",
+                         help="tolerance override (also CURVEMATES_TOL_<KEY> env vars)")
+    if "lambda-csv" in groups:
+        sub.add_argument("--lambda-csv", dest="lambda_csv", default=None,
+                         help="load the offset function from a CSV instead of solving")
 
 
 def build_parser() -> _Parser:
@@ -350,22 +355,22 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("frenet", help="sample a curve with its Frenet frames")
-    _add_common(p)
+    _add_options(p, "curve")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = subs.add_parser("solve-lambda", help="solve the offset function of a family")
-    _add_common(p)
+    _add_options(p, "curve", "family", "c0")
 
     p = subs.add_parser("associate", help="construct an associated mate")
-    _add_common(p)
+    _add_options(p, "curve", "family", "c0", "lambda-csv")
 
     p = subs.add_parser("verify", help="verify a mate against its family relations")
-    _add_common(p)
+    _add_options(p, "curve", "family", "c0", "tol", "lambda-csv")
     p.add_argument("--mate", default=None, help="verify this mate CSV instead of a fresh construction")
 
     p = subs.add_parser("example", help="reproduce one of the three worked examples")
     p.add_argument("index", type=int, choices=(1, 2, 3))
-    _add_common(p, curve_required=False)
+    _add_options(p, "c0", "tol")
     p.add_argument("--emit-plot-script", action="store_true")
     return parser
 
@@ -384,9 +389,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
-        required_family = args.command in ("solve-lambda", "associate", "verify")
-        if required_family and not args.family:
-            raise UsageError(f"{args.command} requires --family")
         return _COMMANDS[args.command](args)
     except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,11 @@ from __future__ import annotations
 
 
 class CurveMatesError(Exception):
-    """Base class for all curvemates errors."""
+    """Base class for all curvemates errors; ``s`` locates it when known."""
+
+    def __init__(self, message: str, s: float | None = None):
+        super().__init__(message)
+        self.s = s
 
 
 class DomainError(CurveMatesError):
@@ -20,10 +24,6 @@ class InsufficientDataError(CurveMatesError):
 
 class RegularityError(CurveMatesError):
     """Near-zero speed detected; carries the offending parameter value."""
-
-    def __init__(self, message: str, s: float | None = None):
-        super().__init__(message)
-        self.s = s
 
 
 class CurvatureDegenerateError(CurveMatesError):
@@ -49,10 +49,6 @@ class TorsionDegenerateError(CurveMatesError):
 class FiniteEscapeError(CurveMatesError):
     """An ODE trajectory escaped the blow-up cap; carries the escape location."""
 
-    def __init__(self, message: str, s: float | None = None):
-        super().__init__(message)
-        self.s = s
-
 
 class PoleError(CurveMatesError):
     """The linearizing function crossed zero (general solution has a pole)."""
@@ -60,10 +56,6 @@ class PoleError(CurveMatesError):
 
 class SingularOdeError(CurveMatesError):
     """The second-derivative coefficient of an implicit ODE vanished."""
-
-    def __init__(self, message: str, s: float | None = None):
-        super().__init__(message)
-        self.s = s
 
 
 class QuadratureRangeError(CurveMatesError):

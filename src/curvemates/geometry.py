@@ -20,7 +20,7 @@ from .errors import (
     RegularityError,
     SpecificationError,
 )
-from .numdiff import diff1, diff2, diff3, uniform_spacing, cumulative_simpson
+from .numdiff import cumulative_simpson, diff1, diff2, diff3, same_grid, uniform_spacing
 
 KAPPA_FLOOR_DEFAULT = 1e-8
 SPEED_FLOOR_DEFAULT = 1e-12
@@ -212,6 +212,16 @@ def _frenet_from_derivs(
     return T, N, B, kappa, tau, speed, cn, valid
 
 
+def curvature_derivatives(
+    kappa: np.ndarray, tau: np.ndarray, speed: np.ndarray, h: float
+) -> tuple[np.ndarray, ...]:
+    """kappa', tau', kappa'' and tau'' with respect to arc length, by the chain
+    rule through the speed of a uniform sample parameter of step h."""
+    safe_speed = np.where(speed > 0, speed, 1.0)
+    return (diff1(kappa, h) / safe_speed, diff1(tau, h) / safe_speed,
+            diff2(kappa, h) / safe_speed**2, diff2(tau, h) / safe_speed**2)
+
+
 def frenet_frames_sampled(
     grid: np.ndarray,
     positions: np.ndarray,
@@ -236,13 +246,7 @@ def frenet_frames_sampled(
     T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(
         d1, d2, d3, kappa_min, strict=strict, grid=grid
     )
-    # Derivatives of the curvatures with respect to arc length: chain rule
-    # through the sample parameter.
-    safe_speed = np.where(speed > 0, speed, 1.0)
-    kp = diff1(kappa, h) / safe_speed
-    tp = diff1(tau, h) / safe_speed
-    ks = diff2(kappa, h) / safe_speed**2
-    ts = diff2(tau, h) / safe_speed**2
+    kp, tp, ks, ts = curvature_derivatives(kappa, tau, speed, h)
     n2, n3, n4 = (np.linalg.norm(d, axis=1) for d in (d2, d3, diff1(d3, h)))
     tiny = 1e-300
     est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
@@ -281,7 +285,7 @@ def sample_curve(
     pts = spec.points
     from scipy.interpolate import CubicSpline
 
-    if pts.shape[0] == grid.shape[0] and np.allclose(pts[:, 0], grid, atol=1e-12):
+    if same_grid(pts[:, 0], grid):
         pos = pts[:, 1:4]
     else:
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(grid)

@@ -1,4 +1,4 @@
-"""File formats: curve/association JSON, sample/offset/mate CSV, report JSON.
+"""File formats: curve JSON (read), sample/offset/mate CSV, report JSON.
 
 Floats are serialized with repr (shortest round-trip decimal form) so every
 file reloads bit-identically; writes go through a temp file plus rename.
@@ -17,9 +17,10 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .association import AssociationSpec, PredictedMate
+from .association import PredictedMate
 from .errors import ParseError, SpecificationError
-from .geometry import CurveSpec, FrameData, SampledCurve
+from .geometry import CurveSpec, FrameData, SampledCurve, curvature_derivatives
+from .numdiff import diff1, uniform_spacing
 from .solvers import LambdaSolution
 from .verify import GATING_TABLE_VERSION, VerificationReport
 
@@ -48,10 +49,6 @@ def atomic_write_text(path: str, text: str) -> None:
 # Rows per block when writing and parsing CSV. Only one block's cell strings
 # are alive at a time, so that memory does not grow with the row count.
 _BLOCK_ROWS = 2048
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None = None) -> str:
@@ -136,17 +133,7 @@ def _row_error(text: str, width: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# CurveSpec / AssociationSpec JSON
-
-
-def curve_to_json(spec: CurveSpec) -> str:
-    if spec.kind == "circle":
-        obj = {"kind": "circle", "r": spec.r}
-    elif spec.kind == "helix":
-        obj = {"kind": "helix", "a": spec.a, "b": spec.b}
-    else:
-        obj = {"kind": "samples", "points": [list(map(float, row)) for row in spec.points]}
-    return json.dumps(obj, sort_keys=True)
+# CurveSpec JSON
 
 
 def curve_from_json(text: str) -> CurveSpec:
@@ -169,26 +156,6 @@ def curve_from_json(text: str) -> CurveSpec:
     raise ParseError(f"unknown curve kind {obj.get('kind')!r}")
 
 
-def association_to_json(spec: AssociationSpec) -> str:
-    return json.dumps(
-        {"vector": spec.vector, "plane": spec.plane, "coeffs": list(spec.coeffs)},
-        sort_keys=True,
-    )
-
-
-def association_from_json(text: str) -> AssociationSpec:
-    try:
-        obj = json.loads(text)
-        return AssociationSpec(vector=obj["vector"], plane=obj["plane"],
-                               coeffs=tuple(obj["coeffs"]))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid association JSON: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed association JSON: {exc}") from None
-    except SpecificationError as exc:
-        raise ParseError(str(exc)) from None
-
-
 # ---------------------------------------------------------------------------
 # SampledCurve CSV
 
@@ -202,25 +169,15 @@ def sampled_curve_to_csv(curve: SampledCurve) -> str:
 
 
 def sampled_curve_from_csv(text: str) -> SampledCurve:
+    """A base curve from its CSV; the grid must be uniform with at least 4 rows."""
     data, _ = _parse_csv(text, _CURVE_COLUMNS)
-    grid = data[:, 0]
-    pos = data[:, 1:4]
-    kappa = data[:, 13]
-    tau = data[:, 14]
-    h = float(grid[1] - grid[0]) if grid.size > 1 else 1.0
-    from .numdiff import diff1, diff2
-
-    speed = np.linalg.norm(diff1(pos, h), axis=1) if grid.size >= 3 else np.ones_like(grid)
-    safe = np.where(speed > 0, speed, 1.0)
-    frames = FrameData(
-        T=data[:, 4:7], N=data[:, 7:10], B=data[:, 10:13],
-        kappa=kappa, tau=tau,
-        kappa_prime=diff1(kappa, h) / safe if grid.size >= 3 else np.zeros_like(grid),
-        tau_prime=diff1(tau, h) / safe if grid.size >= 3 else np.zeros_like(grid),
-        speed=speed,
-        kappa_second=diff2(kappa, h) / safe**2 if grid.size >= 4 else np.zeros_like(grid),
-        tau_second=diff2(tau, h) / safe**2 if grid.size >= 4 else np.zeros_like(grid),
-    )
+    grid, pos, kappa, tau = data[:, 0], data[:, 1:4], data[:, 13], data[:, 14]
+    h = uniform_spacing(grid)
+    speed = np.linalg.norm(diff1(pos, h), axis=1)
+    kp, tp, ks, ts = curvature_derivatives(kappa, tau, speed, h)
+    frames = FrameData(T=data[:, 4:7], N=data[:, 7:10], B=data[:, 10:13],
+                       kappa=kappa, tau=tau, kappa_prime=kp, tau_prime=tp,
+                       speed=speed, kappa_second=ks, tau_second=ts)
     unit = bool(np.max(np.abs(speed - 1.0)) < 1e-6)
     return SampledCurve(grid=grid, positions=pos, frames=frames, unit_speed=unit)
 
@@ -230,7 +187,7 @@ def sampled_curve_from_csv(text: str) -> SampledCurve:
 
 
 def lambda_to_csv(sol: LambdaSolution) -> str:
-    constants = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(sol.constants.items()))
+    constants = " ".join(f"{k}={float(v)!r}" for k, v in sorted(sol.constants.items()))
     comments = [f"provenance={sol.provenance}" + (f" {constants}" if constants else "")]
     rows = np.column_stack([sol.grid, sol.lam, sol.lam_prime, sol.lam_double_prime])
     return _rows_to_csv(_LAMBDA_COLUMNS, rows, comments)

@@ -24,6 +24,11 @@ def uniform_spacing(grid: np.ndarray) -> float:
     return h
 
 
+def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two grids have the same shape and agree to 1e-12 absolute."""
+    return a.shape == b.shape and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
+
+
 def diff1(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative, central O(h^2), one-sided O(h^2) at the ends."""
     y = np.asarray(y, dtype=float)

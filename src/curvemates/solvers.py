@@ -33,7 +33,7 @@ from .errors import (
     SpecificationError,
     TorsionDegenerateError,
 )
-from .numdiff import cumulative_simpson, diff1, diff1_o4, uniform_spacing
+from .numdiff import cumulative_simpson, diff1, diff1_o4, same_grid, uniform_spacing
 
 TORSION_FLOOR = 1e-8
 BLOWUP_CAP_DEFAULT = 1e6
@@ -70,7 +70,7 @@ class LambdaSolution:
 
     def require_grid(self, grid: np.ndarray) -> None:
         grid = np.asarray(grid, dtype=float)
-        if self.grid.shape != grid.shape or not np.allclose(self.grid, grid, atol=1e-12):
+        if not same_grid(self.grid, grid):
             raise AlignmentError("lambda grid does not match the curve grid")
 
     def prime_consistency(self) -> float:
@@ -95,15 +95,18 @@ def _as_grid_array(value, grid: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _as_fn(value) -> Callable[[float], float]:
+def _slope(value):
+    """The arc-length derivative of a coefficient: a central difference of
+    step 1e-5 for a callable, 0.0 for a constant or a sampled array."""
     if callable(value):
-        return value
-    v = float(value)
-    return lambda s: v
+        return lambda s: (value(s + 1e-5) - value(s - 1e-5)) / (2.0 * 1e-5)
+    return 0.0
 
 
-def _fn_derivative(fn: Callable[[float], float], h: float = 1e-5) -> Callable[[float], float]:
-    return lambda s: (fn(s + h) - fn(s - h)) / (2.0 * h)
+def _coefficient_fns(kappa, tau) -> tuple[Callable[[float], float], ...]:
+    """kappa, tau, kappa' and tau' as functions of s; derivatives follow _slope."""
+    values = (kappa, tau, _slope(kappa), _slope(tau))
+    return tuple(v if callable(v) else (lambda s, c=float(v): c) for v in values)
 
 
 def solve_linear_first_order(
@@ -343,7 +346,7 @@ def _rk4_path(
 
 def solve_riccati(
     kappa, tau, lambda0: float, grid: np.ndarray,
-    tau_prime=None, cap: float = BLOWUP_CAP_DEFAULT,
+    cap: float = BLOWUP_CAP_DEFAULT,
 ) -> LambdaSolution:
     """RK4 integration of the binormal-offset Riccati equation.
 
@@ -351,14 +354,9 @@ def solve_riccati(
     the rearranged vanishing of the binormal cross-product coefficient.
     """
     grid = np.asarray(grid, dtype=float)
-    k_fn = _as_fn(kappa)
-    t_fn = _as_fn(tau)
-    if tau_prime is None:
-        tp_fn = (lambda s: 0.0) if not callable(tau) else _fn_derivative(t_fn)
-    else:
-        tp_fn = _as_fn(tau_prime)
+    k_fn, t_fn, _, tp_fn = _coefficient_fns(kappa, tau)
 
-    taus = np.array([t_fn(s) for s in grid])
+    taus = _as_grid_array(tau, grid)
     if float(np.min(np.abs(taus))) <= TORSION_FLOOR:
         raise TorsionDegenerateError(
             f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined"
@@ -372,8 +370,8 @@ def solve_riccati(
     lam, _ = _rk4_path(rhs, float(lambda0), grid, cap=cap)
     # lambda' stays an array expression rather than the RK4 slope: numpy's
     # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
-    kappas = np.array([k_fn(s) for s in grid])
-    tps = np.array([tp_fn(s) for s in grid])
+    kappas = _as_grid_array(kappa, grid)
+    tps = _as_grid_array(_slope(tau), grid)
     lam_p = (taus * kappas / 2.0) * lam**2 - (tps / (2.0 * taus)) * lam + kappas / (2.0 * taus)
     lam_pp = diff1(lam_p, uniform_spacing(grid))
     return LambdaSolution(grid=grid, lam=lam, lam_prime=lam_p,
@@ -381,16 +379,17 @@ def solve_riccati(
                           constants={"lambda0": float(lambda0)})
 
 
-def riccati_z_residual(sol: LambdaSolution, kappa, tau, tau_prime=0.0) -> np.ndarray:
+def riccati_z_residual(sol: LambdaSolution, kappa, tau) -> np.ndarray:
     """|Z| = |-lambda tau' - 2 lambda' tau + kappa + lambda^2 tau^2 kappa|.
 
     lambda' comes from fourth-order differences of the lambda samples, so a
-    vanishing residual is an independent confirmation, not a tautology.
+    vanishing residual is an independent confirmation, not a tautology; tau'
+    follows _slope, as in solve_riccati.
     """
     grid = sol.grid
     k = _as_grid_array(kappa, grid)
     t = _as_grid_array(tau, grid)
-    tp = _as_grid_array(tau_prime, grid)
+    tp = _as_grid_array(_slope(tau), grid)
     lam = sol.lam
     lam_p = diff1_o4(lam, sol.spacing())
     z = -lam * tp - 2.0 * lam_p * t + k + lam**2 * t**2 * k
@@ -400,7 +399,6 @@ def riccati_z_residual(sol: LambdaSolution, kappa, tau, tau_prime=0.0) -> np.nda
 def riccati_linearize(
     lambda_particular: LambdaSolution, kappa, tau, grid: np.ndarray,
     mu0: float | None = None, lambda0: float | None = None,
-    tau_prime=None,
 ) -> LambdaSolution:
     """General Riccati solution through a known particular solution.
 
@@ -413,11 +411,11 @@ def riccati_linearize(
     lambda_particular.require_grid(grid)
     k = _as_grid_array(kappa, grid)
     t = _as_grid_array(tau, grid)
-    tp = _as_grid_array(0.0 if tau_prime is None else tau_prime, grid)
+    tp = _as_grid_array(_slope(tau), grid)
     if float(np.min(np.abs(t))) <= TORSION_FLOOR:
         raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
 
-    part_res = riccati_z_residual(lambda_particular, k, t, tp)
+    part_res = riccati_z_residual(lambda_particular, kappa, tau)
     if float(np.max(part_res)) > 1e-6:
         raise SpecificationError(
             f"particular solution residual {np.max(part_res):.3e} exceeds 1e-6"
@@ -485,7 +483,6 @@ def solve_constraint_ode(
     kappa, tau,
     initial: tuple[float, float],
     grid: np.ndarray,
-    kappa_prime=None, tau_prime=None,
     ansatz: str = "ivp",
     ratio: float | None = None,
     cap: float = BLOWUP_CAP_DEFAULT,
@@ -500,12 +497,7 @@ def solve_constraint_ode(
     _constraint_family(family)
     grid = np.asarray(grid, dtype=float)
 
-    k_fn = _as_fn(kappa)
-    t_fn = _as_fn(tau)
-    kp_fn = _as_fn(kappa_prime) if kappa_prime is not None else (
-        _fn_derivative(k_fn) if callable(kappa) else (lambda s: 0.0))
-    tp_fn = _as_fn(tau_prime) if tau_prime is not None else (
-        _fn_derivative(t_fn) if callable(tau) else (lambda s: 0.0))
+    k_fn, t_fn, kp_fn, tp_fn = _coefficient_fns(kappa, tau)
 
     if ansatz == "constant":
         if family == "BO":
@@ -517,6 +509,8 @@ def solve_constraint_ode(
     if ansatz != "ivp":
         raise SpecificationError("ansatz must be 'ivp' or 'constant'")
 
+    y0 = float(initial[0])
+    constants = {"lambda0": y0}
     if family == "NO":
         def rhs(s: float, lam: float) -> float:
             t = t_fn(s)
@@ -525,51 +519,48 @@ def solve_constraint_ode(
             num = lam * lam * t * kp_fn(s) + (1.0 - lam * k_fn(s)) * lam * tp_fn(s)
             return -num / (2.0 * t)
 
-        lam, lam_p = _rk4_path(rhs, float(initial[0]), grid, cap=cap)
-        lam_pp = diff1(lam_p, uniform_spacing(grid))
-        return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4",
-                              {"lambda0": float(initial[0])})
-
-    if family == "BO":
+    elif family == "BO":
         if ratio is None:
             raise SpecificationError("BO constraint needs ratio = a/b")
+        constants["ratio"] = float(ratio)
 
         def rhs(s: float, lam: float) -> float:
             t = t_fn(s)
             return ratio * math.sqrt(1.0 + (lam * t) ** 2)
 
-        lam, lam_p = _rk4_path(rhs, float(initial[0]), grid, cap=cap)
+    else:
+        y0 = (y0, float(initial[1]))
+        constants["lambda0_prime"] = y0[1]
+
+        def second_derivative(s: float, lam: float, lam_p: float) -> float:
+            k, t = k_fn(s), t_fn(s)
+            kp, tp = kp_fn(s), tp_fn(s)
+            if family == "BR":
+                denom = 1.0 + (lam * t) ** 2
+                num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
+                return num / denom
+            # NR: the constraint is affine in lambda''; isolate it.
+            coeff = (lam * t) ** 2 - (1.0 - lam * k) ** 2
+            if abs(coeff) < 1e-10:
+                raise SingularOdeError(
+                    f"vanishing second-derivative coefficient at s={s:.6g}", s=s
+                )
+            d = (1.0 - lam * k) * k - lam * t * t
+            k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
+            m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
+            rest = m0 * (lam * k - 1.0) - k0 * lam * t
+            return -rest / coeff
+
+        def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
+            return (y[1], second_derivative(s, y[0], y[1]))
+
+    path, slope = _rk4_path(rhs, y0, grid, cap=cap)
+    if isinstance(y0, tuple):
+        lam, lam_p, lam_pp = path[:, 0], path[:, 1], slope[:, 1]
+    else:
+        lam, lam_p = path, slope
         lam_pp = diff1(lam_p, uniform_spacing(grid))
-        return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4",
-                              {"lambda0": float(initial[0]), "ratio": float(ratio)})
-
-    def second_derivative(s: float, lam: float, lam_p: float) -> float:
-        k, t = k_fn(s), t_fn(s)
-        kp, tp = kp_fn(s), tp_fn(s)
-        if family == "BR":
-            denom = 1.0 + (lam * t) ** 2
-            num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
-            return num / denom
-        # NR: the constraint is affine in lambda''; isolate it.
-        coeff = (lam * t) ** 2 - (1.0 - lam * k) ** 2
-        if abs(coeff) < 1e-10:
-            raise SingularOdeError(
-                f"vanishing second-derivative coefficient at s={s:.6g}", s=s
-            )
-        d = (1.0 - lam * k) * k - lam * t * t
-        k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
-        m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
-        rest = m0 * (lam * k - 1.0) - k0 * lam * t
-        return -rest / coeff
-
-    def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-        return (y[1], second_derivative(s, y[0], y[1]))
-
-    path, slope = _rk4_path(rhs, (float(initial[0]), float(initial[1])), grid, cap=cap)
-    lam, lam_p = path[:, 0], path[:, 1]
-    lam_pp = slope[:, 1]
-    return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4",
-                          {"lambda0": float(initial[0]), "lambda0_prime": float(initial[1])})
+    return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4", constants)
 
 
 def constraint_residual(

@@ -27,6 +27,7 @@ import numpy as np
 from .association import FAMILIES, PLANE_NORMAL, AssociationSpec, PredictedMate
 from .errors import SpecificationError
 from .geometry import FrameData, SampledCurve, frenet_frames_sampled
+from .numdiff import same_grid
 from .solvers import LambdaSolution, constraint_residual
 
 GATING_TABLE_VERSION = 1
@@ -133,7 +134,7 @@ def check_distance(
     base: SampledCurve, mate: SampledCurve, lam_sol: LambdaSolution
 ) -> float:
     """max | |alpha* - alpha| - |lambda| | over the aligned grids."""
-    if base.grid.shape != mate.grid.shape or not np.allclose(base.grid, mate.grid, atol=1e-12):
+    if not same_grid(base.grid, mate.grid):
         raise SpecificationError("base and mate grids must coincide")
     lam_sol.require_grid(base.grid)
     dist = np.linalg.norm(mate.positions - base.positions, axis=1)
@@ -197,7 +198,7 @@ def check_association(
         raise SpecificationError("mate needs at least 7 samples")
     if base.frames is None:
         raise SpecificationError("base curve must carry frames")
-    if base.grid.shape != mate.grid.shape or not np.allclose(base.grid, mate.grid, atol=1e-12):
+    if not same_grid(base.grid, mate.grid):
         raise SpecificationError("base and mate grids must coincide")
     nonfinite = np.flatnonzero(~np.isfinite(mate.positions).all(axis=1))
     if nonfinite.size:

@@ -100,6 +100,19 @@ def test_associate_grid_mismatch_exit_65(tmp_path):
     assert code == 65
 
 
+@pytest.mark.parametrize("command", ["associate", "verify"])
+def test_lambda_csv_on_a_grid_1e5_apart_exit_65(tmp_path, command):
+    # Grids must agree to 1e-12 absolute, not within numpy's default rtol.
+    out = str(tmp_path)
+    curve = '{"kind":"circle","r":1.0}'
+    assert main(["solve-lambda", "--curve", curve, "--family", "TO", "--coeffs", "1,1",
+                 "--grid", "0:2:801", "--out", out]) == 0
+    code = main([command, "--curve", curve, "--family", "TO", "--coeffs", "1,1",
+                 "--lambda-csv", os.path.join(out, "lambda.csv"),
+                 "--grid", "0:2.00001:801", "--out", out])
+    assert code == 65
+
+
 def test_verify_perturbed_mate_fails(tmp_path):
     out = str(tmp_path)
     curve = '{"kind":"circle","r":1.0}'
@@ -162,6 +175,26 @@ def test_format_only_on_frenet(tmp_path, capsys):
     assert main(["frenet", "--curve", HELIX, "--grid", "0:1:9", "--format", "json",
                  "--out", out]) == 0
     assert os.listdir(out) == ["frenet.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "1", "--family", "NO"],
+    ["example", "1", "--lambda-csv", "/nonexistent"],
+    ["example", "1", "--lambda0", "5"],
+    ["example", "1", "--coeffs=1,1"],
+    ["frenet", "--curve", HELIX, "--family", "BO"],
+    ["frenet", "--curve", HELIX, "--tol", "constraint=1"],
+    ["frenet", "--curve", HELIX, "--c0", "1"],
+    ["solve-lambda", "--curve", HELIX, "--family", "TP", "--tol", "constraint=1"],
+    ["solve-lambda", "--curve", HELIX, "--family", "TP", "--lambda-csv", "lambda.csv"],
+    ["solve-lambda", "--curve", HELIX, "--family", "TP", "--mate", "mate.csv"],
+    ["associate", "--curve", HELIX, "--family", "TP", "--tol", "constraint=0"],
+    ["associate", "--curve", HELIX, "--family", "TP", "--mate", "mate.csv"],
+])
+def test_options_a_subcommand_never_reads_exit_64(tmp_path, capsys, argv):
+    assert main(argv + ["--grid", "0:1:9", "--out", str(tmp_path)]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("curve", [

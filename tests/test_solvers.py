@@ -239,6 +239,16 @@ def test_linearize_matches_direct_rk4():
     assert np.max(np.abs(lin.lam - direct.lam)) < 1e-5
 
 
+def test_linearize_callable_torsion_matches_direct_rk4():
+    # tau' follows the rule solve_riccati uses, so a particular solution on a
+    # varying torsion passes the residual check and the two paths agree.
+    tau = lambda s: 0.6 + 0.1 * math.cos(3.0 * s)  # noqa: E731
+    particular = solve_riccati(0.7, tau, 0.0, GRID)
+    lin = riccati_linearize(particular, 0.7, tau, GRID, lambda0=0.5)
+    direct = solve_riccati(0.7, tau, 0.5, GRID)
+    assert np.max(np.abs(lin.lam - direct.lam)) < 1e-10
+
+
 def test_linearize_torsion_floor():
     particular = lambda_constant(0.0, GRID)
     with pytest.raises(TorsionDegenerateError):
