@@ -29,6 +29,7 @@ from .geometry import CurveSpec, SampledCurve, sample_curve
 from .numdiff import same_grid
 from .solvers import (
     LambdaSolution,
+    constant_admissible_lambda,
     lambda_constant,
     lambda_half_curvature,
     lambda_helix_hyperbolic,
@@ -177,7 +178,7 @@ def _solve_family_lambda(
         return lambda_half_curvature(kappa, grid)
     if code == "NR":
         kappa, tau = _named_constants(curve)
-        return solve_constraint_ode("NR", kappa, tau, (0.0, 0.0), grid, ansatz="constant")
+        return lambda_constant(constant_admissible_lambda("NR", kappa, tau), grid)
     if code in ("NP", "BP"):
         value = args.lambda0 if args.lambda0 is not None else 1.0
         return lambda_constant(value, grid)
@@ -193,14 +194,11 @@ def _solve_family_lambda(
     raise UsageError(f"no default solver for family {code}")
 
 
-def _write(path: str, text: str) -> None:
-    cio.atomic_write_text(path, text)
-
-
-def _out_path(args, name: str) -> str:
+def _write(args, name: str, text: str) -> None:
+    """Write ``text`` atomically to ``name`` in --out (default .)."""
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    return os.path.join(out, name)
+    cio.atomic_write_text(os.path.join(out, name), text)
 
 
 def _load_lambda(path: str) -> LambdaSolution:
@@ -211,9 +209,7 @@ def _load_lambda(path: str) -> LambdaSolution:
 
 
 def cmd_frenet(args) -> int:
-    curve = _parse_curve(args.curve)
-    grid = _parse_grid(args.grid)
-    base = sample_curve(curve, grid)
+    base = sample_curve(_parse_curve(args.curve), _parse_grid(args.grid))
     if args.format == "json":
         import json
 
@@ -224,47 +220,46 @@ def cmd_frenet(args) -> int:
             "T": f.T.tolist(), "N": f.N.tolist(), "B": f.B.tolist(),
             "kappa": f.kappa.tolist(), "tau": f.tau.tolist(),
         }
-        _write(_out_path(args, "frenet.json"), json.dumps(obj, sort_keys=True) + "\n")
+        _write(args, "frenet.json", json.dumps(obj, sort_keys=True) + "\n")
     else:
-        _write(_out_path(args, "base.csv"), cio.sampled_curve_to_csv(base))
+        _write(args, "base.csv", cio.sampled_curve_to_csv(base))
     return 0
 
 
-def cmd_solve_lambda(args) -> int:
+def _inputs(args) -> tuple[CurveSpec, SampledCurve, AssociationSpec]:
+    """The curve, its sampled base and the family spec named by the options."""
     curve = _parse_curve(args.curve)
-    grid = _parse_grid(args.grid)
-    base = sample_curve(curve, grid)
+    base = sample_curve(curve, _parse_grid(args.grid))
     spec = _family_spec(args.family, _parse_coeffs(args.coeffs) if args.coeffs else None)
-    sol = _solve_family_lambda(spec, curve, base, args)
-    _write(_out_path(args, "lambda.csv"), cio.lambda_to_csv(sol))
+    return curve, base, spec
+
+
+def _offset(args, curve: CurveSpec, base: SampledCurve, spec: AssociationSpec) -> LambdaSolution:
+    """The --lambda-csv offset on the base grid, or else the family's default solve."""
+    if not args.lambda_csv:
+        return _solve_family_lambda(spec, curve, base, args)
+    sol = _load_lambda(args.lambda_csv)
+    sol.require_grid(base.grid)
+    return sol
+
+
+def cmd_solve_lambda(args) -> int:
+    curve, base, spec = _inputs(args)
+    _write(args, "lambda.csv", cio.lambda_to_csv(_solve_family_lambda(spec, curve, base, args)))
     return 0
 
 
 def cmd_associate(args) -> int:
-    curve = _parse_curve(args.curve)
-    grid = _parse_grid(args.grid)
-    base = sample_curve(curve, grid)
-    spec = _family_spec(args.family, _parse_coeffs(args.coeffs) if args.coeffs else None)
-    if args.lambda_csv:
-        sol = _load_lambda(args.lambda_csv)
-    else:
-        sol = _solve_family_lambda(spec, curve, base, args)
-    pred = associate(base, spec, sol)
-    _write(_out_path(args, "mate.csv"), cio.mate_to_csv(pred))
+    curve, base, spec = _inputs(args)
+    pred = associate(base, spec, _offset(args, curve, base, spec))
+    _write(args, "mate.csv", cio.mate_to_csv(pred))
     return 0
 
 
 def cmd_verify(args) -> int:
-    curve = _parse_curve(args.curve)
-    grid = _parse_grid(args.grid)
-    base = sample_curve(curve, grid)
-    spec = _family_spec(args.family, _parse_coeffs(args.coeffs) if args.coeffs else None)
+    curve, base, spec = _inputs(args)
     tols = _tolerances(args)
-    if args.lambda_csv:
-        sol = _load_lambda(args.lambda_csv)
-        sol.require_grid(grid)
-    else:
-        sol = _solve_family_lambda(spec, curve, base, args)
+    sol = _offset(args, curve, base, spec)
     pred = associate(base, spec, sol)
     mate = pred.mate
     if args.mate:
@@ -272,12 +267,12 @@ def cmd_verify(args) -> int:
             raise UsageError(f"mate file not found: {args.mate}")
         with open(args.mate) as handle:
             mate_grid, mate_pos, _ = cio.mate_positions_from_csv(handle.read())
-        if not same_grid(mate_grid, grid):
+        if not same_grid(mate_grid, base.grid):
             raise AlignmentError("mate file grid does not match --grid")
         mate = SampledCurve(grid=mate_grid, positions=mate_pos)
     report = check_association(base, mate, spec, lam_sol=sol, predicted=pred,
                                tolerances=tols)
-    _write(_out_path(args, "report.json"), cio.report_to_json(report))
+    _write(args, "report.json", cio.report_to_json(report))
     print(f"verdict: {report.verdict}")
     return _VERDICT_EXIT[report.verdict]
 
@@ -313,12 +308,12 @@ def cmd_example(args) -> int:
     pred = associate(base, spec, sol)
     report = check_association(base, pred.mate, spec, lam_sol=sol, predicted=pred,
                                tolerances=tols)
-    _write(_out_path(args, "base.csv"), cio.sampled_curve_to_csv(base))
-    _write(_out_path(args, "lambda.csv"), cio.lambda_to_csv(sol))
-    _write(_out_path(args, "mate.csv"), cio.mate_to_csv(pred))
-    _write(_out_path(args, "report.json"), cio.report_to_json(report))
+    _write(args, "base.csv", cio.sampled_curve_to_csv(base))
+    _write(args, "lambda.csv", cio.lambda_to_csv(sol))
+    _write(args, "mate.csv", cio.mate_to_csv(pred))
+    _write(args, "report.json", cio.report_to_json(report))
     if args.emit_plot_script:
-        _write(_out_path(args, "plot_mates.py"), _PLOT_SCRIPT)
+        _write(args, "plot_mates.py", _PLOT_SCRIPT)
     print(f"verdict: {report.verdict}")
     return _VERDICT_EXIT[report.verdict]
 

@@ -216,10 +216,14 @@ def curvature_derivatives(
     kappa: np.ndarray, tau: np.ndarray, speed: np.ndarray, h: float
 ) -> tuple[np.ndarray, ...]:
     """kappa', tau', kappa'' and tau'' with respect to arc length, by the chain
-    rule through the speed of a uniform sample parameter of step h."""
+    rule through the speed v of a uniform sample parameter t of step h:
+    x' = x_t / v and x'' = (x_tt - x_t v_t / v) / v**2."""
     safe_speed = np.where(speed > 0, speed, 1.0)
-    return (diff1(kappa, h) / safe_speed, diff1(tau, h) / safe_speed,
-            diff2(kappa, h) / safe_speed**2, diff2(tau, h) / safe_speed**2)
+    stretch = diff1(speed, h) / safe_speed
+    kappa_t, tau_t = diff1(kappa, h), diff1(tau, h)
+    return (kappa_t / safe_speed, tau_t / safe_speed,
+            (diff2(kappa, h) - kappa_t * stretch) / safe_speed**2,
+            (diff2(tau, h) - tau_t * stretch) / safe_speed**2)
 
 
 def frenet_frames_sampled(

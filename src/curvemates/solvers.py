@@ -483,7 +483,6 @@ def solve_constraint_ode(
     kappa, tau,
     initial: tuple[float, float],
     grid: np.ndarray,
-    ansatz: str = "ivp",
     ratio: float | None = None,
     cap: float = BLOWUP_CAP_DEFAULT,
 ) -> LambdaSolution:
@@ -491,23 +490,13 @@ def solve_constraint_ode(
 
     family: "NO" (first order, cross-coefficient along the normal = 0),
     "NR"/"BR" (second order, affine in lambda''), "BO" (first order,
-    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). ansatz="constant"
-    returns the family's constant branch instead of integrating.
+    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). A family's constant branch
+    is ``lambda_constant(constant_admissible_lambda(...), grid)``.
     """
     _constraint_family(family)
     grid = np.asarray(grid, dtype=float)
 
     k_fn, t_fn, kp_fn, tp_fn = _coefficient_fns(kappa, tau)
-
-    if ansatz == "constant":
-        if family == "BO":
-            if ratio not in (None, 0.0):
-                raise SpecificationError("constant binormal offsets require ratio 0")
-            return lambda_constant(initial[0], grid)
-        value = constant_admissible_lambda(family, k_fn(grid[0]), t_fn(grid[0]))
-        return lambda_constant(value, grid)
-    if ansatz != "ivp":
-        raise SpecificationError("ansatz must be 'ivp' or 'constant'")
 
     y0 = float(initial[0])
     constants = {"lambda0": y0}

@@ -86,9 +86,8 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
 
-def _vector_angles(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(raw angle, line angle) between rows of two unit-vector arrays."""
-    dots = np.einsum("ij,ij->i", u, v)
+def _vector_angles(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(raw angle, line angle) of unit-vector pairs from their dot products."""
     raw = np.arccos(np.clip(dots, -1.0, 1.0))
     line = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
     return raw, line
@@ -161,19 +160,19 @@ def _relative_deltas(ks_f, ts_f, ks_n, ts_n) -> tuple[float, float]:
 
 
 def audit_curvature_formulas(
-    predicted: PredictedMate,
-    numeric: FrameData,
-    mask: np.ndarray | None = None,
+    predicted: PredictedMate, numeric: FrameData, rows: np.ndarray
 ) -> dict:
-    """Relative deltas of the printed kappa*, tau* in ``predicted`` against the oracle."""
-    if mask is None:
-        mask = np.ones(predicted.lam.grid.shape, dtype=bool)
-    ks_f = predicted.kappa_star[mask]
-    if ks_f.size == 0:
+    """Relative deltas of the printed and the closed-form kappa*, tau* in
+    ``predicted`` against the oracle, on the grid indices ``rows``."""
+    if rows.size == 0:
         return {"kappa": 0.0, "tau": 0.0, "gated_points": 0}
-    kappa, tau = _relative_deltas(ks_f, predicted.tau_star[mask],
-                                  numeric.kappa[mask], numeric.tau[mask])
-    return {"kappa": kappa, "tau": tau, "gated_points": int(ks_f.size)}
+    ks_n, ts_n = numeric.kappa[rows], numeric.tau[rows]
+    kappa, tau = _relative_deltas(predicted.kappa_star[rows], predicted.tau_star[rows],
+                                  ks_n, ts_n)
+    kappa_closed, tau_closed = _relative_deltas(
+        predicted.kappa_star_closed[rows], predicted.tau_star_closed[rows], ks_n, ts_n)
+    return {"kappa": kappa, "tau": tau, "gated_points": int(rows.size),
+            "kappa_closed": kappa_closed, "tau_closed": tau_closed}
 
 
 def check_association(
@@ -211,91 +210,56 @@ def check_association(
     family = FAMILIES[spec.code]
     gates_for = family.gates
     notes = []
-    gated: dict[str, bool] = {}
 
     offset = getattr(base.frames, spec.vector)
     normal_name = PLANE_NORMAL[spec.plane]
-    plane_normal = getattr(numeric, normal_name)
-    ortho = np.abs(np.einsum("ij,ij->i", offset, plane_normal))
+    ortho = np.abs(np.einsum("ij,ij->i", offset, getattr(numeric, normal_name)))
     key = f"<{spec.vector},{normal_name}*>"
-    constraint_residuals = {}
-    if np.any(gate):
-        constraint_residuals[key] = float(np.max(ortho[gate]))
-    else:
-        constraint_residuals[key] = 0.0
+    constraint_residuals = {key: float(np.max(ortho[gate], initial=0.0))}
+    if not np.any(gate):
         notes.append("gated set empty: every point is degenerate or boundary")
-    gated[key] = gates_for["constraint"]
-
-    coeff_key = family.coefficient[0] if family.coefficient else None
-    if lam_sol is not None and coeff_key is not None:
-        res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
-                                  base.frames.tau, base.frames.kappa_prime,
-                                  base.frames.tau_prime)
-        constraint_residuals[coeff_key] = float(np.max(res)) if res.size else 0.0
-        gated[coeff_key] = gates_for["constraint"]
+    # One row per check, in failure order: (name, value, gates, tolerance).
+    checks = [(key, constraint_residuals[key], gates_for["constraint"], tols.constraint)]
 
     distance = None
     if lam_sol is not None:
+        if family.coefficient is not None:
+            coeff_key = family.coefficient[0]
+            res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
+                                      base.frames.tau, base.frames.kappa_prime,
+                                      base.frames.tau_prime)
+            constraint_residuals[coeff_key] = float(np.max(res)) if res.size else 0.0
+            checks.append((coeff_key, constraint_residuals[coeff_key],
+                           gates_for["constraint"], tols.constraint))
         distance = check_distance(base, mate, lam_sol)
-        gated["distance"] = True
+        checks.append(("distance", distance, True, tols.distance))
 
     frame_errors: dict[str, float] = {}
     frame_raw: dict[str, float] = {}
     frame_flips: dict[str, float] = {}
     curvature_deltas: dict[str, float] = {}
     if predicted is not None:
-        both = gate & predicted.defined
-        for name, pred_arr, num_arr in (
-            ("T", predicted.T_star, numeric.T),
-            ("N", predicted.N_star, numeric.N),
-            ("B", predicted.B_star, numeric.B),
-        ):
-            if np.any(both):
-                raw, line = _vector_angles(pred_arr[both], num_arr[both])
-                frame_errors[name] = float(np.max(line))
-                frame_raw[name] = float(np.max(raw))
-                dots = np.einsum("ij,ij->i", pred_arr[both], num_arr[both])
-                frame_flips[name] = float(np.mean(dots < 0.0))
-            else:
-                frame_errors[name] = 0.0
-                frame_raw[name] = 0.0
-                frame_flips[name] = 0.0
-            gated[f"frame_{name}"] = gates_for["frames"]
+        rows = np.flatnonzero(gate & predicted.defined)
+        for name in ("T", "N", "B"):
+            dots = np.einsum("ij,ij->i", getattr(predicted, f"{name}_star")[rows],
+                             getattr(numeric, name)[rows])
+            raw, line = _vector_angles(dots)
+            frame_errors[name] = float(np.max(line, initial=0.0))
+            frame_raw[name] = float(np.max(raw, initial=0.0))
+            frame_flips[name] = np.count_nonzero(dots < 0.0) / max(rows.size, 1)
+            checks.append((f"frame_{name}", frame_errors[name], gates_for["frames"],
+                           tols.frame_angle))
+        curvature_deltas = audit_curvature_formulas(predicted, numeric, rows)
+        for name in ("kappa", "tau"):
+            checks.append((name, curvature_deltas[name], gates_for["curvatures"],
+                           tols.curvature))
 
-        curvature_deltas = audit_curvature_formulas(predicted, numeric, mask=both)
-        gated["kappa"] = gates_for["curvatures"]
-        gated["tau"] = gates_for["curvatures"]
-
-        if np.any(both):
-            curvature_deltas["kappa_closed"], curvature_deltas["tau_closed"] = _relative_deltas(
-                predicted.kappa_star_closed[both], predicted.tau_star_closed[both],
-                numeric.kappa[both], numeric.tau[both])
-
-    failed = []
-    if constraint_residuals.get(key, 0.0) > tols.constraint and gated[key]:
-        failed.append(key)
-    if gated.get(coeff_key) and constraint_residuals[coeff_key] > tols.constraint:
-        failed.append(coeff_key)
-    if distance is not None and not distance <= tols.distance:
-        failed.append("distance")
-    for name in ("T", "N", "B"):
-        if gated.get(f"frame_{name}") and frame_errors.get(name, 0.0) > tols.frame_angle:
-            failed.append(f"frame_{name}")
-    for name in ("kappa", "tau"):
-        if gated.get(name) and curvature_deltas.get(name, 0.0) > tols.curvature:
-            failed.append(name)
-
-    flagged = []
-    for name in ("kappa", "tau"):
-        if name in curvature_deltas and not gated.get(name, False):
-            if not math.isfinite(curvature_deltas[name]) or curvature_deltas[name] > tols.audit_flag:
-                flagged.append(name)
-    if not gated[key] and constraint_residuals.get(key, 0.0) > tols.audit_flag:
-        flagged.append(key)
-    for name in ("T", "N", "B"):
-        if f"frame_{name}" in gated and not gated[f"frame_{name}"]:
-            if frame_errors.get(name, 0.0) > tols.audit_flag:
-                flagged.append(f"frame_{name}")
+    # A gating check fails and an audit-only check flags when its value is
+    # not <= its bound (so NaN counts); curvature flags are listed first.
+    gated = {name: gates for name, _, gates, _ in checks}
+    failed = [name for name, value, gates, tol in checks if gates and not value <= tol]
+    audited = sorted((c for c in checks if not c[2]), key=lambda c: c[0] not in ("kappa", "tau"))
+    flagged = [name for name, value, _, _ in audited if not value <= tols.audit_flag]
 
     if failed:
         verdict = "fail"

@@ -28,6 +28,7 @@ from curvemates.association import klm_coefficients
 from curvemates.errors import PlanarityError
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.solvers import (
+    constant_admissible_lambda,
     constraint_residual,
     helix_ode_residual,
     lambda_constant,
@@ -261,7 +262,7 @@ def test_criterion_08_defining_equation_residuals():
     half = lambda_half_curvature(INV_SQRT2, grid)
     residuals["half-curvature"] = np.max(constraint_residual(half, "NO", INV_SQRT2, INV_SQRT2))
 
-    nr = solve_constraint_ode("NR", INV_SQRT2, INV_SQRT2, (0.0, 0.0), grid, ansatz="constant")
+    nr = lambda_constant(constant_admissible_lambda("NR", INV_SQRT2, INV_SQRT2), grid)
     residuals["rectifying-constant"] = np.max(constraint_residual(nr, "NR", INV_SQRT2, INV_SQRT2))
 
     ric = solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, grid)

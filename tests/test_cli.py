@@ -275,3 +275,114 @@ def test_cli_tol_override_env(tmp_path, monkeypatch):
                  "--coeffs=-1,1", "--lambda0", "1.0",
                  "--grid", "0:2:801", "--out", out])
     assert code == 0
+
+
+# Every family at --grid 0:3:2001 with the CLI defaults (the helix
+# a = b = 1/sqrt(2); TO on the unit circle): (exit code, verdict, notes,
+# gated ("+" gates the verdict, "-" is audit-only), band count, residuals,
+# frame errors, curvature deltas).
+NINE_FAMILIES = {
+    "TO": (
+        0, 'pass', [],
+        '+<T,B*> +distance +frame_T +frame_N +frame_B +kappa +tau',
+        0, {'<T,B*>': 0.0},
+        {'B': 0.0, 'N': 2.580956827951785e-08, 'T': 2.580956827951785e-08},
+        {'gated_points': 1997,
+         'kappa': 6.571420917602179e-07,
+         'kappa_closed': 6.571420917602179e-07,
+         'tau': 0.0,
+         'tau_closed': 0.0}),
+    "TP": (
+        0, 'pass', [],
+        '+<T,T*> +distance +frame_T +frame_N +frame_B +kappa +tau',
+        1, {'<T,T*>': 1.0979920733178439e-06},
+        {'B': 2.1073424255447017e-08, 'N': 1.5529412268631577e-06, 'T': 1.5528697335856362e-06},
+        {'gated_points': 1677,
+         'kappa': 2.652204395957454e-06,
+         'kappa_closed': 2.652204396109125e-06,
+         'tau': 9.826692510736383e-08,
+         'tau_closed': 9.826692494329168e-08}),
+    "TR": (
+        2, 'formula-audit-flag', ['audited values above flag threshold: kappa, <T,N*>'],
+        '-<T,N*> +distance +frame_T +frame_N +frame_B -kappa -tau',
+        0, {'<T,N*>': 0.5773502784483195},
+        {'B': 1.659323085197815e-07, 'N': 3.6500241499888574e-08, 'T': 1.639127731323244e-07},
+        {'gated_points': 1997,
+         'kappa': 0.42264996564829577,
+         'kappa_closed': 4.067512611458361e-07,
+         'tau': 1.688017851409769e-05,
+         'tau_closed': 1.688018808249352e-05}),
+    "NO": (
+        0, 'pass', ['gated set empty: every point is degenerate or boundary'],
+        '+<N,B*> +L-coefficient +distance -frame_T -frame_N -frame_B -kappa -tau',
+        1, {'<N,B*>': 0.0, 'L-coefficient': 3.4890943526306126e-14},
+        {'B': 0.0, 'N': 0.0, 'T': 0.0},
+        {'gated_points': 0, 'kappa': 0.0, 'tau': 0.0}),
+    "NP": (
+        2, 'formula-audit-flag', ['audited values above flag threshold: kappa, tau'],
+        '+<N,T*> +distance +frame_T +frame_N +frame_B -kappa -tau',
+        0, {'<N,T*>': 1.7207762992299536e-13},
+        {'B': 1.3493575361575816e-07, 'N': 3.332000937312528e-08, 'T': 1.3575603930867175e-07},
+        {'gated_points': 1997,
+         'kappa': 1.0,
+         'kappa_closed': 7.855514711858872e-08,
+         'tau': 1.0,
+         'tau_closed': 4.862507749191255e-07}),
+    "NR": (
+        0, 'pass', ['gated set empty: every point is degenerate or boundary'],
+        '+<N,N*> +NR-coefficient +distance -frame_T -frame_N -frame_B -kappa -tau',
+        1, {'<N,N*>': 0.0, 'NR-coefficient': 8.608691147257173e-28},
+        {'B': 0.0, 'N': 0.0, 'T': 0.0},
+        {'gated_points': 0, 'kappa': 0.0, 'tau': 0.0}),
+    "BO": (
+        2, 'formula-audit-flag', ['audited values above flag threshold: kappa, tau'],
+        '+<B,B*> +Z-coefficient +distance -frame_T -frame_N -frame_B -kappa -tau',
+        2, {'<B,B*>': 2.3516670328432854e-06, 'Z-coefficient': 2.0115891494221013e-11},
+        {'B': 2.6329976557098057e-06, 'N': 2.634051588351387e-06, 'T': 1.698993779866605e-07},
+        {'gated_points': 1736,
+         'kappa': 2.301565498679884,
+         'kappa_closed': 1.542293966302655e-06,
+         'tau': 0.7495963842155781,
+         'tau_closed': 3.0712258183690485e-05}),
+    "BP": (
+        2, 'formula-audit-flag', ['audited values above flag threshold: kappa, tau'],
+        '+<B,T*> +distance +frame_T +frame_N +frame_B -kappa -tau',
+        0, {'<B,T*>': 1.53093268534521e-07},
+        {'B': 1.788139343261721e-07, 'N': 2.9802322387695312e-08, 'T': 1.7819197093101463e-07},
+        {'gated_points': 1997,
+         'kappa': 0.38581595276538516,
+         'kappa_closed': 3.126685204015135e-07,
+         'tau': 0.30545654903089514,
+         'tau_closed': 2.927378139464199e-07}),
+    "BR": (
+        2, 'formula-audit-flag', ['audited values above flag threshold: kappa, tau'],
+        '+<B,N*> +BR-coefficient +distance -frame_T -frame_N -frame_B -kappa -tau',
+        1, {'<B,N*>': 7.791836666246749e-07, 'BR-coefficient': 2.6797511002612434e-08},
+        {'B': 9.23150688513165e-07, 'N': 9.310543150790854e-07, 'T': 2.1283115233608674e-07},
+        {'gated_points': 1053,
+         'kappa': 1414210498.702526,
+         'kappa_closed': 5.31474596022803e-07,
+         'tau': 0.49979654691487524,
+         'tau_closed': 1.8637610236181083e-05}),
+}
+# The floating-point figures are pinned to a relative 1e-9 plus an absolute
+# floor per group. Perturbing the sampled base by 1-2 ulp (as another libm
+# would) moves the residuals and frame angles by up to 1e-8 and the
+# curvature deltas by up to 3.3e-6, so the floors sit about 10x above that
+# and at least 30x below the gates.
+PIN_FLOORS = {"residuals": 1e-7, "frame_errors": 1e-7, "curvature_deltas": 3e-5}
+
+
+@pytest.mark.parametrize("family", list(NINE_FAMILIES))
+def test_nine_family_verdicts_pinned(family, tmp_path):
+    code, verdict, notes, gated, bands, *figures = NINE_FAMILIES[family]
+    curve = ('{"kind":"circle","r":1.0}' if family == "TO"
+             else f'{{"kind":"helix","a":{INV_SQRT2!r},"b":{INV_SQRT2!r}}}')
+    assert main(["verify", "--curve", curve, "--family", family, "--grid", "0:3:2001",
+                 "--out", str(tmp_path)]) == code
+    report = json.loads(read(os.path.join(str(tmp_path), "report.json")))
+    assert (report["verdict"], report["notes"]) == (verdict, notes)
+    assert report["gated"] == {name[1:]: name[0] == "+" for name in gated.split()}
+    assert len(report["excluded_bands"]) == bands
+    for (group, floor), expected in zip(PIN_FLOORS.items(), figures):
+        assert report[group] == pytest.approx(expected, rel=1e-9, abs=floor), group

@@ -280,13 +280,13 @@ def test_constraint_br_constant_branch_is_zero():
 
 
 def test_constraint_nr_constant_branch(helix_base):
-    sol = solve_constraint_ode("NR", INV_SQRT2, INV_SQRT2, (0.0, 0.0), GRID, ansatz="constant")
+    sol = lambda_constant(constant_admissible_lambda("NR", INV_SQRT2, INV_SQRT2), GRID)
     assert sol.lam[0] == pytest.approx(INV_SQRT2, rel=1e-12)
     assert np.max(constraint_residual(sol, "NR", INV_SQRT2, INV_SQRT2)) < 1e-10
 
 
 def test_constraint_no_constant_branch():
-    sol = solve_constraint_ode("NO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), GRID, ansatz="constant")
+    sol = lambda_constant(constant_admissible_lambda("NO", INV_SQRT2, INV_SQRT2), GRID)
     assert sol.lam[0] == pytest.approx(1.0 / (2.0 * INV_SQRT2), rel=1e-12)
     assert np.max(constraint_residual(sol, "NO", INV_SQRT2, INV_SQRT2)) < 1e-10
 

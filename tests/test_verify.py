@@ -39,15 +39,19 @@ IDENTITY = np.eye(3)  # rows T, N, B
 # frame comparison: raw angles report signs, line angles gate
 
 
+def _row_dots(u, v):
+    return np.einsum("ij,ij->i", u, v)
+
+
 def test_compare_frames_identical():
-    raw, line = _vector_angles(IDENTITY, IDENTITY)
+    raw, line = _vector_angles(_row_dots(IDENTITY, IDENTITY))
     np.testing.assert_allclose(raw, 0.0)
     np.testing.assert_allclose(line, 0.0)
 
 
 def test_compare_frames_binormal_flip_reported_not_masked():
     flipped = IDENTITY * np.array([[1.0], [1.0], [-1.0]])
-    raw, line = _vector_angles(IDENTITY, flipped)
+    raw, line = _vector_angles(_row_dots(IDENTITY, flipped))
     np.testing.assert_allclose(raw, [0.0, 0.0, math.pi])
     np.testing.assert_allclose(line, 0.0)
 
@@ -55,8 +59,8 @@ def test_compare_frames_binormal_flip_reported_not_masked():
 def test_compare_frames_symmetry():
     c, s = math.cos(0.3), math.sin(0.3)
     rotated = np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
-    forward = _vector_angles(IDENTITY, rotated)
-    backward = _vector_angles(rotated, IDENTITY)
+    forward = _vector_angles(_row_dots(IDENTITY, rotated))
+    backward = _vector_angles(_row_dots(rotated, IDENTITY))
     np.testing.assert_allclose(forward, backward)
     np.testing.assert_allclose(forward[0], [0.3, 0.3, 0.0], atol=1e-7)
 
