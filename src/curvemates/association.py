@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import PlanarityError, SpecificationError
 from .geometry import FrameData, SampledCurve
+from .numdiff import cross3, norm3
 from .solvers import LambdaSolution
 
 VECTORS = ("T", "N", "B")
@@ -182,10 +183,35 @@ def _closed_form_setup(
     u = _first_derivative_components(vector, lam, lam_p, frames.kappa, frames.tau)
     w = _cross_components(vector, lam, lam_p, lam_sol.lam_double_prime, frames.kappa,
                           frames.tau, frames.kappa_prime, frames.tau_prime)
-    un = np.linalg.norm(u, axis=-1)
-    wn = np.linalg.norm(w, axis=-1)
+    un = norm3(u)
+    wn = norm3(w)
     defined = (un > _DENOM_FLOOR) & (wn > _DENOM_FLOOR)
     return u, w, np.where(un > 0, un, 1.0), np.where(wn > 0, wn, 1.0), defined
+
+
+def _frames_from_setup(frames: FrameData, setup: tuple) -> tuple[np.ndarray, ...]:
+    u, w, un, wn, defined = setup
+    T_star = _embed(u / un[:, None], frames)
+    B_star = _embed(w / wn[:, None], frames)
+    N_star = cross3(B_star, T_star)
+    bad = ~defined
+    for arr in (T_star, N_star, B_star):
+        arr[bad] = np.nan
+    return T_star, N_star, B_star, defined
+
+
+def _curvatures_from_setup(
+    frames: FrameData, vector: str, lam_sol: LambdaSolution, lam_ppp: np.ndarray,
+    setup: tuple,
+) -> tuple[np.ndarray, ...]:
+    _, w, un, wn, defined = setup
+    d3 = _third_derivative_components(
+        vector, lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime, lam_ppp,
+        frames.kappa, frames.tau, frames.kappa_prime, frames.tau_prime,
+        frames.kappa_second_or_zero(), frames.tau_second_or_zero())
+    kappa_star = np.where(defined, wn / un**3, np.nan)
+    tau_star = np.where(defined, np.einsum("ij,ij->i", w, d3) / wn**2, np.nan)
+    return kappa_star, tau_star, defined
 
 
 def predicted_frames_grid(
@@ -196,14 +222,7 @@ def predicted_frames_grid(
     Returns (T*, N*, B*, defined) where ``defined`` masks points at which
     either the mate speed or its cross product vanishes; those rows are NaN.
     """
-    u, w, un, wn, defined = _closed_form_setup(frames, vector, lam_sol)
-    T_star = _embed(u / un[:, None], frames)
-    B_star = _embed(w / wn[:, None], frames)
-    N_star = np.cross(B_star, T_star)
-    bad = ~defined
-    for arr in (T_star, N_star, B_star):
-        arr[bad] = np.nan
-    return T_star, N_star, B_star, defined
+    return _frames_from_setup(frames, _closed_form_setup(frames, vector, lam_sol))
 
 
 def mate_curvatures_closed(
@@ -217,14 +236,8 @@ def mate_curvatures_closed(
     """
     if lam_ppp is None:
         lam_ppp = lam_sol.lam_third()
-    _, w, un, wn, defined = _closed_form_setup(frames, vector, lam_sol)
-    d3 = _third_derivative_components(
-        vector, lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime, lam_ppp,
-        frames.kappa, frames.tau, frames.kappa_prime, frames.tau_prime,
-        frames.kappa_second_or_zero(), frames.tau_second_or_zero())
-    kappa_star = np.where(defined, wn / un**3, np.nan)
-    tau_star = np.where(defined, np.einsum("ij,ij->i", w, d3) / wn**2, np.nan)
-    return kappa_star, tau_star, defined
+    setup = _closed_form_setup(frames, vector, lam_sol)
+    return _curvatures_from_setup(frames, vector, lam_sol, lam_ppp, setup)
 
 
 def _safe_div(num, den):
@@ -494,10 +507,14 @@ def associate(
         )
 
     mate = construct_mate(base, spec.vector, lam_sol)
-    T_star, N_star, B_star, defined = predicted_frames_grid(base.frames, spec.vector, lam_sol)
+    # One closed-form set-up serves the frames and the curvatures; it is
+    # freed before the printed formulas allocate their own arrays.
+    setup = _closed_form_setup(base.frames, spec.vector, lam_sol)
+    T_star, N_star, B_star, defined = _frames_from_setup(base.frames, setup)
     lam_ppp = lam_sol.lam_third()
+    ks_c, ts_c, _ = _curvatures_from_setup(base.frames, spec.vector, lam_sol, lam_ppp, setup)
+    del setup
     ks, ts = predicted_curvature_arrays(base.frames, spec, lam_sol, lam_ppp)
-    ks_c, ts_c, _ = mate_curvatures_closed(base.frames, spec.vector, lam_sol, lam_ppp)
     return PredictedMate(
         base=base, mate=mate, family=spec, lam=lam_sol,
         T_star=T_star, N_star=N_star, B_star=B_star,

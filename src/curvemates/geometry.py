@@ -20,7 +20,16 @@ from .errors import (
     RegularityError,
     SpecificationError,
 )
-from .numdiff import cumulative_simpson, diff1, diff2, diff3, same_grid, uniform_spacing
+from .numdiff import (
+    cross3,
+    cumulative_simpson,
+    diff1,
+    diff2,
+    diff3,
+    norm3,
+    same_grid,
+    uniform_spacing,
+)
 
 KAPPA_FLOOR_DEFAULT = 1e-8
 SPEED_FLOOR_DEFAULT = 1e-12
@@ -192,9 +201,9 @@ def _frenet_from_derivs(
     grid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """Frames from derivative arrays via the general (non-unit-speed) formulas."""
-    speed = np.linalg.norm(d1, axis=-1)
-    cross = np.cross(d1, d2)
-    cn = np.linalg.norm(cross, axis=-1)
+    speed = norm3(d1)
+    cross = cross3(d1, d2)
+    cn = norm3(cross)
     safe_speed = np.where(speed > 0, speed, 1.0)
     kappa = cn / safe_speed**3
     valid = (speed > SPEED_FLOOR_DEFAULT) & (kappa > kappa_min)
@@ -208,7 +217,7 @@ def _frenet_from_derivs(
     tau = np.einsum("...i,...i->...", cross, d3) / safe_cn**2
     T = d1 / safe_speed[..., None]
     B = cross / safe_cn[..., None]
-    N = np.cross(B, T)
+    N = cross3(B, T)
     return T, N, B, kappa, tau, speed, cn, valid
 
 
@@ -241,6 +250,8 @@ def frenet_frames_sampled(
     """
     grid = np.asarray(grid, dtype=float)
     positions = np.asarray(positions, dtype=float)
+    if grid.ndim != 1 or positions.shape != (grid.size, 3):
+        raise SpecificationError("positions must be (n, 3) aligned with grid")
     if positions.shape[0] < 7:
         raise InsufficientDataError("numeric frames need at least 7 samples")
     h = uniform_spacing(grid)
@@ -251,7 +262,7 @@ def frenet_frames_sampled(
         d1, d2, d3, kappa_min, strict=strict, grid=grid
     )
     kp, tp, ks, ts = curvature_derivatives(kappa, tau, speed, h)
-    n2, n3, n4 = (np.linalg.norm(d, axis=1) for d in (d2, d3, diff1(d3, h)))
+    n2, n3, n4 = (norm3(d) for d in (d2, d3, diff1(d3, h)))
     tiny = 1e-300
     est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
     est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
@@ -283,7 +294,8 @@ def sample_curve(
                                kappa_prime=zeros, tau_prime=zeros, speed=speed,
                                kappa_second=zeros, tau_second=zeros,
                                valid=np.ones_like(kappa, dtype=bool))
-        unit = bool(np.max(np.abs(np.linalg.norm(d1, axis=-1) - 1.0)) < 1e-9)
+        speed = frames.speed if frames is not None else norm3(d1)
+        unit = bool(np.max(np.abs(speed - 1.0)) < 1e-9)
         return SampledCurve(grid=grid, positions=d0, frames=frames, unit_speed=unit)
 
     pts = spec.points
@@ -329,9 +341,9 @@ def frenet_residuals(curve: SampledCurve) -> FrenetResiduals:
     dB = diff1(f.B, step)
     k = f.kappa[:, None]
     t = f.tau[:, None]
-    r1 = np.linalg.norm(dT - k * f.N, axis=1)
-    r2 = np.linalg.norm(dN + k * f.T - t * f.B, axis=1)
-    r3 = np.linalg.norm(dB + t * f.N, axis=1)
+    r1 = norm3(dT - k * f.N)
+    r2 = norm3(dN + k * f.T - t * f.B)
+    r3 = norm3(dB + t * f.N)
     return FrenetResiduals(tangent=r1, normal=r2, binormal=r3)
 
 
@@ -363,7 +375,7 @@ def reparametrize_arclength(
     else:
         d1 = diff1(sample_curve(curve, t_fine, with_frames=False).positions,
                    uniform_spacing(t_fine))
-    speed = np.linalg.norm(d1, axis=1)
+    speed = norm3(d1)
     # The (m, 3) fine-grid arrays are the largest this function holds; free
     # them before the quadrature and the PCHIP fit add their own.
     del d1
@@ -392,7 +404,7 @@ def reparametrize_arclength(
 
     out = SampledCurve(grid=s_grid, positions=pos, unit_speed=True)
     h = out.spacing()
-    fd_speed = np.linalg.norm(diff1(pos, h), axis=1)
+    fd_speed = norm3(diff1(pos, h))
     dev = float(np.max(np.abs(fd_speed[1:-1] - 1.0)))
     if dev > max(tol, 50.0 * h * h):
         raise RegularityError(

@@ -20,7 +20,7 @@ import numpy as np
 from .association import PredictedMate
 from .errors import ParseError, SpecificationError
 from .geometry import CurveSpec, FrameData, SampledCurve, curvature_derivatives
-from .numdiff import diff1, uniform_spacing
+from .numdiff import diff1, norm3, uniform_spacing
 from .solvers import LambdaSolution
 from .verify import GATING_TABLE_VERSION, VerificationReport
 
@@ -173,7 +173,7 @@ def sampled_curve_from_csv(text: str) -> SampledCurve:
     data, _ = _parse_csv(text, _CURVE_COLUMNS)
     grid, pos, kappa, tau = data[:, 0], data[:, 1:4], data[:, 13], data[:, 14]
     h = uniform_spacing(grid)
-    speed = np.linalg.norm(diff1(pos, h), axis=1)
+    speed = norm3(diff1(pos, h))
     kp, tp, ks, ts = curvature_derivatives(kappa, tau, speed, h)
     frames = FrameData(T=data[:, 4:7], N=data[:, 7:10], B=data[:, 10:13],
                        kappa=kappa, tau=tau, kappa_prime=kp, tau_prime=tp,

@@ -1,9 +1,10 @@
-"""Finite-difference stencils on uniform grids.
+"""Finite-difference stencils on uniform grids, and row kernels for (n, 3) arrays.
 
 All interior stencils are central and second order; boundary rows use
 one-sided second-order stencils so every returned array matches the input
 length. ``diff1_o4`` is the fourth-order first derivative used by residual
-checks that must stay well below solver tolerances.
+checks that must stay well below solver tolerances. ``norm3`` and
+``cross3`` are the row norm and row cross product of (n, 3) arrays.
 """
 from __future__ import annotations
 
@@ -27,6 +28,27 @@ def uniform_spacing(grid: np.ndarray) -> float:
 def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two grids have the same shape and agree to 1e-12 absolute."""
     return a.shape == b.shape and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
+
+
+def norm3(v: np.ndarray) -> np.ndarray:
+    """Row norms of an (n, 3) array, bit for bit ``np.linalg.norm(v, axis=-1)``.
+
+    The same squares summed in the same order, from the three columns,
+    without numpy's generic reduction.
+    """
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row cross products of (n, 3) arrays, bit for bit ``np.cross(a, b)``."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    out = np.empty((a.shape[0], 3))
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    return out
 
 
 def diff1(y: np.ndarray, h: float) -> np.ndarray:

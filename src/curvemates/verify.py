@@ -27,7 +27,7 @@ import numpy as np
 from .association import FAMILIES, PLANE_NORMAL, AssociationSpec, PredictedMate
 from .errors import SpecificationError
 from .geometry import FrameData, SampledCurve, frenet_frames_sampled
-from .numdiff import same_grid
+from .numdiff import norm3, same_grid
 from .solvers import LambdaSolution, constraint_residual
 
 GATING_TABLE_VERSION = 1
@@ -136,7 +136,7 @@ def check_distance(
     if not same_grid(base.grid, mate.grid):
         raise SpecificationError("base and mate grids must coincide")
     lam_sol.require_grid(base.grid)
-    dist = np.linalg.norm(mate.positions - base.positions, axis=1)
+    dist = norm3(mate.positions - base.positions)
     return float(np.max(np.abs(dist - np.abs(lam_sol.lam))))
 
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from curvemates.association import (
     predicted_frames_grid,
     xyz_coefficients,
 )
+from curvemates.cli import _solve_family_lambda
 from curvemates.errors import (
     AlignmentError,
     PlanarityError,
@@ -336,3 +338,21 @@ def test_associate_requires_unit_speed(grid_0_2):
     fast = sample_curve(CurveSpec.helix(2.0, 0.0), grid_0_2)
     with pytest.raises(SpecificationError):
         associate(fast, AssociationSpec("N", "O", (0.0, 1.0)), lambda_constant(0.4, grid_0_2))
+
+
+@pytest.mark.parametrize("code", list(FAMILIES))
+def test_associate_matches_public_closed_form(code):
+    # associate shares one closed-form set-up between frames and curvatures;
+    # the public pair must give the same bits.
+    curve = CurveSpec.circle(1.0) if code == "TO" else CurveSpec.helix(INV_SQRT2, INV_SQRT2)
+    base = sample_curve(curve, np.linspace(0.0, 3.0, 401))
+    spec = AssociationSpec(code[0], code[1], (1.0, 1.0))
+    defaults = argparse.Namespace(c0=None, c1=None, c2=None, lambda0=None, lambda0_prime=None)
+    sol = _solve_family_lambda(spec, curve, base, defaults)
+    pred = associate(base, spec, sol)
+    frames = predicted_frames_grid(base.frames, spec.vector, sol)
+    ks, ts, _ = mate_curvatures_closed(base.frames, spec.vector, sol)
+    got = (pred.T_star, pred.N_star, pred.B_star, pred.defined,
+           pred.kappa_star_closed, pred.tau_star_closed)
+    for a, b in zip(got, frames + (ks, ts)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

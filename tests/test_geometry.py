@@ -247,6 +247,16 @@ def test_sampled_curve_validation():
         SampledCurve(grid=np.array([0.0, 0.0]), positions=np.zeros((2, 3)))
 
 
+def test_numeric_frames_reject_misaligned_positions(unit_helix_spec):
+    # 50 rows on a 40-point grid used to give 50 frames at the 40-point
+    # spacing; (n, 2) rows used to fail inside numpy.
+    grid = np.linspace(0.0, 2.0, 40)
+    positions = sample_curve(unit_helix_spec, np.linspace(0.0, 2.0, 50)).positions
+    for bad in (positions, positions[:40, :2]):
+        with pytest.raises(SpecificationError, match=r"positions must be \(n, 3\) aligned"):
+            frenet_frames_sampled(grid, bad)
+
+
 def test_curvature_derivatives_chain_rule_off_arc_length():
     # (cos t, 2 sin t, t/2) is not arc-length parametrized, so kappa'' and
     # tau'' need the -x_t v_t / v term of the chain rule; without it kappa''
