@@ -501,7 +501,7 @@ def associate(
             raise PlanarityError(
                 f"{family.title} association requires a planar base; max |tau| = {max_tau:.3e}"
             )
-    if family.constant_offset and not lam_sol.is_constant(1e-8):
+    if family.constant_offset and not lam_sol.is_constant():
         raise SpecificationError(
             f"{spec.code} association requires a constant offset (lambda' = 0)"
         )

@@ -95,14 +95,17 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
+def _read(path: str, what: str) -> str:
+    """The text of a file named on the command line."""
+    if not os.path.exists(path):
+        raise UsageError(f"{what} file not found: {path}")
+    with open(path) as handle:
+        return handle.read()
+
+
 def _parse_curve(text: str) -> CurveSpec:
     text = text.strip()
-    if text.startswith("{"):
-        return cio.curve_from_json(text)
-    if not os.path.exists(text):
-        raise UsageError(f"curve file not found: {text}")
-    with open(text) as handle:
-        return cio.curve_from_json(handle.read())
+    return cio.curve_from_json(text if text.startswith("{") else _read(text, "curve"))
 
 
 def _parse_coeffs(text: str) -> tuple[float, float]:
@@ -201,13 +204,6 @@ def _write(args, name: str, text: str) -> None:
     cio.atomic_write_text(os.path.join(out, name), text)
 
 
-def _load_lambda(path: str) -> LambdaSolution:
-    if not os.path.exists(path):
-        raise UsageError(f"lambda file not found: {path}")
-    with open(path) as handle:
-        return cio.lambda_from_csv(handle.read())
-
-
 def cmd_frenet(args) -> int:
     base = sample_curve(_parse_curve(args.curve), _parse_grid(args.grid))
     if args.format == "json":
@@ -238,7 +234,7 @@ def _offset(args, curve: CurveSpec, base: SampledCurve, spec: AssociationSpec) -
     """The --lambda-csv offset on the base grid, or else the family's default solve."""
     if not args.lambda_csv:
         return _solve_family_lambda(spec, curve, base, args)
-    sol = _load_lambda(args.lambda_csv)
+    sol = cio.lambda_from_csv(_read(args.lambda_csv, "lambda"))
     sol.require_grid(base.grid)
     return sol
 
@@ -263,10 +259,7 @@ def cmd_verify(args) -> int:
     pred = associate(base, spec, sol)
     mate = pred.mate
     if args.mate:
-        if not os.path.exists(args.mate):
-            raise UsageError(f"mate file not found: {args.mate}")
-        with open(args.mate) as handle:
-            mate_grid, mate_pos, _ = cio.mate_positions_from_csv(handle.read())
+        mate_grid, mate_pos, _ = cio.mate_positions_from_csv(_read(args.mate, "mate"))
         if not same_grid(mate_grid, base.grid):
             raise AlignmentError("mate file grid does not match --grid")
         mate = SampledCurve(grid=mate_grid, positions=mate_pos)

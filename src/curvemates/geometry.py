@@ -169,7 +169,6 @@ class SampledCurve:
     grid: np.ndarray
     positions: np.ndarray
     frames: FrameData | None = None
-    unit_speed: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -294,9 +293,7 @@ def sample_curve(
                                kappa_prime=zeros, tau_prime=zeros, speed=speed,
                                kappa_second=zeros, tau_second=zeros,
                                valid=np.ones_like(kappa, dtype=bool))
-        speed = frames.speed if frames is not None else norm3(d1)
-        unit = bool(np.max(np.abs(speed - 1.0)) < 1e-9)
-        return SampledCurve(grid=grid, positions=d0, frames=frames, unit_speed=unit)
+        return SampledCurve(grid=grid, positions=d0, frames=frames)
 
     pts = spec.points
     from scipy.interpolate import CubicSpline
@@ -306,11 +303,7 @@ def sample_curve(
     else:
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(grid)
     frames = frenet_frames_sampled(grid, pos) if with_frames else None
-    speed_dev = 0.0
-    if frames is not None:
-        speed_dev = float(np.max(np.abs(frames.speed - 1.0)))
-    return SampledCurve(grid=grid, positions=pos, frames=frames,
-                        unit_speed=frames is not None and speed_dev < 1e-6)
+    return SampledCurve(grid=grid, positions=pos, frames=frames)
 
 
 @dataclass(frozen=True)
@@ -402,7 +395,7 @@ def reparametrize_arclength(
         pts = curve.points
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(t_grid)
 
-    out = SampledCurve(grid=s_grid, positions=pos, unit_speed=True)
+    out = SampledCurve(grid=s_grid, positions=pos)
     h = out.spacing()
     fd_speed = norm3(diff1(pos, h))
     dev = float(np.max(np.abs(fd_speed[1:-1] - 1.0)))

@@ -178,8 +178,7 @@ def sampled_curve_from_csv(text: str) -> SampledCurve:
     frames = FrameData(T=data[:, 4:7], N=data[:, 7:10], B=data[:, 10:13],
                        kappa=kappa, tau=tau, kappa_prime=kp, tau_prime=tp,
                        speed=speed, kappa_second=ks, tau_second=ts)
-    unit = bool(np.max(np.abs(speed - 1.0)) < 1e-6)
-    return SampledCurve(grid=grid, positions=pos, frames=frames, unit_speed=unit)
+    return SampledCurve(grid=grid, positions=pos, frames=frames)
 
 
 # ---------------------------------------------------------------------------

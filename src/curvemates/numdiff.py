@@ -26,8 +26,9 @@ def uniform_spacing(grid: np.ndarray) -> float:
 
 
 def same_grid(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two grids have the same shape and agree to 1e-12 absolute."""
-    return a.shape == b.shape and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
+    """Whether two grids have the same shape and agree to 1e-12 absolute; a grid
+    is the same as itself without a comparison."""
+    return a is b or a.shape == b.shape and bool(np.allclose(a, b, rtol=0.0, atol=1e-12))
 
 
 def norm3(v: np.ndarray) -> np.ndarray:

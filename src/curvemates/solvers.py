@@ -78,9 +78,11 @@ class LambdaSolution:
         fd = diff1(self.lam, self.spacing())
         return float(np.max(np.abs(fd[1:-1] - self.lam_prime[1:-1])))
 
-    def is_constant(self, tol: float = 1e-10) -> bool:
+    def is_constant(self) -> bool:
+        """Whether max |lambda'| <= 1e-8 max(1, max |lambda|): the one test of a
+        constant offset, for family prerequisites and classification alike."""
         scale = max(1.0, float(np.max(np.abs(self.lam))))
-        return float(np.max(np.abs(self.lam_prime))) <= tol * scale
+        return float(np.max(np.abs(self.lam_prime))) <= 1e-8 * scale
 
 
 def _as_grid_array(value, grid: np.ndarray) -> np.ndarray:
@@ -103,10 +105,23 @@ def _slope(value):
     return 0.0
 
 
-def _coefficient_fns(kappa, tau) -> tuple[Callable[[float], float], ...]:
-    """kappa, tau, kappa' and tau' as functions of s; derivatives follow _slope."""
+def _coefficients(kappa, tau) -> Callable[[float], tuple[float, float, float, float]]:
+    """One function of s giving (kappa, tau, kappa', tau'); derivatives follow
+    _slope. Constant coefficients give one tuple, built once."""
     values = (kappa, tau, _slope(kappa), _slope(tau))
-    return tuple(v if callable(v) else (lambda s, c=float(v): c) for v in values)
+    if not any(callable(v) for v in values):
+        fixed = tuple(float(v) for v in values)
+        return lambda s: fixed
+    k, t, kp, tp = (v if callable(v) else (lambda s, c=float(v): c) for v in values)
+    return lambda s: (k(s), t(s), kp(s), tp(s))
+
+
+def _coefficient_arrays(grid, kappa, tau, kappa_prime=None, tau_prime=None):
+    """kappa, tau, kappa' and tau' sampled on ``grid``; a derivative left None
+    follows _slope."""
+    kp = _slope(kappa) if kappa_prime is None else kappa_prime
+    tp = _slope(tau) if tau_prime is None else tau_prime
+    return tuple(_as_grid_array(v, grid) for v in (kappa, tau, kp, tp))
 
 
 def solve_linear_first_order(
@@ -235,25 +250,43 @@ def helix_ode_variant_report(
     }
 
 
-def lambda_half_curvature(kappa: float, grid: np.ndarray) -> LambdaSolution:
-    """Constant offset lambda = 1/(2 kappa) for constant-curvature bases."""
-    if not kappa > 0:
-        raise SpecificationError("kappa must be positive")
+def constant_admissible_lambda(family: str, kappa: float, tau: float) -> float:
+    """The constant offset admitted by a family's vanishing constraint.
+
+    NO: 1/(2 kappa) (every constant solves the constraint on a circular
+    helix; this is the conventional branch value). NR: kappa/(kappa^2 +
+    tau^2) (forces the cross-coefficient factor to zero). BR: 0.
+    """
+    if family == "NO":
+        if not kappa > 0:
+            raise SpecificationError("kappa must be positive")
+        return 1.0 / (2.0 * kappa)
+    if family == "NR":
+        if not (kappa > 0 and kappa * kappa + tau * tau > 0):
+            raise SpecificationError("kappa must be positive")
+        return kappa / (kappa * kappa + tau * tau)
+    if family == "BR":
+        return 0.0
+    raise SpecificationError(f"no constant branch catalogued for family {family}")
+
+
+def _constant(value: float, grid: np.ndarray, constants: dict) -> LambdaSolution:
     grid = np.asarray(grid, dtype=float)
-    val = 1.0 / (2.0 * kappa)
-    return LambdaSolution(grid=grid, lam=np.full(grid.shape, val),
+    return LambdaSolution(grid=grid, lam=np.full(grid.shape, value),
                           lam_prime=np.zeros(grid.shape),
                           lam_double_prime=np.zeros(grid.shape),
-                          provenance="constant", constants={"kappa": kappa})
+                          provenance="constant", constants=constants)
+
+
+def lambda_half_curvature(kappa: float, grid: np.ndarray) -> LambdaSolution:
+    """Constant offset lambda = 1/(2 kappa) for constant-curvature bases."""
+    # The NO branch value does not depend on tau.
+    return _constant(constant_admissible_lambda("NO", kappa, 0.0), grid, {"kappa": kappa})
 
 
 def lambda_constant(value: float, grid: np.ndarray) -> LambdaSolution:
     """A caller-chosen constant offset."""
-    grid = np.asarray(grid, dtype=float)
-    return LambdaSolution(grid=grid, lam=np.full(grid.shape, float(value)),
-                          lam_prime=np.zeros(grid.shape),
-                          lam_double_prime=np.zeros(grid.shape),
-                          provenance="constant", constants={"value": float(value)})
+    return _constant(float(value), grid, {"value": float(value)})
 
 
 def lambda_exponential_pair(
@@ -354,24 +387,20 @@ def solve_riccati(
     the rearranged vanishing of the binormal cross-product coefficient.
     """
     grid = np.asarray(grid, dtype=float)
-    k_fn, t_fn, _, tp_fn = _coefficient_fns(kappa, tau)
-
-    taus = _as_grid_array(tau, grid)
+    coefficients = _coefficients(kappa, tau)
+    kappas, taus, _, tps = _coefficient_arrays(grid, kappa, tau)
     if float(np.min(np.abs(taus))) <= TORSION_FLOOR:
         raise TorsionDegenerateError(
             f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined"
         )
 
     def rhs(s: float, lam: float) -> float:
-        t = t_fn(s)
-        k = k_fn(s)
-        return (t * k / 2.0) * lam ** 2 - (tp_fn(s) / (2.0 * t)) * lam + k / (2.0 * t)
+        k, t, _, tp = coefficients(s)
+        return (t * k / 2.0) * lam ** 2 - (tp / (2.0 * t)) * lam + k / (2.0 * t)
 
     lam, _ = _rk4_path(rhs, float(lambda0), grid, cap=cap)
     # lambda' stays an array expression rather than the RK4 slope: numpy's
     # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
-    kappas = _as_grid_array(kappa, grid)
-    tps = _as_grid_array(_slope(tau), grid)
     lam_p = (taus * kappas / 2.0) * lam**2 - (tps / (2.0 * taus)) * lam + kappas / (2.0 * taus)
     lam_pp = diff1(lam_p, uniform_spacing(grid))
     return LambdaSolution(grid=grid, lam=lam, lam_prime=lam_p,
@@ -386,10 +415,7 @@ def riccati_z_residual(sol: LambdaSolution, kappa, tau) -> np.ndarray:
     vanishing residual is an independent confirmation, not a tautology; tau'
     follows _slope, as in solve_riccati.
     """
-    grid = sol.grid
-    k = _as_grid_array(kappa, grid)
-    t = _as_grid_array(tau, grid)
-    tp = _as_grid_array(_slope(tau), grid)
+    k, t, _, tp = _coefficient_arrays(sol.grid, kappa, tau)
     lam = sol.lam
     lam_p = diff1_o4(lam, sol.spacing())
     z = -lam * tp - 2.0 * lam_p * t + k + lam**2 * t**2 * k
@@ -409,9 +435,7 @@ def riccati_linearize(
     """
     grid = np.asarray(grid, dtype=float)
     lambda_particular.require_grid(grid)
-    k = _as_grid_array(kappa, grid)
-    t = _as_grid_array(tau, grid)
-    tp = _as_grid_array(_slope(tau), grid)
+    k, t, _, tp = _coefficient_arrays(grid, kappa, tau)
     if float(np.min(np.abs(t))) <= TORSION_FLOOR:
         raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
 
@@ -448,36 +472,6 @@ def riccati_linearize(
                           constants={"mu0": float(mu0)})
 
 
-def _constraint_family(family: str):
-    """The FAMILIES entry of a family with a cross-product coefficient constraint."""
-    from .association import FAMILIES  # association imports this module
-
-    entry = FAMILIES.get(family)
-    if entry is None or entry.coefficient is None:
-        raise SpecificationError(f"unknown constraint family {family!r}")
-    return entry
-
-
-def constant_admissible_lambda(family: str, kappa: float, tau: float) -> float:
-    """The constant offset admitted by a family's vanishing constraint.
-
-    NO: 1/(2 kappa) (every constant solves the constraint on a circular
-    helix; this is the conventional branch value). NR: kappa/(kappa^2 +
-    tau^2) (forces the cross-coefficient factor to zero). BR: 0.
-    """
-    if family == "NO":
-        if not kappa > 0:
-            raise SpecificationError("kappa must be positive")
-        return 1.0 / (2.0 * kappa)
-    if family == "NR":
-        if not (kappa > 0 and kappa * kappa + tau * tau > 0):
-            raise SpecificationError("kappa must be positive")
-        return kappa / (kappa * kappa + tau * tau)
-    if family == "BR":
-        return 0.0
-    raise SpecificationError(f"no constant branch catalogued for family {family}")
-
-
 def solve_constraint_ode(
     family: str,
     kappa, tau,
@@ -493,19 +487,16 @@ def solve_constraint_ode(
     lambda' = ratio*sqrt(1 + lambda^2 tau^2)). A family's constant branch
     is ``lambda_constant(constant_admissible_lambda(...), grid)``.
     """
-    _constraint_family(family)
     grid = np.asarray(grid, dtype=float)
-
-    k_fn, t_fn, kp_fn, tp_fn = _coefficient_fns(kappa, tau)
-
+    coefficients = _coefficients(kappa, tau)
     y0 = float(initial[0])
     constants = {"lambda0": y0}
     if family == "NO":
         def rhs(s: float, lam: float) -> float:
-            t = t_fn(s)
+            k, t, kp, tp = coefficients(s)
             if abs(t) < 1e-10:
                 raise SingularOdeError(f"torsion vanishes at s={s:.6g}", s=s)
-            num = lam * lam * t * kp_fn(s) + (1.0 - lam * k_fn(s)) * lam * tp_fn(s)
+            num = lam * lam * t * kp + (1.0 - lam * k) * lam * tp
             return -num / (2.0 * t)
 
     elif family == "BO":
@@ -514,21 +505,14 @@ def solve_constraint_ode(
         constants["ratio"] = float(ratio)
 
         def rhs(s: float, lam: float) -> float:
-            t = t_fn(s)
+            t = coefficients(s)[1]
             return ratio * math.sqrt(1.0 + (lam * t) ** 2)
 
-    else:
-        y0 = (y0, float(initial[1]))
-        constants["lambda0_prime"] = y0[1]
-
-        def second_derivative(s: float, lam: float, lam_p: float) -> float:
-            k, t = k_fn(s), t_fn(s)
-            kp, tp = kp_fn(s), tp_fn(s)
-            if family == "BR":
-                denom = 1.0 + (lam * t) ** 2
-                num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
-                return num / denom
-            # NR: the constraint is affine in lambda''; isolate it.
+    elif family == "NR":
+        # The constraint is affine in lambda''; isolate it.
+        def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
+            lam, lam_p = y
+            k, t, kp, tp = coefficients(s)
             coeff = (lam * t) ** 2 - (1.0 - lam * k) ** 2
             if abs(coeff) < 1e-10:
                 raise SingularOdeError(
@@ -538,39 +522,48 @@ def solve_constraint_ode(
             k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
             m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
             rest = m0 * (lam * k - 1.0) - k0 * lam * t
-            return -rest / coeff
+            return lam_p, -rest / coeff
 
+    elif family == "BR":
         def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-            return (y[1], second_derivative(s, y[0], y[1]))
+            lam, lam_p = y
+            _, t, _, tp = coefficients(s)
+            denom = 1.0 + (lam * t) ** 2
+            num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
+            return lam_p, num / denom
 
-    path, slope = _rk4_path(rhs, y0, grid, cap=cap)
-    if isinstance(y0, tuple):
+    else:
+        raise SpecificationError(f"unknown constraint family {family!r}")
+
+    if family in ("NR", "BR"):
+        y0 = (y0, float(initial[1]))
+        constants["lambda0_prime"] = y0[1]
+        path, slope = _rk4_path(rhs, y0, grid, cap=cap)
         lam, lam_p, lam_pp = path[:, 0], path[:, 1], slope[:, 1]
     else:
-        lam, lam_p = path, slope
+        lam, lam_p = _rk4_path(rhs, y0, grid, cap=cap)
         lam_pp = diff1(lam_p, uniform_spacing(grid))
     return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4", constants)
 
 
 def constraint_residual(
     sol: LambdaSolution, family: str, kappa, tau,
-    kappa_prime=0.0, tau_prime=0.0,
+    kappa_prime=None, tau_prime=None,
 ) -> np.ndarray:
     """Normalized defining-constraint residual along a solution.
 
     Uses fourth-order differences of lambda for lambda' and lambda''. The
     raw constraint value is normalized by the cross-product magnitude so the
-    numbers are comparable across families and scales.
+    numbers are comparable across families and scales. kappa' and tau' left
+    None follow _slope, as in solve_constraint_ode.
     """
-    from .association import klm_coefficients, xyz_coefficients
+    from .association import FAMILIES, klm_coefficients, xyz_coefficients
 
-    entry = _constraint_family(family)
-    grid = sol.grid
+    entry = FAMILIES.get(family)
+    if entry is None or entry.coefficient is None:
+        raise SpecificationError(f"unknown constraint family {family!r}")
     h = sol.spacing()
-    k = _as_grid_array(kappa, grid)
-    t = _as_grid_array(tau, grid)
-    kp = _as_grid_array(kappa_prime, grid)
-    tp = _as_grid_array(tau_prime, grid)
+    k, t, kp, tp = _coefficient_arrays(sol.grid, kappa, tau, kappa_prime, tau_prime)
     lam = sol.lam
     lam_p = diff1_o4(lam, h)
     lam_pp = diff1_o4(lam_p, h)

@@ -340,6 +340,17 @@ def test_associate_requires_unit_speed(grid_0_2):
         associate(fast, AssociationSpec("N", "O", (0.0, 1.0)), lambda_constant(0.4, grid_0_2))
 
 
+def test_associate_constant_offset_is_bertrand_like():
+    # associate and the classification apply one constant-offset test, so an
+    # NP offset accepted as constant is never classified generic.
+    grid = np.linspace(0.0, 3.0, 2001)
+    base = sample_curve(CurveSpec.helix(INV_SQRT2, INV_SQRT2), grid)
+    sol = LambdaSolution(grid=grid, lam=1.0 + 5e-9 * grid, lam_prime=np.full(grid.shape, 5e-9),
+                         lam_double_prime=np.zeros(grid.shape), provenance="closed-form")
+    pred = associate(base, AssociationSpec("N", "P", (1.0, 1.0)), sol)
+    assert pred.classification == "bertrand-like"
+
+
 @pytest.mark.parametrize("code", list(FAMILIES))
 def test_associate_matches_public_closed_form(code):
     # associate shares one closed-form set-up between frames and curvatures;

@@ -189,7 +189,6 @@ def test_reparametrize_angle_circle():
     curve = CurveSpec.helix(2.0, 0.0)
     out = reparametrize_arclength(curve, (0.0, math.pi), n=100, tol=1e-6)
     assert out.grid[-1] == pytest.approx(2.0 * math.pi, abs=1e-8)
-    assert out.unit_speed
     h = out.spacing()
     speeds = np.linalg.norm(np.gradient(out.positions, h, axis=0), axis=1)
     # Central differences of an exact unit-speed circle deviate by
@@ -222,12 +221,6 @@ def test_reparametrize_needs_enough_points():
 
 # ---------------------------------------------------------------------------
 # sampled-curve plumbing
-
-
-def test_sample_curve_unit_speed_flag(unit_helix_spec):
-    grid = np.linspace(0.0, 1.0, 51)
-    assert sample_curve(unit_helix_spec, grid).unit_speed
-    assert not sample_curve(CurveSpec.helix(2.0, 0.0), grid).unit_speed
 
 
 def test_numeric_frames_match_analytic(unit_helix_spec):

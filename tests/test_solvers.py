@@ -302,6 +302,17 @@ def test_constraint_no_ivp_is_constant_on_constant_curvatures():
     assert np.max(constraint_residual(sol, "NO", INV_SQRT2, INV_SQRT2)) < 1e-10
 
 
+@pytest.mark.parametrize("family", ["NO", "NR", "BR"])
+def test_constraint_residual_default_slopes_follow_the_solver(family):
+    # kappa' and tau' left to their default are the solver's own central
+    # differences, so a correct solve on varying coefficients reads small.
+    grid = np.linspace(0.0, 1.0, 2001)
+    kappa = lambda s: 0.7 + 0.1 * math.sin(s)  # noqa: E731
+    tau = lambda s: 0.6 + 0.1 * math.cos(3.0 * s)  # noqa: E731
+    sol = solve_constraint_ode(family, kappa, tau, (0.3, 0.0), grid)
+    assert np.max(constraint_residual(sol, family, kappa, tau)) < 1e-6
+
+
 def test_constraint_nr_singular_at_degenerate_constant():
     # The constant branch sits exactly on the vanishing second-derivative
     # coefficient; integrating from it must report the singular location.
@@ -476,14 +487,14 @@ def _ref_solve(family, kappa, tau, lam0, grid, ratio=None):
     return lam, lam_p, lam_pp
 
 
-@pytest.mark.parametrize("coefficients", ["constant", "callable"])
+@pytest.mark.parametrize("coefficients", ["constant", "callable", "mixed"])
 @pytest.mark.parametrize("family", ["riccati", "NO", "BO", "BR", "NR"])
 def test_rk4_bit_identical_to_numpy_stage_reference(family, coefficients):
     grid = np.linspace(0.0, 1.0, 2001)
-    if coefficients == "constant":
-        kappa, tau = 0.8, 0.6
-    else:
+    kappa, tau = 0.8, 0.6
+    if coefficients == "callable":
         kappa = lambda s: 0.7 + 0.1 * math.sin(s)  # noqa: E731
+    if coefficients != "constant":
         tau = lambda s: 0.6 + 0.1 * math.cos(3.0 * s)  # noqa: E731
     ratio = 0.7 if family == "BO" else None
     if family == "riccati":
