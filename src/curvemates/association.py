@@ -29,8 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import PlanarityError, SpecificationError
-from .geometry import FrameData, SampledCurve
-from .numdiff import cross3, norm3
+from .geometry import FrameData, SampledCurve, frenet_from_cross
+from .numdiff import cross3
 from .solvers import LambdaSolution
 
 VECTORS = ("T", "N", "B")
@@ -170,48 +170,34 @@ def _embed(components: np.ndarray, frames: FrameData) -> np.ndarray:
             + components[..., 2:3] * frames.B)
 
 
-def _closed_form_setup(
-    frames: FrameData, vector: str, lam_sol: LambdaSolution
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(u, w, |u|, |w|, defined) with u = alpha*' and w = alpha*' x alpha*''.
+def _closed_form(
+    frames: FrameData, vector: str, lam_sol: LambdaSolution, lam_ppp: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(T*, N*, B*, kappa*, tau*, defined) of the mate from base data.
 
-    u and w are base-frame components. ``defined`` masks points where both
-    norms exceed the floor; a zero norm is returned as 1 so that dividing by
-    it is safe (those points are not defined).
+    u = alpha*', w = alpha*' x alpha*'' and alpha*''' are built in base-frame
+    components and go through :func:`geometry.frenet_from_cross`, which
+    holds in any orthonormal basis; T* and B* are then lifted to world
+    vectors and N* = B* x T*. ``defined`` masks points where |u| or |w| is at
+    the floor; those rows are NaN.
     """
-    lam, lam_p = lam_sol.lam, lam_sol.lam_prime
-    u = _first_derivative_components(vector, lam, lam_p, frames.kappa, frames.tau)
-    w = _cross_components(vector, lam, lam_p, lam_sol.lam_double_prime, frames.kappa,
-                          frames.tau, frames.kappa_prime, frames.tau_prime)
-    un = norm3(u)
-    wn = norm3(w)
+    lam, lam_p, lam_pp = lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime
+    k, t, kp, tp = frames.kappa, frames.tau, frames.kappa_prime, frames.tau_prime
+    u = _first_derivative_components(vector, lam, lam_p, k, t)
+    w = _cross_components(vector, lam, lam_p, lam_pp, k, t, kp, tp)
+    d3 = _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp, k, t, kp, tp,
+                                      frames.kappa_second_or_zero(), frames.tau_second_or_zero())
+    T_c, B_c, kappa_star, tau_star, un, wn = frenet_from_cross(u, w, d3)
+    # Free the component arrays before the world vectors are built; held,
+    # they would set associate's memory peak.
+    del u, w, d3
     defined = (un > _DENOM_FLOOR) & (wn > _DENOM_FLOOR)
-    return u, w, np.where(un > 0, un, 1.0), np.where(wn > 0, wn, 1.0), defined
-
-
-def _frames_from_setup(frames: FrameData, setup: tuple) -> tuple[np.ndarray, ...]:
-    u, w, un, wn, defined = setup
-    T_star = _embed(u / un[:, None], frames)
-    B_star = _embed(w / wn[:, None], frames)
+    T_star, B_star = _embed(T_c, frames), _embed(B_c, frames)
     N_star = cross3(B_star, T_star)
     bad = ~defined
-    for arr in (T_star, N_star, B_star):
+    for arr in (T_star, N_star, B_star, kappa_star, tau_star):
         arr[bad] = np.nan
-    return T_star, N_star, B_star, defined
-
-
-def _curvatures_from_setup(
-    frames: FrameData, vector: str, lam_sol: LambdaSolution, lam_ppp: np.ndarray,
-    setup: tuple,
-) -> tuple[np.ndarray, ...]:
-    _, w, un, wn, defined = setup
-    d3 = _third_derivative_components(
-        vector, lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime, lam_ppp,
-        frames.kappa, frames.tau, frames.kappa_prime, frames.tau_prime,
-        frames.kappa_second_or_zero(), frames.tau_second_or_zero())
-    kappa_star = np.where(defined, wn / un**3, np.nan)
-    tau_star = np.where(defined, np.einsum("ij,ij->i", w, d3) / wn**2, np.nan)
-    return kappa_star, tau_star, defined
+    return T_star, N_star, B_star, kappa_star, tau_star, defined
 
 
 def predicted_frames_grid(
@@ -222,7 +208,11 @@ def predicted_frames_grid(
     Returns (T*, N*, B*, defined) where ``defined`` masks points at which
     either the mate speed or its cross product vanishes; those rows are NaN.
     """
-    return _frames_from_setup(frames, _closed_form_setup(frames, vector, lam_sol))
+    # The frames never read alpha*''', so lambda''' is passed as zeros; a
+    # lambda too short to difference still gets its frames.
+    T_star, N_star, B_star, _, _, defined = _closed_form(
+        frames, vector, lam_sol, np.zeros_like(lam_sol.lam))
+    return T_star, N_star, B_star, defined
 
 
 def mate_curvatures_closed(
@@ -236,8 +226,7 @@ def mate_curvatures_closed(
     """
     if lam_ppp is None:
         lam_ppp = lam_sol.lam_third()
-    setup = _closed_form_setup(frames, vector, lam_sol)
-    return _curvatures_from_setup(frames, vector, lam_sol, lam_ppp, setup)
+    return _closed_form(frames, vector, lam_sol, lam_ppp)[3:]
 
 
 def _safe_div(num, den):
@@ -507,13 +496,9 @@ def associate(
         )
 
     mate = construct_mate(base, spec.vector, lam_sol)
-    # One closed-form set-up serves the frames and the curvatures; it is
-    # freed before the printed formulas allocate their own arrays.
-    setup = _closed_form_setup(base.frames, spec.vector, lam_sol)
-    T_star, N_star, B_star, defined = _frames_from_setup(base.frames, setup)
     lam_ppp = lam_sol.lam_third()
-    ks_c, ts_c, _ = _curvatures_from_setup(base.frames, spec.vector, lam_sol, lam_ppp, setup)
-    del setup
+    T_star, N_star, B_star, ks_c, ts_c, defined = _closed_form(
+        base.frames, spec.vector, lam_sol, lam_ppp)
     ks, ts = predicted_curvature_arrays(base.frames, spec, lam_sol, lam_ppp)
     return PredictedMate(
         base=base, mate=mate, family=spec, lam=lam_sol,

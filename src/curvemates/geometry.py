@@ -108,7 +108,7 @@ class CurveSpec:
             return self.b / (self.a**2 + self.b**2)
         raise SpecificationError("closed-form torsion only for named curves")
 
-    def _analytic_derivs(self, s: np.ndarray, order: int) -> list[np.ndarray]:
+    def _analytic_derivs(self, s: np.ndarray) -> list[np.ndarray]:
         s = np.asarray(s, dtype=float)
         zero = np.zeros_like(s)
         if self.kind == "circle":
@@ -130,7 +130,7 @@ class CurveSpec:
                 np.stack([-a * cos, -a * sin, zero], axis=-1),
                 np.stack([a * sin, -a * cos, zero], axis=-1),
             ]
-        return table[: order + 1]
+        return table
 
 
 @dataclass(frozen=True)
@@ -191,33 +191,38 @@ class SampledCurve:
         return replace(self, frames=frames)
 
 
-def _frenet_from_derivs(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    d3: np.ndarray,
-    kappa_min: float,
-    strict: bool = True,
-    grid: np.ndarray | None = None,
+def frenet_from_cross(
+    d1: np.ndarray, cross: np.ndarray, d3: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Frames from derivative arrays via the general (non-unit-speed) formulas."""
+    """The Frenet rule, for (n, 3) rows of a', w = a' x a'' and a''' in any
+    orthonormal basis: T = a'/|a'|, B = w/|w|, kappa = |w|/|a'|^3 and
+    tau = <w, a'''>/|w|^2. Returns (T, B, kappa, tau, |a'|, |w|); a zero
+    norm divides as 1. N = B x T is left to the caller, in its own basis.
+    """
     speed = norm3(d1)
-    cross = cross3(d1, d2)
     cn = norm3(cross)
     safe_speed = np.where(speed > 0, speed, 1.0)
+    safe_cn = np.where(cn > 0, cn, 1.0)
     kappa = cn / safe_speed**3
+    tau = np.einsum("ij,ij->i", cross, d3) / safe_cn**2
+    T = d1 / safe_speed[:, None]
+    B = cross / safe_cn[:, None]
+    return T, B, kappa, tau, speed, cn
+
+
+def _frenet_from_derivs(
+    d1: np.ndarray, d2: np.ndarray, d3: np.ndarray, kappa_min: float, strict: bool,
+    grid: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Frames from derivative arrays via the general (non-unit-speed) formulas."""
+    T, B, kappa, tau, speed, cn = frenet_from_cross(d1, cross3(d1, d2), d3)
     valid = (speed > SPEED_FLOOR_DEFAULT) & (kappa > kappa_min)
     if strict and not np.all(valid):
-        i = int(np.argmin(valid))
-        where = f" at s={grid[i]}" if grid is not None else f" at index {i}"
         raise CurvatureDegenerateError(
-            f"curvature below floor {kappa_min:g} (straight or singular segment){where}"
+            f"curvature below floor {kappa_min:g} (straight or singular segment)"
+            f" at s={grid[int(np.argmin(valid))]}"
         )
-    safe_cn = np.where(cn > 0, cn, 1.0)
-    tau = np.einsum("...i,...i->...", cross, d3) / safe_cn**2
-    T = d1 / safe_speed[..., None]
-    B = cross / safe_cn[..., None]
-    N = cross3(B, T)
-    return T, N, B, kappa, tau, speed, cn, valid
+    return T, cross3(B, T), B, kappa, tau, speed, cn, valid
 
 
 def curvature_derivatives(
@@ -281,7 +286,7 @@ def sample_curve(
     if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
         raise DomainError("grid extends outside the curve domain")
     if spec.is_analytic:
-        d0, d1, d2, d3 = spec._analytic_derivs(grid, 3)
+        d0, d1, d2, d3 = spec._analytic_derivs(grid)
         frames = None
         if with_frames:
             T, N, B, kappa, tau, speed, _, _ = _frenet_from_derivs(
@@ -364,7 +369,7 @@ def reparametrize_arclength(
     m = max(8 * n + 1, 4097)
     t_fine = np.linspace(t0, t1, m)
     if curve.is_analytic:
-        d1 = curve._analytic_derivs(t_fine, 1)[1]
+        d1 = curve._analytic_derivs(t_fine)[1]
     else:
         d1 = diff1(sample_curve(curve, t_fine, with_frames=False).positions,
                    uniform_spacing(t_fine))
@@ -388,20 +393,19 @@ def reparametrize_arclength(
     t_grid = np.asarray(t_of_s(s_grid), dtype=float)
     t_grid[0], t_grid[-1] = t0, t1
     if curve.is_analytic:
-        pos = curve._analytic_derivs(t_grid, 0)[0]
+        pos = curve._analytic_derivs(t_grid)[0]
     else:
         from scipy.interpolate import CubicSpline
 
         pts = curve.points
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(t_grid)
 
-    out = SampledCurve(grid=s_grid, positions=pos)
-    h = out.spacing()
-    fd_speed = norm3(diff1(pos, h))
-    dev = float(np.max(np.abs(fd_speed[1:-1] - 1.0)))
+    # The frames' speed is the finite-difference |a'| of the unit-speed check.
+    frames = frenet_frames_sampled(s_grid, pos, strict=False)
+    h = uniform_spacing(s_grid)
+    dev = float(np.max(np.abs(frames.speed[1:-1] - 1.0)))
     if dev > max(tol, 50.0 * h * h):
         raise RegularityError(
             f"unit-speed residual {dev:.3e} exceeds tolerance after reparametrization"
         )
-    frames = frenet_frames_sampled(s_grid, pos, strict=False)
-    return out.with_frames(frames)
+    return SampledCurve(grid=s_grid, positions=pos, frames=frames)

@@ -108,6 +108,10 @@ def _slope(value):
 def _coefficients(kappa, tau) -> Callable[[float], tuple[float, float, float, float]]:
     """One function of s giving (kappa, tau, kappa', tau'); derivatives follow
     _slope. Constant coefficients give one tuple, built once."""
+    if any(not callable(v) and np.ndim(v) != 0 for v in (kappa, tau)):
+        raise SpecificationError(
+            "RK4 solvers take kappa and tau as constants or callables of s, not sampled arrays"
+        )
     values = (kappa, tau, _slope(kappa), _slope(tau))
     if not any(callable(v) for v in values):
         fixed = tuple(float(v) for v in values)

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import curvemates
 from curvemates import io as cio
 from curvemates.cli import main
 
@@ -256,6 +259,18 @@ def test_nan_tolerance_env_exit_64(tmp_path, monkeypatch):
     monkeypatch.setenv("CURVEMATES_TOL_CONSTRAINT", "nan")
     assert main(["verify", "--curve", HELIX, "--family", "BO", "--grid", "0:3:61",
                  "--out", str(tmp_path)]) == 64
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported lazily by the code paths that need it, which keeps
+    # the start-up of every CLI call short.
+    src = os.path.dirname(os.path.dirname(curvemates.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, curvemates.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_deterministic_outputs(tmp_path):

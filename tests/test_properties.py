@@ -2,7 +2,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from curvemates import (
     AssociationSpec,
@@ -14,6 +14,7 @@ from curvemates import (
     sample_curve,
 )
 from curvemates.association import klm_coefficients, xyz_coefficients
+from curvemates.geometry import frenet_from_cross
 from curvemates.solvers import LambdaSolution, lambda_constant, solve_linear
 from curvemates.verify import _vector_angles
 
@@ -130,6 +131,27 @@ def test_helix_frames_orthonormal_and_curvatures(a, b):
     np.testing.assert_allclose(np.cross(f.T, f.N), f.B, atol=1e-9)
     np.testing.assert_allclose(f.kappa, spec.closed_form_curvature(), rtol=1e-6)
     np.testing.assert_allclose(f.tau, spec.closed_form_torsion(), rtol=1e-6, atol=1e-9)
+
+
+@given(rows=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=27, max_size=27),
+       axis_angle=angle, spin=angle, reflect=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_frenet_from_cross_is_basis_invariant(rows, axis_angle, spin, reflect):
+    # The closed-form mate applies the Frenet rule in base-frame components;
+    # that is sound because an orthonormal change of basis Q carries T and B
+    # along and leaves kappa and tau alone.
+    d1, cross, d3 = np.array(rows).reshape(3, 3, 3)
+    assume(np.all(np.linalg.norm(d1, axis=1) > 0.1))
+    assume(np.all(np.linalg.norm(cross, axis=1) > 0.1))
+    Q = rotation_matrix([math.cos(axis_angle), math.sin(axis_angle), 0.7], spin)
+    if reflect:
+        Q = Q @ np.diag([1.0, 1.0, -1.0])
+    T, B, kappa, tau, speed, cn = frenet_from_cross(d1, cross, d3)
+    QT, QB, Qkappa, Qtau, Qspeed, Qcn = frenet_from_cross(d1 @ Q.T, cross @ Q.T, d3 @ Q.T)
+    np.testing.assert_allclose(QT, T @ Q.T, atol=1e-13)
+    np.testing.assert_allclose(QB, B @ Q.T, atol=1e-13)
+    for rotated, original in ((Qkappa, kappa), (Qtau, tau), (Qspeed, speed), (Qcn, cn)):
+        np.testing.assert_allclose(rotated, original, rtol=1e-12, atol=1e-12)
 
 
 @given(kappa0=st.floats(min_value=0.2, max_value=2.0),

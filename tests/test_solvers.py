@@ -366,6 +366,21 @@ def test_constraint_unknown_family():
         solve_constraint_ode("XX", 1.0, 1.0, (0.0, 0.0), GRID)
 
 
+@pytest.mark.parametrize("sampled", ["kappa", "tau"])
+@pytest.mark.parametrize("solve", [
+    lambda k, t: solve_riccati(k, t, 0.0, GRID),
+    lambda k, t: solve_constraint_ode("NO", k, t, (0.3, 0.0), GRID),
+    lambda k, t: solve_constraint_ode("BO", k, t, (0.0, 0.0), GRID, ratio=0.5),
+    lambda k, t: solve_constraint_ode("BR", k, t, (0.5, 0.0), GRID),
+    lambda k, t: solve_constraint_ode("NR", k, t, (0.5, 0.0), GRID),
+], ids=["riccati", "NO", "BO", "BR", "NR"])
+def test_rk4_solvers_reject_sampled_coefficients(solve, sampled):
+    # RK4 stages sit between grid points, where a sampled array has no value.
+    arrays = {"kappa": INV_SQRT2, "tau": INV_SQRT2, sampled: np.full(GRID.shape, INV_SQRT2)}
+    with pytest.raises(SpecificationError, match="constants or callables"):
+        solve(arrays["kappa"], arrays["tau"])
+
+
 # ---------------------------------------------------------------------------
 # LambdaSolution plumbing
 
