@@ -186,7 +186,7 @@ def _closed_form(
     u = _first_derivative_components(vector, lam, lam_p, k, t)
     w = _cross_components(vector, lam, lam_p, lam_pp, k, t, kp, tp)
     d3 = _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp, k, t, kp, tp,
-                                      frames.kappa_second_or_zero(), frames.tau_second_or_zero())
+                                      frames.kappa_second, frames.tau_second)
     T_c, B_c, kappa_star, tau_star, un, wn = frenet_from_cross(u, w, d3)
     # Free the component arrays before the world vectors are built; held,
     # they would set associate's memory peak.
@@ -421,7 +421,7 @@ def predicted_curvature_arrays(
             *spec.coeffs, lam=lam_sol.lam, lam_p=lam_sol.lam_prime,
             lam_pp=lam_sol.lam_double_prime, lam_ppp=lam_ppp,
             k=frames.kappa, t=frames.tau, kp=frames.kappa_prime, tp=frames.tau_prime,
-            kpp=frames.kappa_second_or_zero(), tpp=frames.tau_second_or_zero(),
+            kpp=frames.kappa_second, tpp=frames.tau_second,
         )
 
 

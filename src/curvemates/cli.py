@@ -248,7 +248,7 @@ def cmd_solve_lambda(args) -> int:
 def cmd_associate(args) -> int:
     curve, base, spec = _inputs(args)
     pred = associate(base, spec, _offset(args, curve, base, spec))
-    _write(args, "mate.csv", cio.mate_to_csv(pred))
+    _write(args, "mate.csv", cio.mate_to_csv(pred, cio.sampled_curve_to_csv(pred.base)))
     return 0
 
 
@@ -301,9 +301,11 @@ def cmd_example(args) -> int:
     pred = associate(base, spec, sol)
     report = check_association(base, pred.mate, spec, lam_sol=sol, predicted=pred,
                                tolerances=tols)
-    _write(args, "base.csv", cio.sampled_curve_to_csv(base))
+    base_csv = cio.sampled_curve_to_csv(base)
+    _write(args, "base.csv", base_csv)
     _write(args, "lambda.csv", cio.lambda_to_csv(sol))
-    _write(args, "mate.csv", cio.mate_to_csv(pred))
+    _write(args, "mate.csv", cio.mate_to_csv(pred, base_csv))
+    del base_csv
     _write(args, "report.json", cio.report_to_json(report))
     if args.emit_plot_script:
         _write(args, "plot_mates.py", _PLOT_SCRIPT)

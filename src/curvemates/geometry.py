@@ -150,16 +150,10 @@ class FrameData:
     kappa_prime: np.ndarray
     tau_prime: np.ndarray
     speed: np.ndarray
-    kappa_second: np.ndarray | None = None
-    tau_second: np.ndarray | None = None
+    kappa_second: np.ndarray
+    tau_second: np.ndarray
     valid: np.ndarray | None = None
     direction_error: np.ndarray | None = None
-
-    def kappa_second_or_zero(self) -> np.ndarray:
-        return self.kappa_second if self.kappa_second is not None else np.zeros_like(self.kappa)
-
-    def tau_second_or_zero(self) -> np.ndarray:
-        return self.tau_second if self.tau_second is not None else np.zeros_like(self.tau)
 
 
 @dataclass(frozen=True)

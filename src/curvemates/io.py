@@ -5,7 +5,8 @@ file reloads bit-identically; writes go through a temp file plus rename.
 CSV rows are written and parsed in blocks of ``_BLOCK_ROWS`` rows. Within a
 block each distinct float of a column (keyed by its bits, so -0.0 stays
 apart from 0.0) is formatted once; repr depends only on the bits, so the
-bytes are the same as formatting every cell.
+bytes are the same as formatting every cell. The base columns of a mate CSV
+are copied from the base CSV's lines, so they are formatted once.
 """
 from __future__ import annotations
 
@@ -51,9 +52,8 @@ def atomic_write_text(path: str, text: str) -> None:
 _BLOCK_ROWS = 2048
 
 
-def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(header))
+def _row_blocks(rows: np.ndarray):
+    """The CSV lines of ``rows``, without newlines, one list per block."""
     bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
     for start in range(0, len(bits), _BLOCK_ROWS):
         columns = []
@@ -61,7 +61,14 @@ def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None
             keys, inverse = np.unique(column, return_inverse=True)
             texts = list(map(repr, keys.view(np.float64).tolist()))
             columns.append([texts[i] for i in inverse.tolist()])
-        lines.extend(map(",".join, zip(*columns)))
+        yield list(map(",".join, zip(*columns)))
+
+
+def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None = None) -> str:
+    lines = [f"# {c}" for c in (comments or [])]
+    lines.append(",".join(header))
+    for block in _row_blocks(rows):
+        lines.extend(block)
     return "\n".join(lines) + "\n"
 
 
@@ -216,19 +223,40 @@ def lambda_from_csv(text: str) -> LambdaSolution:
 # PredictedMate CSV
 
 
-def mate_to_csv(pred: PredictedMate) -> str:
-    base = pred.base
-    if base.frames is None:
-        raise SpecificationError("mate export requires base frames")
-    f = base.frames
-    rows = np.column_stack([
-        base.grid, base.positions, f.T, f.N, f.B, f.kappa, f.tau,
+def mate_to_csv(pred: PredictedMate, base_csv: str) -> str:
+    """The mate CSV; ``base_csv`` must be ``sampled_curve_to_csv(pred.base)``.
+
+    Each row is that text's line for the same grid point, then the mate
+    columns, so the base columns are formatted once for both files.
+    """
+    header_end = base_csv.find("\n")
+    if base_csv[:header_end] != ",".join(_CURVE_COLUMNS):
+        raise SpecificationError("base_csv does not start with the base curve CSV header")
+    rows = len(pred.base.grid)
+    if base_csv.count("\n") != rows + 1 or not base_csv.endswith("\n"):
+        raise SpecificationError(f"base_csv must hold {rows} data rows, one per grid point")
+    mate_rows = np.column_stack([
         pred.lam.lam, pred.mate.positions,
         pred.T_star, pred.N_star, pred.B_star,
         pred.kappa_star, pred.tau_star,
     ])
-    comments = [f"family={pred.family.code} classification={pred.classification}"]
-    return _rows_to_csv(_MATE_COLUMNS, rows, comments)
+    chunks = [f"# family={pred.family.code} classification={pred.classification}\n",
+              ",".join(_MATE_COLUMNS) + "\n"]
+    base_lines = _data_lines(base_csv, header_end + 1)
+    for block in _row_blocks(mate_rows):
+        # The block goes first: zip draws from its first iterator before it
+        # finds the second spent, so base_lines first would lose a line per block.
+        chunks.append("".join(f"{line},{mate}\n" for mate, line in zip(block, base_lines)))
+    return "".join(chunks)
+
+
+def _data_lines(text: str, pos: int):
+    """The newline-terminated lines of ``text`` from ``pos`` on, read lazily
+    so that the whole text is never split."""
+    while pos < len(text):
+        end = text.index("\n", pos)
+        yield text[pos:end]
+        pos = end + 1
 
 
 def mate_positions_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

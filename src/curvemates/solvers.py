@@ -73,11 +73,6 @@ class LambdaSolution:
         if not same_grid(self.grid, grid):
             raise AlignmentError("lambda grid does not match the curve grid")
 
-    def prime_consistency(self) -> float:
-        """Max interior gap between stored lambda' and central differences."""
-        fd = diff1(self.lam, self.spacing())
-        return float(np.max(np.abs(fd[1:-1] - self.lam_prime[1:-1])))
-
     def is_constant(self) -> bool:
         """Whether max |lambda'| <= 1e-8 max(1, max |lambda|): the one test of a
         constant offset, for family prerequisites and classification alike."""

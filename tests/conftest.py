@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvemates import CurveSpec, sample_curve
+from curvemates.numdiff import diff1
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -37,3 +38,9 @@ def rotation_matrix(axis, angle):
                   [axis[2], 0, -axis[0]],
                   [-axis[1], axis[0], 0]])
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
+
+
+def prime_consistency(sol):
+    """Max interior gap between a solution's stored lambda' and central differences."""
+    fd = diff1(sol.lam, sol.spacing())
+    return float(np.max(np.abs(fd[1:-1] - sol.lam_prime[1:-1])))

@@ -44,7 +44,8 @@ def identity_frames(kappa=1.0, tau=0.0):
     one = np.ones(1)
     return FrameData(T=np.array([[1.0, 0, 0]]), N=np.array([[0, 1.0, 0]]),
                      B=np.array([[0, 0, 1.0]]), kappa=kappa * one, tau=tau * one,
-                     kappa_prime=0 * one, tau_prime=0 * one, speed=one)
+                     kappa_prime=0 * one, tau_prime=0 * one, speed=one,
+                     kappa_second=0 * one, tau_second=0 * one)
 
 
 def one_point(lam, lam_p=0.0, lam_pp=0.0):

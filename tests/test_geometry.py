@@ -164,7 +164,8 @@ def test_frenet_residuals_flag_flipped_binormal(unit_helix_spec):
     f = base.frames
     flipped = FrameData(T=f.T, N=f.N, B=-f.B, kappa=f.kappa, tau=f.tau,
                         kappa_prime=f.kappa_prime, tau_prime=f.tau_prime,
-                        speed=f.speed)
+                        speed=f.speed, kappa_second=f.kappa_second,
+                        tau_second=f.tau_second)
     res = frenet_residuals(base.with_frames(flipped))
     # B' + tau N picks up 2|tau| when the binormal is negated.
     assert res.maxima()[2] == pytest.approx(2.0 * INV_SQRT2, rel=0.05)

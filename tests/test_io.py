@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from curvemates import AssociationSpec, CurveSpec, associate, verify_mate
-from curvemates.errors import InsufficientDataError, ParseError
+from curvemates import cli
+from curvemates.errors import InsufficientDataError, ParseError, SpecificationError
 from curvemates import io as cio
 from curvemates.cli import _example_setup
 from curvemates.solvers import lambda_involute, solve_linear
@@ -49,6 +50,15 @@ def _reference_parse_csv(text, expected_header):
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return np.asarray(data, dtype=float), comments
+
+
+def _assert_same_text(got, want, name):
+    """Equal texts; on a mismatch, name the first differing line (a full diff
+    of two multi-megabyte texts would take minutes)."""
+    if got != want:
+        pairs = zip(got.splitlines(), want.splitlines())
+        line = next((i for i, (a, b) in enumerate(pairs, start=1) if a != b), "end")
+        pytest.fail(f"{name}: first difference at line {line}")
 
 
 def _assert_same_parse(text, header):
@@ -132,7 +142,7 @@ def test_lambda_csv_round_trip(grid_0_2):
 def test_mate_csv_round_trip(helix_base, grid_0_2):
     sol = lambda_involute(1.0, grid_0_2)
     pred = associate(helix_base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)), sol)
-    text = cio.mate_to_csv(pred)
+    text = cio.mate_to_csv(pred, cio.sampled_curve_to_csv(helix_base))
     # The mate frame is undefined at the involute cusp (s = 1): its cells read nan.
     assert ",nan," in text
     grid, pos, lam = cio.mate_positions_from_csv(text)
@@ -146,6 +156,38 @@ def test_mate_csv_round_trip(helix_base, grid_0_2):
         bad = "\n".join(lines[:2] + [",".join(cells)] + lines[3:]) + "\n"
         with pytest.raises(ParseError, match=f"data row 1: {column} must be finite"):
             cio.mate_positions_from_csv(bad)
+
+
+@pytest.fixture
+def involute_mate(helix_base, grid_0_2):
+    """The TP involute mate of the helix."""
+    return associate(helix_base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)),
+                     lambda_involute(1.0, grid_0_2))
+
+
+def test_mate_reader_converts_every_column(involute_mate, helix_base):
+    # The reader returns 5 of the 30 columns but converts all of them, so a
+    # malformed cell in a column it does not return is still located.
+    lines = cio.mate_to_csv(involute_mate, cio.sampled_curve_to_csv(helix_base)).splitlines()
+    cells = lines[5].split(",")
+    cells[cio._MATE_COLUMNS.index("Tsx")] = "x"
+    lines[5] = ",".join(cells)
+    with pytest.raises(ParseError, match="line 6: could not convert string to float: 'x'"):
+        cio.mate_positions_from_csv("\n".join(lines) + "\n")
+
+
+def test_mate_csv_rejects_another_base_text(involute_mate, helix_base):
+    base_csv = cio.sampled_curve_to_csv(helix_base)
+    last_row = base_csv.rsplit("\n", 2)[1] + "\n"
+    cases = {
+        "short": (base_csv[:-len(last_row)], "2001 data rows"),
+        "long": (base_csv + last_row, "2001 data rows"),
+        "long, unterminated": (base_csv + last_row[:-1], "2001 data rows"),
+        "header": (base_csv.replace("kappa,tau", "kappa,torsion", 1), "header"),
+    }
+    for name, (text, message) in cases.items():
+        with pytest.raises(SpecificationError, match=message):
+            cio.mate_to_csv(involute_mate, text)
 
 
 def test_report_json_schema(helix_base, grid_0_2):
@@ -193,19 +235,51 @@ def test_csv_parse_errors():
             cio.lambda_from_csv(f"# provenance=x\ns,lambda,lambda_prime,lambda_double_prime\n{row}\n")
 
 
+_EXAMPLE_HEADERS = {"base.csv": cio._CURVE_COLUMNS, "lambda.csv": cio._LAMBDA_COLUMNS,
+                    "mate.csv": cio._MATE_COLUMNS}
+
+
+def _reference_example_texts(base, sol, pred, monkeypatch):
+    """An example's three CSV files, every cell formatted on its own."""
+    f = base.frames
+    base_rows = np.column_stack([base.grid, base.positions, f.T, f.N, f.B, f.kappa, f.tau])
+    mate_rows = np.column_stack([base_rows, pred.lam.lam, pred.mate.positions,
+                                 pred.T_star, pred.N_star, pred.B_star,
+                                 pred.kappa_star, pred.tau_star])
+    mate_comment = f"family={pred.family.code} classification={pred.classification}"
+    with monkeypatch.context() as patch:
+        patch.setattr(cio, "_rows_to_csv", _reference_rows_to_csv)
+        lambda_text = cio.lambda_to_csv(sol)
+    return {"base.csv": _reference_rows_to_csv(cio._CURVE_COLUMNS, base_rows),
+            "lambda.csv": lambda_text,
+            "mate.csv": _reference_rows_to_csv(cio._MATE_COLUMNS, mate_rows, [mate_comment])}
+
+
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_example_csv_matches_per_cell_writer(index, monkeypatch):
     grid = np.linspace(0.0, 2.0 * math.pi, 2001)
     base, spec, sol = _example_setup(index, 0.0, grid)
     pred = associate(base, spec, sol)
-    writers = ((cio.sampled_curve_to_csv, base, cio._CURVE_COLUMNS),
-               (cio.lambda_to_csv, sol, cio._LAMBDA_COLUMNS),
-               (cio.mate_to_csv, pred, cio._MATE_COLUMNS))
-    texts = [write(obj) for write, obj, _ in writers]
-    monkeypatch.setattr(cio, "_rows_to_csv", _reference_rows_to_csv)
-    assert texts == [write(obj) for write, obj, _ in writers]
-    for text, (_, _, header) in zip(texts, writers):
-        _assert_same_parse(text, header)
+    base_csv = cio.sampled_curve_to_csv(base)
+    texts = {"base.csv": base_csv, "lambda.csv": cio.lambda_to_csv(sol),
+             "mate.csv": cio.mate_to_csv(pred, base_csv)}
+    expected = _reference_example_texts(base, sol, pred, monkeypatch)
+    for name, text in texts.items():
+        _assert_same_text(text, expected[name], name)
+        _assert_same_parse(text, _EXAMPLE_HEADERS[name])
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_example_files_match_per_cell_writer_across_blocks(index, tmp_path, monkeypatch):
+    # mate.csv splices base.csv's lines into blocks of mate cells; a base row
+    # lost or repeated at a block boundary would shift every later row.
+    n = 2 * cio._BLOCK_ROWS + 1
+    assert cli.main(["example", str(index), "--grid", f"0:{2.0 * math.pi!r}:{n}",
+                     "--out", str(tmp_path)]) in (0, 1, 2)
+    base, spec, sol = _example_setup(index, 0.0, np.linspace(0.0, 2.0 * math.pi, n))
+    expected = _reference_example_texts(base, sol, associate(base, spec, sol), monkeypatch)
+    for name, text in expected.items():
+        _assert_same_text((tmp_path / name).read_text(), text, name)
 
 
 def test_rows_to_csv_matches_per_cell_writer():

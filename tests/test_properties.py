@@ -18,7 +18,7 @@ from curvemates.geometry import frenet_from_cross
 from curvemates.solvers import LambdaSolution, lambda_constant, solve_linear
 from curvemates.verify import _vector_angles
 
-from conftest import rotation_matrix
+from conftest import prime_consistency, rotation_matrix
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
@@ -31,7 +31,8 @@ def random_frame(axis_angle, spin, kappa=1.0, tau=0.5):
     one = np.ones(1)
     return FrameData(T=R[None, :, 0], N=R[None, :, 1], B=R[None, :, 2],
                      kappa=kappa * one, tau=tau * one, kappa_prime=0 * one,
-                     tau_prime=0 * one, speed=one)
+                     tau_prime=0 * one, speed=one, kappa_second=0 * one,
+                     tau_second=0 * one)
 
 
 @given(lam=finite, lam_p=finite, lam_pp=finite, kappa=positive, tau=finite,
@@ -168,7 +169,7 @@ def test_linear_solver_consistency(kappa0, ratio, c1):
     third = float(np.max(np.abs(diff1(sol.lam_double_prime, h))))
     # Floor: differencing quadrature-level roundoff wiggles costs ~eps/h.
     noise_floor = 1e-11 * (1.0 + float(np.max(np.abs(sol.lam)))) / h
-    assert sol.prime_consistency() < 1.5 * (h * h / 6.0) * third + noise_floor
+    assert prime_consistency(sol) < 1.5 * (h * h / 6.0) * third + noise_floor
     # Exact solution of the constant-coefficient equation.
     part = 1.0 / (ratio * kappa0)
     exact = part + (c1 - part) * np.exp(ratio * kappa0 * grid)

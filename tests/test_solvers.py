@@ -32,6 +32,8 @@ from curvemates.solvers import (
     solve_riccati,
 )
 
+from conftest import prime_consistency
+
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, 2.0, 2001)
 
@@ -404,7 +406,7 @@ def test_prime_consistency(make):
     sol = make()
     h = sol.spacing()
     scale = 1.0 + float(np.max(np.abs(sol.lam)))
-    assert sol.prime_consistency() < 5.0 * h * h * scale
+    assert prime_consistency(sol) < 5.0 * h * h * scale
 
 
 # ---------------------------------------------------------------------------
