@@ -33,6 +33,8 @@ from .numdiff import (
 
 KAPPA_FLOOR_DEFAULT = 1e-8
 SPEED_FLOOR_DEFAULT = 1e-12
+# Rows of reparametrize_arclength's fine grid held at a time.
+_BLOCK_ROWS = 2**15
 
 _ANALYTIC_KINDS = ("circle", "helix")
 
@@ -347,9 +349,21 @@ def reparametrize_arclength(
 ) -> SampledCurve:
     """Resample ``curve`` at n equally spaced arc-length values.
 
-    Cumulative Simpson quadrature of the speed gives s(t); the monotone
-    inverse t(s) comes from a PCHIP interpolant, which preserves the strict
-    monotonicity of the quadrature.
+    Cumulative Simpson quadrature of the speed on a fine grid of
+    m = max(8n + 1, 4097) points gives s(t); the monotone inverse t(s) comes
+    from a PCHIP interpolant, which preserves the strict monotonicity of the
+    quadrature.
+
+    The fine grid is processed in blocks of ``_BLOCK_ROWS`` rows, so no
+    (m, 3) array and no m-node interpolant is ever held, and the result has
+    the bits of the whole-grid computation. Every step but the integral is
+    local: a row's spline value, central difference and norm need only its
+    own block plus two halo rows on each side; a PCHIP slope depends only on
+    its node's two neighbouring secants, so each block's piece of t(s) comes
+    from a PCHIP fit on that block's nodes plus two on each side, whose
+    slopes on the block are interior slopes from the same three nodes as in
+    the whole-grid interpolant. Only the cumulative sum runs on the whole
+    (m,) speed array.
     """
     if n < 7:
         raise SpecificationError("reparametrization needs n >= 7")
@@ -360,39 +374,52 @@ def reparametrize_arclength(
     if t0 < lo - 1e-12 or t1 > hi + 1e-12:
         raise DomainError("requested domain extends outside the curve")
 
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     m = max(8 * n + 1, 4097)
     t_fine = np.linspace(t0, t1, m)
-    if curve.is_analytic:
-        d1 = curve._analytic_derivs(t_fine)[1]
-    else:
-        d1 = diff1(sample_curve(curve, t_fine, with_frames=False).positions,
-                   uniform_spacing(t_fine))
-    speed = norm3(d1)
-    # The (m, 3) fine-grid arrays are the largest this function holds; free
-    # them before the quadrature and the PCHIP fit add their own.
-    del d1
+    h = float(t_fine[1] - t_fine[0])
+    blocks = [(a, min(a + _BLOCK_ROWS, m)) for a in range(0, m, _BLOCK_ROWS)]
+    if not curve.is_analytic:
+        pts = curve.points
+        spline = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)
+        # As in sample_curve, samples already on the fine grid are used as given.
+        given = same_grid(pts[:, 0], t_fine)
+    speed = np.empty(m)
+    for a, b in blocks:
+        if curve.is_analytic:
+            d1 = curve._analytic_derivs(t_fine[a:b])[1]
+        else:
+            # Two halo rows: a one-row last block still gets diff1's three end rows.
+            lo, hi = max(a - 2, 0), min(b + 2, m)
+            pos = pts[lo:hi, 1:4] if given else spline(t_fine[lo:hi])
+            d1 = diff1(pos, h)[a - lo:b - lo]
+        speed[a:b] = norm3(d1)
     if np.min(speed) <= tol:
         bad = float(t_fine[int(np.argmin(speed))])
         raise RegularityError(
             f"near-zero speed {np.min(speed):.3e} at s={bad:.6g}; curve is not regular there",
             s=bad,
         )
-    s_of_t = cumulative_simpson(speed, t_fine[1] - t_fine[0])
+    s_of_t = cumulative_simpson(speed, h)
+    del speed  # the (m,) arrays are this function's largest; each goes once used
     total = float(s_of_t[-1])
 
-    from scipy.interpolate import PchipInterpolator
-
-    t_of_s = PchipInterpolator(s_of_t, t_fine)
     s_grid = np.linspace(0.0, total, n)
-    t_grid = np.asarray(t_of_s(s_grid), dtype=float)
+    # The arc lengths in [s_of_t[a], s_of_t[b]) lie in fine intervals a..b-1.
+    firsts = np.searchsorted(s_grid, s_of_t[::_BLOCK_ROWS])
+    lasts = np.append(firsts[1:], n)
+    t_grid = np.empty(n)
+    for (a, b), qa, qb in zip(blocks, firsts, lasts):
+        if qa < qb:
+            lo, hi = max(a - 2, 0), min(b + 3, m)
+            t_grid[qa:qb] = PchipInterpolator(s_of_t[lo:hi], t_fine[lo:hi])(s_grid[qa:qb])
     t_grid[0], t_grid[-1] = t0, t1
+    del t_fine, s_of_t
     if curve.is_analytic:
         pos = curve._analytic_derivs(t_grid)[0]
     else:
-        from scipy.interpolate import CubicSpline
-
-        pts = curve.points
-        pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(t_grid)
+        pos = spline(t_grid)
 
     # The frames' speed is the finite-difference |a'| of the unit-speed check.
     frames = frenet_frames_sampled(s_grid, pos, strict=False)

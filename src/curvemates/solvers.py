@@ -213,40 +213,15 @@ def lambda_helix_hyperbolic(
 
 def helix_ode_residual(
     sol: LambdaSolution, a: float, b: float, kappa: float, tau: float,
-    variant: str = "standard",
 ) -> np.ndarray:
-    """Residual of lambda'' = (a/b)^2 * bracket with fourth-order FD lambda''.
-
-    variant="standard" uses bracket = (lambda*kappa - 1)*kappa + lambda*tau^2;
-    variant="flipped" negates the curvature term. Only one of the two is
-    satisfied by the hyperbolic closed form; see helix_ode_variant_report.
-    """
-    if variant not in ("standard", "flipped"):
-        raise SpecificationError("variant must be 'standard' or 'flipped'")
+    """Residual of lambda'' = (a/b)^2 ((lambda*kappa - 1)*kappa + lambda*tau^2)
+    with fourth-order FD lambda''."""
     h = sol.spacing()
     lam_pp = diff1_o4(diff1_o4(sol.lam, h), h)
     lam = sol.lam
-    if variant == "standard":
-        bracket = (lam * kappa - 1.0) * kappa + lam * tau * tau
-    else:
-        bracket = (1.0 - lam * kappa) * kappa + lam * tau * tau
+    bracket = (lam * kappa - 1.0) * kappa + lam * tau * tau
     res = np.abs(lam_pp - (a / b) ** 2 * bracket)
     return res[4:-4]
-
-
-def helix_ode_variant_report(
-    a: float, b: float, kappa: float, tau: float,
-    c1: float, c2: float, grid: np.ndarray,
-) -> dict:
-    """Which sign variant of the second-order helix ODE the closed form obeys."""
-    sol = lambda_helix_hyperbolic(a, b, kappa, tau, c1, c2, grid)
-    standard = float(np.max(helix_ode_residual(sol, a, b, kappa, tau, "standard")))
-    flipped = float(np.max(helix_ode_residual(sol, a, b, kappa, tau, "flipped")))
-    return {
-        "standard": standard,
-        "flipped": flipped,
-        "satisfied": "standard" if standard <= flipped else "flipped",
-    }
 
 
 def constant_admissible_lambda(family: str, kappa: float, tau: float) -> float:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from curvemates.errors import (
     SpecificationError,
 )
 from curvemates.geometry import FrameData, curvature_derivatives, frenet_frames_sampled
-from curvemates.numdiff import diff1, diff3
+from curvemates.numdiff import cumulative_simpson, diff1, diff3, norm3, uniform_spacing
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -218,6 +220,94 @@ def test_reparametrize_cusp_regularity_error():
 def test_reparametrize_needs_enough_points():
     with pytest.raises(SpecificationError):
         reparametrize_arclength(CurveSpec.circle(1.0), (0.0, 1.0), n=5)
+
+
+def reparametrize_whole_grid(curve, domain, n):
+    """The whole-grid reparametrization that the blocked one must reproduce
+    bit for bit: (m, 3) derivative tables and one m-node PCHIP interpolant."""
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
+    t0, t1 = domain
+    m = max(8 * n + 1, 4097)
+    t_fine = np.linspace(t0, t1, m)
+    if curve.is_analytic:
+        d1 = curve._analytic_derivs(t_fine)[1]
+    else:
+        d1 = diff1(sample_curve(curve, t_fine, with_frames=False).positions,
+                   uniform_spacing(t_fine))
+    s_of_t = cumulative_simpson(norm3(d1), t_fine[1] - t_fine[0])
+    s_grid = np.linspace(0.0, float(s_of_t[-1]), n)
+    t_grid = np.asarray(PchipInterpolator(s_of_t, t_fine)(s_grid), dtype=float)
+    t_grid[0], t_grid[-1] = t0, t1
+    if curve.is_analytic:
+        pos = curve._analytic_derivs(t_grid)[0]
+    else:
+        pts = curve.points
+        pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(t_grid)
+    frames = frenet_frames_sampled(s_grid, pos, strict=False)
+    return SampledCurve(grid=s_grid, positions=pos, frames=frames)
+
+
+def wobbly_helix_samples(t_end=5.0, rows=400, seed=7, t=None):
+    """A seeded, non-unit-speed helix with small harmonics, as (s, x, y, z) rows."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, t_end, rows) if t is None else t
+    eps = rng.uniform(0.02, 0.06, 3)
+    ph = rng.uniform(0.0, 2.0 * math.pi, 3)
+    R, c = 1.0 + eps[0] * np.sin(3.0 * t + ph[0]), 0.6 + eps[1] * np.cos(2.0 * t + ph[1])
+    return np.column_stack([t, R * np.cos(t), R * np.sin(t), c * t + eps[2] * np.sin(t + ph[2])])
+
+
+def _fine_grid_samples():
+    # n = 5001 gives m = 40001 fine points, the very s column of these rows.
+    n, t_end = 5001, 5.0
+    t = np.linspace(0.0, t_end, 8 * n + 1)
+    return CurveSpec.from_samples(wobbly_helix_samples(t=t)), (0.0, t_end), n
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", [
+    "sampled-several-blocks", "sampled-sub-domain", "helix", "circle", "single-block",
+    "one-row-last-block", "samples-on-the-fine-grid",
+])
+def test_reparametrize_blocks_match_whole_grid(case):
+    sampled = CurveSpec.from_samples(wobbly_helix_samples())
+    curve, domain, n = {
+        "sampled-several-blocks": (sampled, (0.0, 5.0), 20001),
+        "sampled-sub-domain": (sampled, (0.7, 3.9), 20001),
+        "helix": (CurveSpec.helix(1.3, 0.4), (-1.0, 4.0), 20001),
+        "circle": (CurveSpec.circle(2.0), (0.0, 6.0), 20001),
+        "single-block": (sampled, (0.0, 5.0), 7),
+        # m = 8 * 4096 + 1 leaves one row for the last block of 2**15.
+        "one-row-last-block": (sampled, (0.0, 5.0), 4096),
+        "samples-on-the-fine-grid": _fine_grid_samples(),
+    }[case]
+    got = reparametrize_arclength(curve, domain, n)
+    want = reparametrize_whole_grid(curve, domain, n)
+    assert_same_bits(got.grid, want.grid)
+    assert_same_bits(got.positions, want.positions)
+    for field in dataclasses.fields(FrameData):
+        assert_same_bits(getattr(got.frames, field.name), getattr(want.frames, field.name))
+
+
+def test_reparametrize_memory_stays_below_ten_fine_arrays():
+    # Imported before tracing starts, so loading the modules is not counted.
+    from scipy.interpolate import CubicSpline, PchipInterpolator  # noqa: F401
+
+    n = 20001
+    m = 8 * n + 1
+    curve = CurveSpec.from_samples(wobbly_helix_samples())
+    tracemalloc.start()
+    try:
+        reparametrize_arclength(curve, (0.0, 5.0), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * m, f"traced peak {peak / (8 * m):.1f} fine-grid arrays"
 
 
 # ---------------------------------------------------------------------------

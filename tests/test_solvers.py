@@ -12,13 +12,12 @@ from curvemates.errors import (
     SpecificationError,
     TorsionDegenerateError,
 )
-from curvemates.numdiff import diff1
+from curvemates.numdiff import diff1, diff1_o4
 from curvemates.solvers import (
     LambdaSolution,
     constant_admissible_lambda,
     constraint_residual,
     helix_ode_residual,
-    helix_ode_variant_report,
     lambda_constant,
     lambda_exponential_pair,
     lambda_half_curvature,
@@ -137,10 +136,20 @@ def test_hyperbolic_matches_rk4_of_second_order_ode():
 
 
 def test_hyperbolic_variant_report():
-    report = helix_ode_variant_report(1.0, 1.0, INV_SQRT2, INV_SQRT2, 0.3, 0.4, GRID)
-    assert report["satisfied"] == "standard"
-    assert report["standard"] < 1e-8
-    assert report["flipped"] > 1e-2
+    """The closed form obeys the printed sign of the helix ODE, and the
+    bracket with the curvature term negated, (1 - lambda*kappa)*kappa +
+    lambda*tau^2, misses it by far."""
+    a = b = 1.0
+    k = t = INV_SQRT2
+    sol = lambda_helix_hyperbolic(a, b, k, t, 0.3, 0.4, GRID)
+    lam, h = sol.lam, sol.spacing()
+    lam_pp = diff1_o4(diff1_o4(lam, h), h)
+    flipped_bracket = (1.0 - lam * k) * k + lam * t * t
+    standard = float(np.max(helix_ode_residual(sol, a, b, k, t)))
+    flipped = float(np.max(np.abs(lam_pp - (a / b) ** 2 * flipped_bracket)[4:-4]))
+    assert standard <= flipped  # the standard variant is the one satisfied
+    assert standard < 1e-8
+    assert flipped > 1e-2
 
 
 def test_hyperbolic_validation():
