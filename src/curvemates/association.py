@@ -479,6 +479,7 @@ def associate(
     """
     if base.frames is None:
         raise SpecificationError("base curve must carry frames")
+    base.frames.require("kappa_prime", "tau_prime", "kappa_second", "tau_second")
     lam_sol.require_grid(base.grid)
     if float(np.max(np.abs(base.frames.speed - 1.0))) > 1e-4:
         raise SpecificationError("base curve must be arc-length parametrized")

@@ -139,9 +139,12 @@ class CurveSpec:
 class FrameData:
     """Vectorized frame arrays aligned with a sample grid.
 
-    ``direction_error`` is the leading finite-difference error of the T and
-    B directions, per point, for frames differentiated from samples; it is
-    None for exact analytic frames and for frames read from a file.
+    The arc-length derivatives ``kappa_prime`` ... ``tau_second`` are None on
+    stencil frames from :func:`frenet_frames_sampled`, which the oracle uses
+    without them; base curves carry them. ``direction_error`` is the
+    leading finite-difference error of the T and B directions, per point,
+    for frames differentiated from samples; it is None for exact analytic
+    frames and for frames read from a file.
     """
 
     T: np.ndarray
@@ -149,13 +152,20 @@ class FrameData:
     B: np.ndarray
     kappa: np.ndarray
     tau: np.ndarray
-    kappa_prime: np.ndarray
-    tau_prime: np.ndarray
     speed: np.ndarray
-    kappa_second: np.ndarray
-    tau_second: np.ndarray
+    kappa_prime: np.ndarray | None = None
+    tau_prime: np.ndarray | None = None
+    kappa_second: np.ndarray | None = None
+    tau_second: np.ndarray | None = None
     valid: np.ndarray | None = None
     direction_error: np.ndarray | None = None
+
+    def require(self, *names: str) -> None:
+        """Raise SpecificationError naming the first of ``names`` left None."""
+        for name in names:
+            if getattr(self, name) is None:
+                raise SpecificationError(f"base frames carry no {name}; build the base"
+                                         " with sample_curve or reparametrize_arclength")
 
 
 @dataclass(frozen=True)
@@ -235,6 +245,13 @@ def curvature_derivatives(
             (diff2(tau, h) - tau_t * stretch) / safe_speed**2)
 
 
+def _with_arclength_derivatives(frames: FrameData, h: float) -> FrameData:
+    """``frames`` plus kappa', tau', kappa'' and tau'' from its own kappa, tau
+    and speed on a uniform grid of step h."""
+    kp, tp, ks, ts = curvature_derivatives(frames.kappa, frames.tau, frames.speed, h)
+    return replace(frames, kappa_prime=kp, tau_prime=tp, kappa_second=ks, tau_second=ts)
+
+
 def frenet_frames_sampled(
     grid: np.ndarray,
     positions: np.ndarray,
@@ -246,7 +263,8 @@ def frenet_frames_sampled(
     With strict=False degenerate points are masked in ``valid`` instead of
     raising; their frame rows are not meaningful. ``direction_error`` is the
     h^2-scaled leading stencil error of T (amplified by 1/speed at cusps)
-    plus that of B (amplified by 1/|a' x a''| at inflections).
+    plus that of B (amplified by 1/|a' x a''| at inflections). kappa', tau',
+    kappa'' and tau'' are left None.
     """
     grid = np.asarray(grid, dtype=float)
     positions = np.asarray(positions, dtype=float)
@@ -261,14 +279,12 @@ def frenet_frames_sampled(
     T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(
         d1, d2, d3, kappa_min, strict=strict, grid=grid
     )
-    kp, tp, ks, ts = curvature_derivatives(kappa, tau, speed, h)
     n2, n3, n4 = (norm3(d) for d in (d2, d3, diff1(d3, h)))
     tiny = 1e-300
     est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
     est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
-    return FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau, kappa_prime=kp,
-                     tau_prime=tp, speed=speed, kappa_second=ks, tau_second=ts,
-                     valid=valid, direction_error=est_tangent + est_binormal)
+    return FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau, speed=speed, valid=valid,
+                     direction_error=est_tangent + est_binormal)
 
 
 def sample_curve(
@@ -303,7 +319,8 @@ def sample_curve(
         pos = pts[:, 1:4]
     else:
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(grid)
-    frames = frenet_frames_sampled(grid, pos) if with_frames else None
+    frames = (_with_arclength_derivatives(frenet_frames_sampled(grid, pos),
+                                          uniform_spacing(grid)) if with_frames else None)
     return SampledCurve(grid=grid, positions=pos, frames=frames)
 
 
@@ -429,4 +446,5 @@ def reparametrize_arclength(
         raise RegularityError(
             f"unit-speed residual {dev:.3e} exceeds tolerance after reparametrization"
         )
-    return SampledCurve(grid=s_grid, positions=pos, frames=frames)
+    return SampledCurve(grid=s_grid, positions=pos,
+                        frames=_with_arclength_derivatives(frames, h))

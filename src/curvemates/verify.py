@@ -64,7 +64,12 @@ class Tolerances:
             if not (math.isfinite(number) and number >= 0):
                 raise SpecificationError(
                     f"tolerance {key} must be finite and >= 0, got {value!r}")
-            data[key] = type(data[key])(value)
+            if isinstance(data[key], int):
+                if not number.is_integer():
+                    raise SpecificationError(
+                        f"tolerance {key} must be a whole number, got {value!r}")
+                number = int(number)
+            data[key] = number
         return Tolerances(**data)
 
 
@@ -86,11 +91,21 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
 
-def _vector_angles(dots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(raw angle, line angle) of unit-vector pairs from their dot products."""
+def _frame_angles(dots: np.ndarray) -> tuple[float, float, float]:
+    """(largest line angle, largest raw angle, sign-flip fraction) of
+    unit-vector pairs from their dot products; 0.0 each for no pairs.
+
+    The line angle arccos|d| equals the raw angle arccos(d) where d >= 0
+    (-0.0 included), so arccos runs a second time only on the sign-flipped
+    rows. A NaN dot makes both maxima NaN.
+    """
     raw = np.arccos(np.clip(dots, -1.0, 1.0))
-    line = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
-    return raw, line
+    raw_max = float(np.max(raw, initial=0.0))
+    flipped = dots < 0.0
+    line = raw  # reused in place: raw's maximum is already taken
+    line[flipped] = np.arccos(np.clip(-dots[flipped], 0.0, 1.0))
+    return (float(np.max(line, initial=0.0)), raw_max,
+            np.count_nonzero(flipped) / max(dots.size, 1))
 
 
 def _bands_from_mask(grid: np.ndarray, bad: np.ndarray) -> list:
@@ -199,10 +214,10 @@ def check_association(
         raise SpecificationError("base curve must carry frames")
     if not same_grid(base.grid, mate.grid):
         raise SpecificationError("base and mate grids must coincide")
-    nonfinite = np.flatnonzero(~np.isfinite(mate.positions).all(axis=1))
-    if nonfinite.size:
+    if not np.isfinite(mate.positions).all():
+        first = np.argmin(np.isfinite(mate.positions).all(axis=1))
         raise SpecificationError(
-            f"mate positions must be finite; first non-finite row at s={mate.grid[nonfinite[0]]:.6g}")
+            f"mate positions must be finite; first non-finite row at s={mate.grid[first]:.6g}")
 
     numeric = frenet_frames_sampled(mate.grid, mate.positions,
                                     kappa_min=tols.kappa_min, strict=False)
@@ -225,6 +240,7 @@ def check_association(
     if lam_sol is not None:
         if family.coefficient is not None:
             coeff_key = family.coefficient[0]
+            base.frames.require("kappa_prime", "tau_prime")
             res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
                                       base.frames.tau, base.frames.kappa_prime,
                                       base.frames.tau_prime)
@@ -241,12 +257,10 @@ def check_association(
     if predicted is not None:
         rows = np.flatnonzero(gate & predicted.defined)
         for name in ("T", "N", "B"):
-            dots = np.einsum("ij,ij->i", getattr(predicted, f"{name}_star")[rows],
-                             getattr(numeric, name)[rows])
-            raw, line = _vector_angles(dots)
-            frame_errors[name] = float(np.max(line, initial=0.0))
-            frame_raw[name] = float(np.max(raw, initial=0.0))
-            frame_flips[name] = np.count_nonzero(dots < 0.0) / max(rows.size, 1)
+            # Dot whole rows, then gather: NaN rows of undefined frames stay silent.
+            dots = np.einsum("ij,ij->i", getattr(predicted, f"{name}_star"),
+                             getattr(numeric, name))[rows]
+            frame_errors[name], frame_raw[name], frame_flips[name] = _frame_angles(dots)
             checks.append((f"frame_{name}", frame_errors[name], gates_for["frames"],
                            tols.frame_angle))
         curvature_deltas = audit_curvature_formulas(predicted, numeric, rows)

@@ -5,6 +5,7 @@ import pytest
 
 from curvemates import CurveSpec, sample_curve
 from curvemates.numdiff import diff1
+from curvemates.verify import _frame_angles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -44,3 +45,10 @@ def prime_consistency(sol):
     """Max interior gap between a solution's stored lambda' and central differences."""
     fd = diff1(sol.lam, sol.spacing())
     return float(np.max(np.abs(fd[1:-1] - sol.lam_prime[1:-1])))
+
+
+def vector_angles(dots):
+    """(raw angles, line angles) of unit-vector pairs from their dot products,
+    one verify._frame_angles call per pair."""
+    line, raw = np.array([_frame_angles(dots[i:i + 1])[:2] for i in range(dots.size)]).T
+    return raw, line

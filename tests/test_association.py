@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import math
 
 import numpy as np
@@ -339,6 +340,20 @@ def test_associate_requires_unit_speed(grid_0_2):
     fast = sample_curve(CurveSpec.helix(2.0, 0.0), grid_0_2)
     with pytest.raises(SpecificationError):
         associate(fast, AssociationSpec("N", "O", (0.0, 1.0)), lambda_constant(0.4, grid_0_2))
+
+
+@pytest.mark.parametrize("missing", ["kappa_prime", "tau_prime", "kappa_second",
+                                     "tau_second"])
+def test_associate_requires_arclength_derivatives(helix_base, grid_0_2, missing):
+    # Stencil frames carry no kappa', tau', kappa'', tau'': a typed error
+    # names the field instead of numpy failing on None.
+    stencil = frenet_frames_sampled(grid_0_2, helix_base.positions)
+    spec, sol = AssociationSpec("N", "O", (0.0, 1.0)), lambda_constant(0.4, grid_0_2)
+    with pytest.raises(SpecificationError, match="base frames carry no kappa_prime"):
+        associate(helix_base.with_frames(stencil), spec, sol)
+    frames = dataclasses.replace(helix_base.frames, **{missing: None})
+    with pytest.raises(SpecificationError, match=f"base frames carry no {missing};"):
+        associate(helix_base.with_frames(frames), spec, sol)
 
 
 def test_associate_constant_offset_is_bertrand_like():

@@ -245,6 +245,10 @@ def reparametrize_whole_grid(curve, domain, n):
         pts = curve.points
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(t_grid)
     frames = frenet_frames_sampled(s_grid, pos, strict=False)
+    kp, tp, ks, ts = curvature_derivatives(frames.kappa, frames.tau, frames.speed,
+                                           uniform_spacing(s_grid))
+    frames = dataclasses.replace(frames, kappa_prime=kp, tau_prime=tp, kappa_second=ks,
+                                 tau_second=ts)
     return SampledCurve(grid=s_grid, positions=pos, frames=frames)
 
 
@@ -292,6 +296,28 @@ def test_reparametrize_blocks_match_whole_grid(case):
     assert_same_bits(got.positions, want.positions)
     for field in dataclasses.fields(FrameData):
         assert_same_bits(getattr(got.frames, field.name), getattr(want.frames, field.name))
+
+
+ARCLENGTH_DERIVATIVES = ("kappa_prime", "tau_prime", "kappa_second", "tau_second")
+
+
+def test_base_builders_add_arclength_derivatives_to_stencil_frames():
+    # frenet_frames_sampled leaves kappa', tau', kappa'', tau'' None; the
+    # sampled and the reparametrized base carry them, as curvature_derivatives
+    # gives them from the stencil frames' own kappa, tau and speed.
+    curve = CurveSpec.from_samples(wobbly_helix_samples())
+    grid = np.linspace(0.0, 5.0, 2001)
+    for base, strict in ((sample_curve(curve, grid), True),
+                         (reparametrize_arclength(curve, (0.0, 5.0), 2001), False)):
+        stencil = frenet_frames_sampled(base.grid, base.positions, strict=strict)
+        for name in ARCLENGTH_DERIVATIVES:
+            assert getattr(stencil, name) is None
+        want = dict(zip(ARCLENGTH_DERIVATIVES, curvature_derivatives(
+            stencil.kappa, stencil.tau, stencil.speed, uniform_spacing(base.grid))))
+        for field in dataclasses.fields(FrameData):
+            name = field.name
+            assert_same_bits(getattr(base.frames, name),
+                             want[name] if name in want else getattr(stencil, name))
 
 
 def test_reparametrize_memory_stays_below_ten_fine_arrays():
@@ -361,5 +387,5 @@ def test_curvature_derivatives_chain_rule_off_arc_length():
     # The oracle's own kappa'' from positions alone (its tau'' is round-off
     # dominated at this step).
     positions = np.column_stack([np.cos(t), 2.0 * np.sin(t), 0.5 * t])
-    frames = frenet_frames_sampled(t, positions)
+    frames = sample_curve(CurveSpec.from_samples(np.column_stack([t, positions])), t).frames
     assert np.max(np.abs(frames.kappa_second - kpp)) < 0.01 * np.max(np.abs(kpp))

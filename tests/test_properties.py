@@ -16,9 +16,7 @@ from curvemates import (
 from curvemates.association import klm_coefficients, xyz_coefficients
 from curvemates.geometry import frenet_from_cross
 from curvemates.solvers import LambdaSolution, lambda_constant, solve_linear
-from curvemates.verify import _vector_angles
-
-from conftest import prime_consistency, rotation_matrix
+from conftest import prime_consistency, rotation_matrix, vector_angles
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 angle = st.floats(min_value=0.0, max_value=2.0 * math.pi)
@@ -111,11 +109,11 @@ def test_compare_frames_symmetric_and_zero_on_identity(axis_angle, spin, axis_an
     f2 = random_frame(axis_angle2, spin2)
     a = np.concatenate([f1.T, f1.N, f1.B])
     b = np.concatenate([f2.T, f2.N, f2.B])
-    forward = _vector_angles(np.einsum("ij,ij->i", a, b))
-    backward = _vector_angles(np.einsum("ij,ij->i", b, a))
+    forward = vector_angles(np.einsum("ij,ij->i", a, b))
+    backward = vector_angles(np.einsum("ij,ij->i", b, a))
     np.testing.assert_allclose(forward, backward, atol=1e-12)
     # arccos turns ulp-level dot noise into ~sqrt(eps) angles.
-    np.testing.assert_allclose(_vector_angles(np.einsum("ij,ij->i", a, a)), 0.0, atol=1e-7)
+    np.testing.assert_allclose(vector_angles(np.einsum("ij,ij->i", a, a)), 0.0, atol=1e-7)
 
 
 @given(a=st.floats(min_value=0.1, max_value=2.0), b=st.floats(min_value=-2.0, max_value=2.0))

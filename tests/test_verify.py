@@ -27,9 +27,11 @@ from curvemates.verify import (
     GATING_TABLE_VERSION,
     Tolerances,
     _bands_from_mask,
+    _frame_angles,
     _gate_mask,
-    _vector_angles,
 )
+
+from conftest import vector_angles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 IDENTITY = np.eye(3)  # rows T, N, B
@@ -44,14 +46,14 @@ def _row_dots(u, v):
 
 
 def test_compare_frames_identical():
-    raw, line = _vector_angles(_row_dots(IDENTITY, IDENTITY))
+    raw, line = vector_angles(_row_dots(IDENTITY, IDENTITY))
     np.testing.assert_allclose(raw, 0.0)
     np.testing.assert_allclose(line, 0.0)
 
 
 def test_compare_frames_binormal_flip_reported_not_masked():
     flipped = IDENTITY * np.array([[1.0], [1.0], [-1.0]])
-    raw, line = _vector_angles(_row_dots(IDENTITY, flipped))
+    raw, line = vector_angles(_row_dots(IDENTITY, flipped))
     np.testing.assert_allclose(raw, [0.0, 0.0, math.pi])
     np.testing.assert_allclose(line, 0.0)
 
@@ -59,8 +61,8 @@ def test_compare_frames_binormal_flip_reported_not_masked():
 def test_compare_frames_symmetry():
     c, s = math.cos(0.3), math.sin(0.3)
     rotated = np.array([[c, s, 0], [-s, c, 0], [0, 0, 1.0]])
-    forward = _vector_angles(_row_dots(IDENTITY, rotated))
-    backward = _vector_angles(_row_dots(rotated, IDENTITY))
+    forward = vector_angles(_row_dots(IDENTITY, rotated))
+    backward = vector_angles(_row_dots(rotated, IDENTITY))
     np.testing.assert_allclose(forward, backward)
     np.testing.assert_allclose(forward[0], [0.3, 0.3, 0.0], atol=1e-7)
 
@@ -81,6 +83,60 @@ def test_compare_frames_predicted_binormal_vs_numeric(circle_base, grid_0_2):
     assert report.frame_raw_angles["B"] == pytest.approx(math.pi, abs=1e-3)
     assert report.frame_sign_flips == {"T": 0.0, "N": 1.0, "B": 1.0}
     assert max(report.frame_errors.values()) < 1e-4
+
+
+def _angles_reference(dots, size):
+    """Reference: the two-arccos angles that _frame_angles replaced."""
+    raw = np.arccos(np.clip(dots, -1.0, 1.0))
+    line = np.arccos(np.clip(np.abs(dots), 0.0, 1.0))
+    return (float(np.max(line, initial=0.0)), float(np.max(raw, initial=0.0)),
+            np.count_nonzero(dots < 0.0) / max(size, 1))
+
+
+def _same_bits(a, b):
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+def test_frame_angle_maxima_match_reference(unit_helix_spec, circle_base, helix_base,
+                                            grid_0_2):
+    # Against the gather-then-dot, two-arccos computation, bit for bit.
+    grid = np.linspace(0.0, 3.0, 2001)
+    base = sample_curve(unit_helix_spec, grid)
+    everything = Tolerances(band_safety=1e300, band_pad=0, boundary_skip=0)
+    # The involute through its cusp at s = 2, gated there, flips N* and B*;
+    # the opposite-sign convention on the circle flips them everywhere.
+    sol = solve_linear(circle_base.frames.kappa, 1.0, 1.0, grid_0_2)
+    to_pred = associate(circle_base, AssociationSpec("T", "O", (1.0, 1.0)), sol)
+    cases = [
+        (associate(base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)),
+                   lambda_involute(2.0, grid)), everything),
+        (dataclasses.replace(to_pred, N_star=-to_pred.N_star, B_star=-to_pred.B_star),
+         Tolerances()),
+        (associate(helix_base, AssociationSpec("B", "O", (1.0, 1.0)),
+                   solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, grid_0_2)), everything),
+    ]
+    flipped = 0
+    for pred, tol in cases:
+        report = check_association(pred.base, pred.mate, pred.family, lam_sol=pred.lam,
+                                   predicted=pred, tolerances=tol)
+        numeric = frenet_frames_sampled(pred.mate.grid, pred.mate.positions,
+                                        kappa_min=tol.kappa_min, strict=False)
+        rows = np.flatnonzero(_gate_mask(pred.mate.grid, numeric, tol)[0] & pred.defined)
+        for name in ("T", "N", "B"):
+            dots = _row_dots(getattr(pred, f"{name}_star")[rows], getattr(numeric, name)[rows])
+            flipped += np.count_nonzero(dots < 0.0)
+            got = (report.frame_errors[name], report.frame_raw_angles[name],
+                   report.frame_sign_flips[name])
+            assert _same_bits(got, _angles_reference(dots, rows.size))
+    assert flipped > 0
+    # NaN (undefined rows), -0.0 (arccos(-0.0) is pi/2 as for +0.0), values
+    # just above 1 in magnitude, and no rows at all.
+    above = np.nextafter(1.0, 2.0)
+    for dots in ([0.5, np.nan, -0.2], [np.nan], [-0.0, 0.3], [-0.0], [-0.0, -0.4],
+                 [above, -above, 0.9], [-above], [1.0, -1.0], []):
+        dots = np.array(dots, dtype=float)
+        assert _same_bits(_frame_angles(dots), _angles_reference(dots, dots.size))
+    assert _frame_angles(np.empty(0)) == (0.0, 0.0, 0.0)
 
 
 def _bands_loop(grid, bad):
@@ -260,6 +316,21 @@ def test_check_association_rejects_nonfinite_mate(helix_base, grid_0_2):
         check_association(helix_base, SampledCurve(grid=grid_0_2, positions=positions), spec)
 
 
+@pytest.mark.parametrize("missing", ["kappa_prime", "tau_prime"])
+def test_check_association_requires_arclength_derivatives(helix_base, grid_0_2, missing):
+    # The coefficient constraint reads the base's kappa' and tau'; stencil
+    # frames lack them, and a typed error names the field.
+    sol = solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, grid_0_2)
+    spec = AssociationSpec("B", "O", (1.0, 1.0))
+    mate = associate(helix_base, spec, sol).mate
+    stencil = frenet_frames_sampled(grid_0_2, helix_base.positions)
+    with pytest.raises(SpecificationError, match="base frames carry no kappa_prime"):
+        check_association(helix_base.with_frames(stencil), mate, spec, lam_sol=sol)
+    frames = dataclasses.replace(helix_base.frames, **{missing: None})
+    with pytest.raises(SpecificationError, match=f"base frames carry no {missing};"):
+        check_association(helix_base.with_frames(frames), mate, spec, lam_sol=sol)
+
+
 def test_check_association_translated_copy_fails(helix_base, grid_0_2):
     mate = SampledCurve(grid=grid_0_2,
                         positions=helix_base.positions + np.array([1.0, 0.0, 0.0]))
@@ -363,7 +434,8 @@ def test_tolerances_override():
 @pytest.mark.parametrize("key,value", [("constraint", math.nan), ("constraint", "nan"),
                                        ("frame_angle", -1e-4), ("band_pad", -1),
                                        ("kappa_min", "-inf"), ("kappa_min", math.inf),
-                                       ("constraint", "inf"), ("band_pad", math.inf)])
+                                       ("constraint", "inf"), ("band_pad", math.inf),
+                                       ("band_pad", 2.5), ("boundary_skip", 0.5)])
 def test_tolerances_reject_nan_and_negative(key, value):
     with pytest.raises(SpecificationError):
         Tolerances().replace(**{key: value})
