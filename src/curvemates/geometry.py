@@ -245,7 +245,7 @@ def curvature_derivatives(
             (diff2(tau, h) - tau_t * stretch) / safe_speed**2)
 
 
-def _with_arclength_derivatives(frames: FrameData, h: float) -> FrameData:
+def with_arclength_derivatives(frames: FrameData, h: float) -> FrameData:
     """``frames`` plus kappa', tau', kappa'' and tau'' from its own kappa, tau
     and speed on a uniform grid of step h."""
     kp, tp, ks, ts = curvature_derivatives(frames.kappa, frames.tau, frames.speed, h)
@@ -319,8 +319,8 @@ def sample_curve(
         pos = pts[:, 1:4]
     else:
         pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(grid)
-    frames = (_with_arclength_derivatives(frenet_frames_sampled(grid, pos),
-                                          uniform_spacing(grid)) if with_frames else None)
+    frames = (with_arclength_derivatives(frenet_frames_sampled(grid, pos),
+                                         uniform_spacing(grid)) if with_frames else None)
     return SampledCurve(grid=grid, positions=pos, frames=frames)
 
 
@@ -447,4 +447,4 @@ def reparametrize_arclength(
             f"unit-speed residual {dev:.3e} exceeds tolerance after reparametrization"
         )
     return SampledCurve(grid=s_grid, positions=pos,
-                        frames=_with_arclength_derivatives(frames, h))
+                        frames=with_arclength_derivatives(frames, h))

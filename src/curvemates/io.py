@@ -20,7 +20,7 @@ import numpy as np
 
 from .association import PredictedMate
 from .errors import ParseError, SpecificationError
-from .geometry import CurveSpec, FrameData, SampledCurve, curvature_derivatives
+from .geometry import CurveSpec, FrameData, SampledCurve, with_arclength_derivatives
 from .numdiff import diff1, norm3, uniform_spacing
 from .solvers import LambdaSolution
 from .verify import GATING_TABLE_VERSION, VerificationReport
@@ -178,14 +178,11 @@ def sampled_curve_to_csv(curve: SampledCurve) -> str:
 def sampled_curve_from_csv(text: str) -> SampledCurve:
     """A base curve from its CSV; the grid must be uniform with at least 4 rows."""
     data, _ = _parse_csv(text, _CURVE_COLUMNS)
-    grid, pos, kappa, tau = data[:, 0], data[:, 1:4], data[:, 13], data[:, 14]
+    grid, pos = data[:, 0], data[:, 1:4]
     h = uniform_spacing(grid)
-    speed = norm3(diff1(pos, h))
-    kp, tp, ks, ts = curvature_derivatives(kappa, tau, speed, h)
     frames = FrameData(T=data[:, 4:7], N=data[:, 7:10], B=data[:, 10:13],
-                       kappa=kappa, tau=tau, kappa_prime=kp, tau_prime=tp,
-                       speed=speed, kappa_second=ks, tau_second=ts)
-    return SampledCurve(grid=grid, positions=pos, frames=frames)
+                       kappa=data[:, 13], tau=data[:, 14], speed=norm3(diff1(pos, h)))
+    return SampledCurve(grid=grid, positions=pos, frames=with_arclength_derivatives(frames, h))
 
 
 # ---------------------------------------------------------------------------

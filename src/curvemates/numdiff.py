@@ -2,8 +2,9 @@
 
 All interior stencils are central and second order; boundary rows use
 one-sided second-order stencils so every returned array matches the input
-length. ``diff1_o4`` is the fourth-order first derivative used by residual
-checks that must stay well below solver tolerances. ``norm3`` and
+length. ``diff1_o4`` is the fourth-order first derivative of
+``solvers.offset_residual``, whose residuals must stay well below solver
+tolerances; that rule trims its second-order edge rows. ``norm3`` and
 ``cross3`` are the row norm and row cross product of (n, 3) arrays.
 """
 from __future__ import annotations
@@ -95,8 +96,7 @@ def diff3(y: np.ndarray, h: float) -> np.ndarray:
 def diff1_o4(y: np.ndarray, h: float) -> np.ndarray:
     """First derivative, central O(h^4) in the interior.
 
-    The two rows at each end fall back to the O(h^2) stencils; callers that
-    need the full fourth order should restrict to ``[2:-2]``.
+    The two rows at each end fall back to the O(h^2) stencils.
     """
     y = np.asarray(y, dtype=float)
     if y.shape[0] < 5:

@@ -11,9 +11,10 @@ The scalar offset lambda(s) obeys, depending on the family:
 Closed forms are evaluated exactly; quadrature is cumulative composite
 Simpson; initial-value integration is classical fixed-step RK4, stepped in
 plain Python floats (a float state, or a pair for second-order ODEs) with
-no per-stage arrays. Residuals are always evaluated with independent
-finite differences of the lambda samples, never with derivatives recycled
-from the defining equation.
+no per-stage arrays. ``offset_residual`` is the one independent residual
+rule for every offset equation: it differentiates the lambda samples with
+fourth-order differences, never recycling derivatives from the defining
+equation, and trims the rows where those stencils are not fourth order.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     FiniteEscapeError,
+    InsufficientDataError,
     PoleError,
     QuadratureRangeError,
     SingularOdeError,
@@ -123,6 +125,27 @@ def _coefficient_arrays(grid, kappa, tau, kappa_prime=None, tau_prime=None):
     return tuple(_as_grid_array(v, grid) for v in (kappa, tau, kp, tp))
 
 
+def offset_residual(sol: LambdaSolution, equation, order: int) -> np.ndarray:
+    """|equation(lambda, lambda', lambda'')| on the rows where every stencil is
+    fourth order: the one independent residual rule for the offset equations.
+
+    lambda' is ``diff1_o4`` of the lambda samples and, for ``order`` 2,
+    lambda'' is ``diff1_o4`` of that lambda'; at order 1 ``equation`` gets
+    None for lambda''. Each ``diff1_o4`` falls back to second order in its
+    two edge rows, so ``2 * order`` rows are trimmed at each end. Raises
+    InsufficientDataError when no row survives the trim.
+    """
+    trim = 2 * order
+    if sol.lam.size <= 2 * trim:
+        raise InsufficientDataError(
+            f"an order-{order} residual needs at least {2 * trim + 1} samples,"
+            f" got {sol.lam.size}")
+    h = sol.spacing()
+    lam_p = diff1_o4(sol.lam, h)
+    lam_pp = diff1_o4(lam_p, h) if order == 2 else None
+    return np.abs(equation(sol.lam, lam_p, lam_pp))[trim:-trim]
+
+
 def solve_linear_first_order(
     p, q, y0: float, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,14 +190,6 @@ def solve_linear(kappa, ratio: float, c1: float, grid: np.ndarray) -> LambdaSolu
                           constants={"c1": float(c1), "ratio": float(ratio)})
 
 
-def linear_ode_residual(sol: LambdaSolution, kappa, ratio: float) -> np.ndarray:
-    """|1 + lambda' - ratio*lambda*kappa| with fourth-order FD lambda'."""
-    kappa_arr = _as_grid_array(kappa, sol.grid)
-    lam_p = diff1_o4(sol.lam, sol.spacing())
-    res = np.abs(1.0 + lam_p - ratio * sol.lam * kappa_arr)
-    return res[2:-2]
-
-
 def lambda_involute(c0: float, grid: np.ndarray) -> LambdaSolution:
     """lambda(s) = -s + c0, the tangent-offset solution with 1 + lambda' = 0."""
     grid = np.asarray(grid, dtype=float)
@@ -209,19 +224,6 @@ def lambda_helix_hyperbolic(
                           lam_double_prime=lam_pp, provenance="closed-form",
                           constants={"a": a, "b": b, "c1": c1, "c2": c2,
                                      "kappa": kappa, "tau": tau})
-
-
-def helix_ode_residual(
-    sol: LambdaSolution, a: float, b: float, kappa: float, tau: float,
-) -> np.ndarray:
-    """Residual of lambda'' = (a/b)^2 ((lambda*kappa - 1)*kappa + lambda*tau^2)
-    with fourth-order FD lambda''."""
-    h = sol.spacing()
-    lam_pp = diff1_o4(diff1_o4(sol.lam, h), h)
-    lam = sol.lam
-    bracket = (lam * kappa - 1.0) * kappa + lam * tau * tau
-    res = np.abs(lam_pp - (a / b) ** 2 * bracket)
-    return res[4:-4]
 
 
 def constant_admissible_lambda(family: str, kappa: float, tau: float) -> float:
@@ -382,20 +384,6 @@ def solve_riccati(
                           constants={"lambda0": float(lambda0)})
 
 
-def riccati_z_residual(sol: LambdaSolution, kappa, tau) -> np.ndarray:
-    """|Z| = |-lambda tau' - 2 lambda' tau + kappa + lambda^2 tau^2 kappa|.
-
-    lambda' comes from fourth-order differences of the lambda samples, so a
-    vanishing residual is an independent confirmation, not a tautology; tau'
-    follows _slope, as in solve_riccati.
-    """
-    k, t, _, tp = _coefficient_arrays(sol.grid, kappa, tau)
-    lam = sol.lam
-    lam_p = diff1_o4(lam, sol.spacing())
-    z = -lam * tp - 2.0 * lam_p * t + k + lam**2 * t**2 * k
-    return np.abs(z)[2:-2]
-
-
 def riccati_linearize(
     lambda_particular: LambdaSolution, kappa, tau, grid: np.ndarray,
     mu0: float | None = None, lambda0: float | None = None,
@@ -413,7 +401,10 @@ def riccati_linearize(
     if float(np.min(np.abs(t))) <= TORSION_FLOOR:
         raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
 
-    part_res = riccati_z_residual(lambda_particular, kappa, tau)
+    # Z = -lambda tau' - 2 lambda' tau + kappa + lambda^2 tau^2 kappa, xyz_coefficients' Z.
+    part_res = offset_residual(
+        lambda_particular,
+        lambda lam, lam_p, _: -lam * tp - 2.0 * lam_p * t + k + lam**2 * t**2 * k, 1)
     if float(np.max(part_res)) > 1e-6:
         raise SpecificationError(
             f"particular solution residual {np.max(part_res):.3e} exceeds 1e-6"
@@ -524,27 +515,27 @@ def constraint_residual(
     sol: LambdaSolution, family: str, kappa, tau,
     kappa_prime=None, tau_prime=None,
 ) -> np.ndarray:
-    """Normalized defining-constraint residual along a solution.
+    """A family's cross-product coefficient constraint along a solution, as
+    an order-2 offset_residual.
 
-    Uses fourth-order differences of lambda for lambda' and lambda''. The
-    raw constraint value is normalized by the cross-product magnitude so the
-    numbers are comparable across families and scales. kappa' and tau' left
-    None follow _slope, as in solve_constraint_ode.
+    The raw constraint value is normalized by the cross-product magnitude so
+    the numbers are comparable across families and scales. kappa' and tau'
+    left None follow _slope, as in solve_constraint_ode.
     """
     from .association import FAMILIES, klm_coefficients, xyz_coefficients
 
     entry = FAMILIES.get(family)
     if entry is None or entry.coefficient is None:
         raise SpecificationError(f"unknown constraint family {family!r}")
-    h = sol.spacing()
     k, t, kp, tp = _coefficient_arrays(sol.grid, kappa, tau, kappa_prime, tau_prime)
-    lam = sol.lam
-    lam_p = diff1_o4(lam, h)
-    lam_pp = diff1_o4(lam_p, h)
-
     cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
-    c1, c2, c3 = cross(lam, lam_p, lam_pp, k, t, kp, tp)
-    norm = np.sqrt(c1**2 + c2**2 + c3**2)
-    raw = entry.coefficient[1](c1, c2, c3, lam, k, t)
-    scale = np.where(norm > 1e-12, norm, 1.0)
-    return (np.abs(raw) / scale)[4:-4]
+
+    def equation(lam, lam_p, lam_pp):
+        c1, c2, c3 = cross(lam, lam_p, lam_pp, k, t, kp, tp)
+        norm = np.sqrt(c1**2 + c2**2 + c3**2)
+        return entry.coefficient[1](c1, c2, c3, lam, k, t) / np.where(norm > 1e-12, norm, 1.0)
+
+    try:
+        return offset_residual(sol, equation, 2)
+    except InsufficientDataError as err:
+        raise InsufficientDataError(f"{family} coefficient residual: {err}") from err

@@ -244,7 +244,7 @@ def check_association(
             res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
                                       base.frames.tau, base.frames.kappa_prime,
                                       base.frames.tau_prime)
-            constraint_residuals[coeff_key] = float(np.max(res)) if res.size else 0.0
+            constraint_residuals[coeff_key] = float(np.max(res))
             checks.append((coeff_key, constraint_residuals[coeff_key],
                            gates_for["constraint"], tols.constraint))
         distance = check_distance(base, mate, lam_sol)

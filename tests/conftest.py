@@ -41,6 +41,26 @@ def rotation_matrix(axis, angle):
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
+def linear_equation(kappa, ratio):
+    """1 + lambda' - ratio lambda kappa, the tangent-offset linear ODE, as an
+    order-1 ``offset_residual`` equation."""
+    return lambda lam, lam_p, _: 1.0 + lam_p - ratio * lam * kappa
+
+
+def helix_equation(a, b, kappa, tau):
+    """lambda'' - (a/b)^2 ((lambda kappa - 1) kappa + lambda tau^2), the
+    normal-offset helix ODE, as an order-2 ``offset_residual`` equation."""
+    return lambda lam, _, lam_pp: lam_pp - (a / b) ** 2 * (
+        (lam * kappa - 1.0) * kappa + lam * tau * tau)
+
+
+def riccati_z(kappa, tau, tau_prime=0.0):
+    """Z = -lambda tau' - 2 lambda' tau + kappa + lambda^2 tau^2 kappa, the
+    binormal-offset Riccati equation, as an order-1 ``offset_residual`` equation."""
+    return lambda lam, lam_p, _: (-lam * tau_prime - 2.0 * lam_p * tau + kappa
+                                  + lam**2 * tau**2 * kappa)
+
+
 def prime_consistency(sol):
     """Max interior gap between a solution's stored lambda' and central differences."""
     fd = diff1(sol.lam, sol.spacing())

@@ -30,19 +30,19 @@ from curvemates.geometry import frenet_frames_sampled
 from curvemates.solvers import (
     constant_admissible_lambda,
     constraint_residual,
-    helix_ode_residual,
     lambda_constant,
     lambda_half_curvature,
     lambda_helix_hyperbolic,
     lambda_involute,
-    linear_ode_residual,
+    offset_residual,
     riccati_linearize,
-    riccati_z_residual,
     solve_constraint_ode,
     solve_linear,
     solve_riccati,
 )
 from curvemates.cli import main as cli_main
+
+from conftest import helix_equation, linear_equation, riccati_z
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 SQRT2 = math.sqrt(2.0)
@@ -246,18 +246,17 @@ def test_criterion_08_defining_equation_residuals():
     for c0 in (-1.0, 0.0, 1.0):
         sol = solve_linear(kappa_one, 1.0, 1.0 + c0, grid)
         residuals[f"linear-circle c0={c0:+.0f}"] = np.max(
-            linear_ode_residual(sol, kappa_one, 1.0))
+            offset_residual(sol, linear_equation(kappa_one, 1.0), 1))
         sol = solve_linear(kappa_helix, 1.0, SQRT2 + c0, grid)
         residuals[f"linear-helix c0={c0:+.0f}"] = np.max(
-            linear_ode_residual(sol, kappa_helix, 1.0))
+            offset_residual(sol, linear_equation(kappa_helix, 1.0), 1))
 
     inv = lambda_involute(1.0, grid)
-    from curvemates.numdiff import diff1_o4
-
-    residuals["involute"] = np.max(np.abs(1.0 + diff1_o4(inv.lam, inv.spacing()))[2:-2])
+    residuals["involute"] = np.max(offset_residual(inv, lambda lam, lam_p, _: 1.0 + lam_p, 1))
 
     hyp = lambda_helix_hyperbolic(1.0, 1.0, INV_SQRT2, INV_SQRT2, 0.1, 0.2, grid)
-    residuals["hyperbolic"] = np.max(helix_ode_residual(hyp, 1.0, 1.0, INV_SQRT2, INV_SQRT2))
+    residuals["hyperbolic"] = np.max(
+        offset_residual(hyp, helix_equation(1.0, 1.0, INV_SQRT2, INV_SQRT2), 2))
 
     half = lambda_half_curvature(INV_SQRT2, grid)
     residuals["half-curvature"] = np.max(constraint_residual(half, "NO", INV_SQRT2, INV_SQRT2))
@@ -266,10 +265,11 @@ def test_criterion_08_defining_equation_residuals():
     residuals["rectifying-constant"] = np.max(constraint_residual(nr, "NR", INV_SQRT2, INV_SQRT2))
 
     ric = solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, grid)
-    residuals["riccati-Z"] = np.max(riccati_z_residual(ric, INV_SQRT2, INV_SQRT2))
+    residuals["riccati-Z"] = np.max(offset_residual(ric, riccati_z(INV_SQRT2, INV_SQRT2), 1))
 
     lin = riccati_linearize(ric, INV_SQRT2, INV_SQRT2, grid, mu0=1.0)
-    residuals["riccati-linearized-Z"] = np.max(riccati_z_residual(lin, INV_SQRT2, INV_SQRT2))
+    residuals["riccati-linearized-Z"] = np.max(
+        offset_residual(lin, riccati_z(INV_SQRT2, INV_SQRT2), 1))
 
     br = solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), grid)
     residuals["binormal-rectifying"] = np.max(constraint_residual(br, "BR", INV_SQRT2, INV_SQRT2))

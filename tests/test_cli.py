@@ -401,3 +401,19 @@ def test_nine_family_verdicts_pinned(family, tmp_path):
     assert len(report["excluded_bands"]) == bands
     for (group, floor), expected in zip(PIN_FLOORS.items(), figures):
         assert report[group] == pytest.approx(expected, rel=1e-9, abs=floor), group
+
+
+# At n = 7 and 8 the order-2 coefficient residual keeps no row, so the four
+# coefficient families exit 65 with a typed error instead of reading an
+# empty residual as 0; n = 9 keeps one row and its verdict.
+@pytest.mark.parametrize("family, exit_at_9", [("NO", 0), ("NR", 0), ("BO", 1), ("BR", 1)])
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_coefficient_families_on_too_few_samples(family, exit_at_9, n, tmp_path, capsys):
+    curve = f'{{"kind":"helix","a":{INV_SQRT2!r},"b":{INV_SQRT2!r}}}'
+    code = main(["verify", "--curve", curve, "--family", family, "--grid", f"0:0.3:{n}",
+                 "--out", str(tmp_path)])
+    if n == 9:
+        assert code == exit_at_9
+        return
+    assert code == 65
+    assert f"{family} coefficient residual: " in capsys.readouterr().err

@@ -5,11 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from curvemates import AssociationSpec, CurveSpec, associate, verify_mate
+from curvemates import AssociationSpec, CurveSpec, associate, sample_curve, verify_mate
 from curvemates import cli
 from curvemates.errors import InsufficientDataError, ParseError, SpecificationError
 from curvemates import io as cio
 from curvemates.cli import _example_setup
+from curvemates.geometry import curvature_derivatives
+from curvemates.numdiff import diff1, norm3, uniform_spacing
 from curvemates.solvers import lambda_involute, solve_linear
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -115,6 +117,24 @@ def test_sampled_curve_csv_round_trip(helix_base):
     assert again.frames.direction_error is None
     # Byte-identical re-serialization (full round-trip floats).
     assert cio.sampled_curve_to_csv(again) == text
+
+
+@pytest.mark.parametrize("curve", ["helix", "sampled"])
+def test_sampled_curve_csv_arclength_derivatives_keep_their_bits(curve, helix_base):
+    # The reader's speed, kappa', tau', kappa'' and tau'' have the bits of the
+    # rule it spelled out before calling geometry.with_arclength_derivatives.
+    base = helix_base
+    if curve == "sampled":  # off arc length, so the chain-rule terms count
+        t = np.linspace(0.0, 2.0, 401)
+        points = np.column_stack([t, np.cos(t), np.sin(2.0 * t), 0.3 * t * t])
+        base = sample_curve(CurveSpec.from_samples(points), t)
+    again = cio.sampled_curve_from_csv(cio.sampled_curve_to_csv(base))
+    h = uniform_spacing(again.grid)
+    speed = norm3(diff1(again.positions, h))
+    want = (speed,) + curvature_derivatives(again.frames.kappa, again.frames.tau, speed, h)
+    names = ("speed", "kappa_prime", "tau_prime", "kappa_second", "tau_second")
+    for name, value in zip(names, want):
+        assert np.array_equal(getattr(again.frames, name), value), name
 
 
 def test_sampled_curve_csv_needs_uniform_grid_of_4_rows(helix_base):

@@ -6,32 +6,34 @@ import pytest
 from curvemates.errors import (
     AlignmentError,
     FiniteEscapeError,
+    InsufficientDataError,
     PoleError,
     QuadratureRangeError,
     SingularOdeError,
     SpecificationError,
     TorsionDegenerateError,
 )
+from curvemates.association import FAMILIES, klm_coefficients, xyz_coefficients
 from curvemates.numdiff import diff1, diff1_o4
 from curvemates.solvers import (
     LambdaSolution,
+    _as_grid_array,
+    _coefficient_arrays,
     constant_admissible_lambda,
     constraint_residual,
-    helix_ode_residual,
     lambda_constant,
     lambda_exponential_pair,
     lambda_half_curvature,
     lambda_helix_hyperbolic,
     lambda_involute,
-    linear_ode_residual,
+    offset_residual,
     riccati_linearize,
-    riccati_z_residual,
     solve_constraint_ode,
     solve_linear,
     solve_riccati,
 )
 
-from conftest import prime_consistency
+from conftest import helix_equation, linear_equation, prime_consistency, riccati_z
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, 2.0, 2001)
@@ -60,12 +62,12 @@ def test_linear_constant_particular_solution():
     kappa0, ratio = 0.37, 2.5
     sol = solve_linear(np.full_like(GRID, kappa0), ratio, 1.0 / (ratio * kappa0), GRID)
     np.testing.assert_allclose(sol.lam, 1.0 / (ratio * kappa0), atol=1e-10)
-    assert np.max(linear_ode_residual(sol, np.full_like(GRID, kappa0), ratio)) < 1e-10
+    assert np.max(offset_residual(sol, linear_equation(kappa0, ratio), 1)) < 1e-10
 
 
 def test_linear_residual_postcondition():
     sol = solve_linear(np.ones_like(GRID), 1.0, 2.0, GRID)
-    assert np.max(linear_ode_residual(sol, np.ones_like(GRID), 1.0)) < 1e-8
+    assert np.max(offset_residual(sol, linear_equation(1.0, 1.0), 1)) < 1e-8
 
 
 def test_linear_overflow_guard():
@@ -100,7 +102,7 @@ def test_involute_values():
 def test_hyperbolic_particular_solution():
     sol = lambda_helix_hyperbolic(1.0, 1.0, INV_SQRT2, INV_SQRT2, 0.0, 0.0, GRID)
     np.testing.assert_allclose(sol.lam, INV_SQRT2, atol=1e-14)
-    assert np.max(helix_ode_residual(sol, 1.0, 1.0, INV_SQRT2, INV_SQRT2)) < 1e-8
+    assert np.max(offset_residual(sol, helix_equation(1.0, 1.0, INV_SQRT2, INV_SQRT2), 2)) < 1e-8
 
 
 def test_hyperbolic_a_zero_collapses_to_constant():
@@ -142,11 +144,10 @@ def test_hyperbolic_variant_report():
     a = b = 1.0
     k = t = INV_SQRT2
     sol = lambda_helix_hyperbolic(a, b, k, t, 0.3, 0.4, GRID)
-    lam, h = sol.lam, sol.spacing()
-    lam_pp = diff1_o4(diff1_o4(lam, h), h)
-    flipped_bracket = (1.0 - lam * k) * k + lam * t * t
-    standard = float(np.max(helix_ode_residual(sol, a, b, k, t)))
-    flipped = float(np.max(np.abs(lam_pp - (a / b) ** 2 * flipped_bracket)[4:-4]))
+    standard = float(np.max(offset_residual(sol, helix_equation(a, b, k, t), 2)))
+    flipped = float(np.max(offset_residual(
+        sol, lambda lam, _, lam_pp: lam_pp - (a / b) ** 2 * ((1.0 - lam * k) * k + lam * t * t),
+        2)))
     assert standard <= flipped  # the standard variant is the one satisfied
     assert standard < 1e-8
     assert flipped > 1e-2
@@ -191,7 +192,7 @@ def test_riccati_matches_tangent_closed_form():
     sol = solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, GRID)
     exact = math.sqrt(2.0) * np.tan(GRID / (2.0 * math.sqrt(2.0)))
     assert np.max(np.abs(sol.lam - exact)) < 1e-6
-    assert np.max(riccati_z_residual(sol, INV_SQRT2, INV_SQRT2)) < 1e-6
+    assert np.max(offset_residual(sol, riccati_z(INV_SQRT2, INV_SQRT2), 1)) < 1e-6
 
 
 def test_riccati_fourth_order_convergence():
@@ -534,3 +535,152 @@ def test_rk4_bit_identical_to_numpy_stage_reference(family, coefficients):
     # NO on constant curvatures keeps lambda constant; every other case moves it.
     assert np.all(np.isfinite(lam_pp))
     assert (float(np.ptp(lam)) > 1e-3) != (family == "NO" and coefficients == "constant")
+
+
+# ---------------------------------------------------------------------------
+# bit identity of offset_residual against the per-equation residuals
+#
+# The four functions below are the residuals the solvers module had before
+# offset_residual, verbatim but for their names. Each picked its own stencils
+# and trim; the one rule must give their values bit for bit.
+
+
+def _ref_linear_ode(sol: LambdaSolution, kappa, ratio: float) -> np.ndarray:
+    """|1 + lambda' - ratio*lambda*kappa| with fourth-order FD lambda'."""
+    kappa_arr = _as_grid_array(kappa, sol.grid)
+    lam_p = diff1_o4(sol.lam, sol.spacing())
+    res = np.abs(1.0 + lam_p - ratio * sol.lam * kappa_arr)
+    return res[2:-2]
+
+
+def _ref_helix_ode(
+    sol: LambdaSolution, a: float, b: float, kappa: float, tau: float,
+) -> np.ndarray:
+    """Residual of lambda'' = (a/b)^2 ((lambda*kappa - 1)*kappa + lambda*tau^2)
+    with fourth-order FD lambda''."""
+    h = sol.spacing()
+    lam_pp = diff1_o4(diff1_o4(sol.lam, h), h)
+    lam = sol.lam
+    bracket = (lam * kappa - 1.0) * kappa + lam * tau * tau
+    res = np.abs(lam_pp - (a / b) ** 2 * bracket)
+    return res[4:-4]
+
+
+def _ref_riccati_z(sol: LambdaSolution, kappa, tau) -> np.ndarray:
+    """|Z| = |-lambda tau' - 2 lambda' tau + kappa + lambda^2 tau^2 kappa|.
+
+    lambda' comes from fourth-order differences of the lambda samples, so a
+    vanishing residual is an independent confirmation, not a tautology; tau'
+    follows _slope, as in solve_riccati.
+    """
+    k, t, _, tp = _coefficient_arrays(sol.grid, kappa, tau)
+    lam = sol.lam
+    lam_p = diff1_o4(lam, sol.spacing())
+    z = -lam * tp - 2.0 * lam_p * t + k + lam**2 * t**2 * k
+    return np.abs(z)[2:-2]
+
+
+def _ref_constraint(
+    sol: LambdaSolution, family: str, kappa, tau,
+    kappa_prime=None, tau_prime=None,
+) -> np.ndarray:
+    """Normalized defining-constraint residual along a solution.
+
+    Uses fourth-order differences of lambda for lambda' and lambda''. The
+    raw constraint value is normalized by the cross-product magnitude so the
+    numbers are comparable across families and scales. kappa' and tau' left
+    None follow _slope, as in solve_constraint_ode.
+    """
+    entry = FAMILIES.get(family)
+    if entry is None or entry.coefficient is None:
+        raise SpecificationError(f"unknown constraint family {family!r}")
+    h = sol.spacing()
+    k, t, kp, tp = _coefficient_arrays(sol.grid, kappa, tau, kappa_prime, tau_prime)
+    lam = sol.lam
+    lam_p = diff1_o4(lam, h)
+    lam_pp = diff1_o4(lam_p, h)
+
+    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
+    c1, c2, c3 = cross(lam, lam_p, lam_pp, k, t, kp, tp)
+    norm = np.sqrt(c1**2 + c2**2 + c3**2)
+    raw = entry.coefficient[1](c1, c2, c3, lam, k, t)
+    scale = np.where(norm > 1e-12, norm, 1.0)
+    return (np.abs(raw) / scale)[4:-4]
+
+
+REF_SIZES = [9, 2001, 20001]
+
+
+def _ref_coefficients(kind):
+    if kind == "constant":
+        return 0.8, 0.6
+    return (lambda s: 0.7 + 0.1 * math.sin(s)), (lambda s: 0.6 + 0.1 * math.cos(3.0 * s))
+
+
+def _assert_bits(got, want):
+    assert got.size >= 1
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", REF_SIZES)
+@pytest.mark.parametrize("ratio", [0.5, 1.0, 2.0])
+def test_offset_residual_bits_linear(ratio, n):
+    grid = np.linspace(0.0, 1.0, n)
+    for kappa in (np.full(n, 0.8), 0.7 + 0.1 * np.sin(grid)):
+        sol = solve_linear(kappa, ratio, 1.0, grid)
+        _assert_bits(offset_residual(sol, linear_equation(kappa, ratio), 1),
+                     _ref_linear_ode(sol, kappa, ratio))
+
+
+@pytest.mark.parametrize("n", REF_SIZES)
+def test_offset_residual_bits_hyperbolic(n):
+    a, b, k, t = 0.7, 1.3, 0.8, 0.6
+    sol = lambda_helix_hyperbolic(a, b, k, t, 0.3, 0.4, np.linspace(0.0, 1.0, n))
+    _assert_bits(offset_residual(sol, helix_equation(a, b, k, t), 2),
+                 _ref_helix_ode(sol, a, b, k, t))
+
+
+@pytest.mark.parametrize("n", REF_SIZES)
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+def test_offset_residual_bits_riccati(kind, n):
+    grid = np.linspace(0.0, 1.0, n)
+    kappa, tau = _ref_coefficients(kind)
+    k, t, _, tp = _coefficient_arrays(grid, kappa, tau)
+    particular = solve_riccati(kappa, tau, 0.3, grid)
+    worst = float(np.max(_ref_riccati_z(particular, kappa, tau)))
+    _assert_bits(offset_residual(particular, riccati_z(k, t, tp), 1),
+                 _ref_riccati_z(particular, kappa, tau))
+    # riccati_linearize's own check of the particular solution rejects
+    # exactly when the reference residual exceeds its 1e-6 bound.
+    if worst > 1e-6:
+        with pytest.raises(SpecificationError, match="particular solution residual"):
+            riccati_linearize(particular, kappa, tau, grid, lambda0=0.5)
+        return
+    lin = riccati_linearize(particular, kappa, tau, grid, lambda0=0.5)
+    _assert_bits(offset_residual(lin, riccati_z(k, t, tp), 1), _ref_riccati_z(lin, kappa, tau))
+
+
+@pytest.mark.parametrize("n", REF_SIZES)
+@pytest.mark.parametrize("kind", ["constant", "callable"])
+@pytest.mark.parametrize("family", ["NO", "NR", "BR", "BO"])
+def test_constraint_residual_bits(family, kind, n):
+    grid = np.linspace(0.0, 1.0, n)
+    kappa, tau = _ref_coefficients(kind)
+    ratio = 0.7 if family == "BO" else None
+    sol = solve_constraint_ode(family, kappa, tau, (0.3, 0.0), grid, ratio=ratio)
+    _assert_bits(constraint_residual(sol, family, kappa, tau),
+                 _ref_constraint(sol, family, kappa, tau))
+    # Sampled slopes, as the oracle passes them from the base frames.
+    slopes = (0.1 * np.cos(grid), -0.3 * np.sin(3.0 * grid))
+    _assert_bits(constraint_residual(sol, family, kappa, tau, *slopes),
+                 _ref_constraint(sol, family, kappa, tau, *slopes))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_offset_residual_keeps_one_row_at_the_smallest_grid(order):
+    n = 4 * order + 1
+    sol = lambda_involute(1.0, np.linspace(0.0, 1.0, n))
+    assert offset_residual(sol, lambda lam, lam_p, _: 1.0 + lam_p, order).shape == (1,)
+    short = lambda_involute(1.0, np.linspace(0.0, 1.0, n - 1))
+    with pytest.raises(InsufficientDataError, match=f"at least {n} samples, got {n - 1}"):
+        offset_residual(short, lambda lam, lam_p, _: 1.0 + lam_p, order)
