@@ -23,14 +23,14 @@ formulas, kept verbatim for the formula audit in :mod:`curvemates.verify`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import PlanarityError, SpecificationError
 from .geometry import FrameData, SampledCurve, frenet_from_cross
-from .numdiff import cross3
+from .numdiff import cross3, rowmap
 from .solvers import LambdaSolution
 
 VECTORS = ("T", "N", "B")
@@ -165,9 +165,12 @@ def _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp,
 
 
 def _embed(components: np.ndarray, frames: FrameData) -> np.ndarray:
-    """Lift frame-basis components (n, 3) to world vectors."""
-    return (components[..., 0:1] * frames.T + components[..., 1:2] * frames.N
-            + components[..., 2:3] * frames.B)
+    """Lift frame-basis components (n, 3) to world vectors, summed into one
+    array in the order c0 T + c1 N + c2 B."""
+    out = components[:, 0:1] * frames.T
+    out += components[:, 1:2] * frames.N
+    out += components[:, 2:3] * frames.B
+    return out
 
 
 def _closed_form(
@@ -447,6 +450,12 @@ def classify_special_case(spec: AssociationSpec, lam_sol: LambdaSolution) -> str
     return "generic"
 
 
+def _rows(data, lo: int, hi: int):
+    """A copy of a FrameData or LambdaSolution holding rows lo..hi of each array."""
+    return replace(data, **{f.name: value[lo:hi] for f in fields(data)
+                            if isinstance(value := getattr(data, f.name), np.ndarray)})
+
+
 @dataclass(frozen=True)
 class PredictedMate:
     """A constructed mate with its closed-form frames and curvatures."""
@@ -496,13 +505,21 @@ def associate(
             f"{spec.code} association requires a constant offset (lambda' = 0)"
         )
 
-    mate = construct_mate(base, spec.vector, lam_sol)
     lam_ppp = lam_sol.lam_third()
-    T_star, N_star, B_star, ks_c, ts_c, defined = _closed_form(
-        base.frames, spec.vector, lam_sol, lam_ppp)
-    ks, ts = predicted_curvature_arrays(base.frames, spec, lam_sol, lam_ppp)
+
+    def rows(lo, hi):
+        frames, lam = _rows(base.frames, lo, hi), _rows(lam_sol, lo, hi)
+        # On lambda's own grid rows, so that construct_mate's grid check is an identity test.
+        block = SampledCurve(grid=lam.grid, positions=base.positions[lo:hi], frames=frames)
+        return (construct_mate(block, spec.vector, lam).positions,
+                *_closed_form(frames, spec.vector, lam, lam_ppp[lo:hi]),
+                *predicted_curvature_arrays(frames, spec, lam, lam_ppp[lo:hi]))
+
+    positions, T_star, N_star, B_star, ks_c, ts_c, defined, ks, ts = rowmap(
+        rows, base.n)
     return PredictedMate(
-        base=base, mate=mate, family=spec, lam=lam_sol,
+        base=base, mate=SampledCurve(grid=base.grid, positions=positions),
+        family=spec, lam=lam_sol,
         T_star=T_star, N_star=N_star, B_star=B_star,
         kappa_star=ks, tau_star=ts,
         kappa_star_closed=ks_c, tau_star_closed=ts_c,

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import numdiff
 from .errors import (
     CurvatureDegenerateError,
     DomainError,
@@ -27,14 +28,13 @@ from .numdiff import (
     diff2,
     diff3,
     norm3,
+    rowmap,
     same_grid,
     uniform_spacing,
 )
 
 KAPPA_FLOOR_DEFAULT = 1e-8
 SPEED_FLOOR_DEFAULT = 1e-12
-# Rows of reparametrize_arclength's fine grid held at a time.
-_BLOCK_ROWS = 2**15
 
 _ANALYTIC_KINDS = ("circle", "helix")
 
@@ -217,18 +217,21 @@ def frenet_from_cross(
 
 
 def _frenet_from_derivs(
-    d1: np.ndarray, d2: np.ndarray, d3: np.ndarray, kappa_min: float, strict: bool,
-    grid: np.ndarray,
+    d1: np.ndarray, d2: np.ndarray, d3: np.ndarray, kappa_min: float
 ) -> tuple[np.ndarray, ...]:
     """Frames from derivative arrays via the general (non-unit-speed) formulas."""
     T, B, kappa, tau, speed, cn = frenet_from_cross(d1, cross3(d1, d2), d3)
     valid = (speed > SPEED_FLOOR_DEFAULT) & (kappa > kappa_min)
-    if strict and not np.all(valid):
+    return T, cross3(B, T), B, kappa, tau, speed, cn, valid
+
+
+def _require_valid(valid: np.ndarray, kappa_min: float, grid: np.ndarray) -> None:
+    """Raise CurvatureDegenerateError at the first row of ``grid`` not ``valid``."""
+    if not np.all(valid):
         raise CurvatureDegenerateError(
             f"curvature below floor {kappa_min:g} (straight or singular segment)"
             f" at s={grid[int(np.argmin(valid))]}"
         )
-    return T, cross3(B, T), B, kappa, tau, speed, cn, valid
 
 
 def curvature_derivatives(
@@ -272,19 +275,25 @@ def frenet_frames_sampled(
         raise SpecificationError("positions must be (n, 3) aligned with grid")
     if positions.shape[0] < 7:
         raise InsufficientDataError("numeric frames need at least 7 samples")
+    # One h for every block: a block's own first step can differ in the last ulp.
     h = uniform_spacing(grid)
-    d1 = diff1(positions, h)
-    d2 = diff2(positions, h)
-    d3 = diff3(positions, h)
-    T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(
-        d1, d2, d3, kappa_min, strict=strict, grid=grid
-    )
-    n2, n3, n4 = (norm3(d) for d in (d2, d3, diff1(d3, h)))
-    tiny = 1e-300
-    est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
-    est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
+
+    def rows(lo, hi):
+        p = positions[lo:hi]
+        d1, d2, d3 = diff1(p, h), diff2(p, h), diff3(p, h)
+        T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(d1, d2, d3, kappa_min)
+        n2, n3, n4 = (norm3(d) for d in (d2, d3, diff1(d3, h)))
+        tiny = 1e-300
+        est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
+        est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
+        return T, N, B, kappa, tau, speed, valid, est_tangent + est_binormal
+
+    # diff1 of diff3 reaches three rows on each side.
+    T, N, B, kappa, tau, speed, valid, direction_error = rowmap(rows, grid.size, halo=3)
+    if strict:
+        _require_valid(valid, kappa_min, grid)
     return FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau, speed=speed, valid=valid,
-                     direction_error=est_tangent + est_binormal)
+                     direction_error=direction_error)
 
 
 def sample_curve(
@@ -298,18 +307,25 @@ def sample_curve(
     if grid[0] < lo - 1e-12 or grid[-1] > hi + 1e-12:
         raise DomainError("grid extends outside the curve domain")
     if spec.is_analytic:
-        d0, d1, d2, d3 = spec._analytic_derivs(grid)
+        def rows(lo, hi):
+            d0, d1, d2, d3 = spec._analytic_derivs(grid[lo:hi])
+            if not with_frames:
+                return (d0,)
+            T, N, B, kappa, tau, speed, _, valid = _frenet_from_derivs(
+                d1, d2, d3, KAPPA_FLOOR_DEFAULT)
+            return d0, T, N, B, kappa, tau, speed, valid
+
+        d0, *frame_rows = rowmap(rows, grid.size)
         frames = None
         if with_frames:
-            T, N, B, kappa, tau, speed, _, _ = _frenet_from_derivs(
-                d1, d2, d3, KAPPA_FLOOR_DEFAULT, strict=True, grid=grid
-            )
+            T, N, B, kappa, tau, speed, valid = frame_rows
+            _require_valid(valid, KAPPA_FLOOR_DEFAULT, grid)
             zeros = np.zeros_like(kappa)
             # Named families have constant curvature and torsion.
             frames = FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau,
                                kappa_prime=zeros, tau_prime=zeros, speed=speed,
                                kappa_second=zeros, tau_second=zeros,
-                               valid=np.ones_like(kappa, dtype=bool))
+                               valid=valid)
         return SampledCurve(grid=grid, positions=d0, frames=frames)
 
     pts = spec.points
@@ -371,16 +387,18 @@ def reparametrize_arclength(
     from a PCHIP interpolant, which preserves the strict monotonicity of the
     quadrature.
 
-    The fine grid is processed in blocks of ``_BLOCK_ROWS`` rows, so no
-    (m, 3) array and no m-node interpolant is ever held, and the result has
-    the bits of the whole-grid computation. Every step but the integral is
-    local: a row's spline value, central difference and norm need only its
-    own block plus two halo rows on each side; a PCHIP slope depends only on
-    its node's two neighbouring secants, so each block's piece of t(s) comes
-    from a PCHIP fit on that block's nodes plus two on each side, whose
-    slopes on the block are interior slopes from the same three nodes as in
-    the whole-grid interpolant. Only the cumulative sum runs on the whole
-    (m,) speed array.
+    Every step but the integral is row-local and runs through
+    :func:`numdiff.rowmap`, in blocks on the usable CPUs, so no (m, 3)
+    array and no m-node interpolant is ever held, and the result has the
+    bits of the whole-grid computation. The speed is taken on blocks of the
+    fine grid: a row's spline value, central difference and norm need only
+    one halo row on each side. t(s) is taken on blocks of the n output
+    rows, each fitted in pieces of at most ``numdiff._BLOCK_ROWS`` fine
+    intervals: a PCHIP slope depends only on its node's two neighbouring
+    secants, so a piece's values come from a PCHIP fit on its nodes plus
+    two on each side, whose slopes there are interior slopes from the same
+    three nodes as in the whole-grid interpolant. Only the cumulative sum
+    runs on the whole (m,) speed array.
     """
     if n < 7:
         raise SpecificationError("reparametrization needs n >= 7")
@@ -396,22 +414,20 @@ def reparametrize_arclength(
     m = max(8 * n + 1, 4097)
     t_fine = np.linspace(t0, t1, m)
     h = float(t_fine[1] - t_fine[0])
-    blocks = [(a, min(a + _BLOCK_ROWS, m)) for a in range(0, m, _BLOCK_ROWS)]
     if not curve.is_analytic:
         pts = curve.points
         spline = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)
         # As in sample_curve, samples already on the fine grid are used as given.
         given = same_grid(pts[:, 0], t_fine)
-    speed = np.empty(m)
-    for a, b in blocks:
+
+    def speed_rows(lo, hi):
         if curve.is_analytic:
-            d1 = curve._analytic_derivs(t_fine[a:b])[1]
+            d1 = curve._analytic_derivs(t_fine[lo:hi])[1]
         else:
-            # Two halo rows: a one-row last block still gets diff1's three end rows.
-            lo, hi = max(a - 2, 0), min(b + 2, m)
-            pos = pts[lo:hi, 1:4] if given else spline(t_fine[lo:hi])
-            d1 = diff1(pos, h)[a - lo:b - lo]
-        speed[a:b] = norm3(d1)
+            d1 = diff1(pts[lo:hi, 1:4] if given else spline(t_fine[lo:hi]), h)
+        return (norm3(d1),)
+
+    speed, = rowmap(speed_rows, m, halo=1)
     if np.min(speed) <= tol:
         bad = float(t_fine[int(np.argmin(speed))])
         raise RegularityError(
@@ -423,14 +439,24 @@ def reparametrize_arclength(
     total = float(s_of_t[-1])
 
     s_grid = np.linspace(0.0, total, n)
-    # The arc lengths in [s_of_t[a], s_of_t[b]) lie in fine intervals a..b-1.
-    firsts = np.searchsorted(s_grid, s_of_t[::_BLOCK_ROWS])
-    lasts = np.append(firsts[1:], n)
-    t_grid = np.empty(n)
-    for (a, b), qa, qb in zip(blocks, firsts, lasts):
-        if qa < qb:
-            lo, hi = max(a - 2, 0), min(b + 3, m)
-            t_grid[qa:qb] = PchipInterpolator(s_of_t[lo:hi], t_fine[lo:hi])(s_grid[qa:qb])
+
+    def t_rows(lo, hi):
+        s = s_grid[lo:hi]
+        # Fine interval i holds the s with s_of_t[i] <= s < s_of_t[i + 1], and
+        # s = total sits on node m - 1, the end of the last interval. The
+        # intervals a..a + step - 1 are fitted at a time, on their nodes and
+        # two more on each side.
+        step = numdiff._BLOCK_ROWS
+        first, last = np.searchsorted(s_of_t, s[[0, -1]], side="right") - 1
+        starts = np.arange(first, last + 1, step)
+        cuts = [0, *np.searchsorted(s, s_of_t[starts[1:]]), s.size]
+        t = np.empty(s.size)
+        for a, qa, qb in zip(starts, cuts, cuts[1:]):
+            fit = slice(max(a - 2, 0), a + step + 3)
+            t[qa:qb] = PchipInterpolator(s_of_t[fit], t_fine[fit])(s[qa:qb])
+        return (t,)
+
+    t_grid, = rowmap(t_rows, n)
     t_grid[0], t_grid[-1] = t0, t1
     del t_fine, s_of_t
     if curve.is_analytic:

@@ -1,4 +1,5 @@
-"""Finite-difference stencils on uniform grids, and row kernels for (n, 3) arrays.
+"""Finite-difference stencils on uniform grids, row kernels for (n, 3) arrays,
+and the row-block executor.
 
 All interior stencils are central and second order; boundary rows use
 one-sided second-order stencils so every returned array matches the input
@@ -6,12 +7,31 @@ length. ``diff1_o4`` is the fourth-order first derivative of
 ``solvers.offset_residual``, whose residuals must stay well below solver
 tolerances; that rule trims its second-order edge rows. ``norm3`` and
 ``cross3`` are the row norm and row cross product of (n, 3) arrays.
+
+``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows
+on the usable CPUs and stitches the blocks, with the bits of one call on
+all rows.
 """
 from __future__ import annotations
+
+import contextvars
+import os
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError
+
+# Rows per rowmap block; a grid of at most this many rows runs in one call.
+_BLOCK_ROWS = 2**15
+# diff3, the widest stencil, needs 7 rows: a shorter tail joins the block before it.
+_MIN_BLOCK_ROWS = 7
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+_WORKER = threading.local()
 
 
 def uniform_spacing(grid: np.ndarray) -> float:
@@ -127,3 +147,94 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
             -y[1:-2:2] + 8.0 * y[2:-1:2] + 5.0 * y[3::2]
         )
     return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _WORKER.active = True
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The module's executor, made on first use with one worker per usable CPU."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="curvemates-rowmap",
+                                       initializer=_mark_worker)
+        return _POOL
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist there, and a pool
+    that believes they do would queue blocks that never run."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """Rows 0..n in blocks of ``_BLOCK_ROWS``; a tail shorter than
+    ``_MIN_BLOCK_ROWS`` joins the block before it."""
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _MIN_BLOCK_ROWS:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _run_block(fn, n, halo, a, b, err):
+    lo, hi = max(a - halo, 0), min(b + halo, n)
+    # numpy 2 keeps errstate in the copied context; numpy 1 keeps it per thread.
+    with np.errstate(**err):
+        parts = fn(lo, hi)
+    return [part[a - lo:b - lo] for part in parts]
+
+
+def rowmap(
+    fn: Callable[[int, int], Sequence[np.ndarray]], n: int, halo: int = 0
+) -> tuple[np.ndarray, ...]:
+    """The arrays of ``fn(0, n)``, computed in blocks of rows on the usable CPUs.
+
+    ``fn(lo, hi)`` returns arrays whose first axis holds rows ``lo..hi``, and
+    each of its rows may depend on the rows within ``halo`` of it. Rows
+    ``0..n`` go in the blocks of :func:`_blocks`. Each block gets ``halo``
+    extra rows on each side (fewer at the ends of the grid), which are
+    trimmed before its rows are written into arrays of n rows, so the
+    result has the bits of ``fn(0, n)`` for any row-local ``fn``. Blocks
+    run on a shared thread pool, one worker per usable CPU, each in a copy
+    of the caller's ``contextvars`` context and ``np.errstate``. With one
+    block or one usable CPU, and inside a block, ``fn(0, n)`` runs inline
+    and no thread is started. When blocks raise, the exception of the
+    first failing block in row order propagates once every running block
+    has stopped.
+    """
+    blocks = _blocks(n)
+    if len(blocks) < 2 or getattr(_WORKER, "active", False) or _usable_cpus() < 2:
+        return tuple(fn(0, n))
+    pool, err = _pool(), np.geterr()
+    pending = deque(
+        (a, b, pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b, err))
+        for a, b in blocks)
+    outs = None
+    try:
+        while pending:
+            # Popped before its result is read, so no future keeps a stitched block alive.
+            a, b, future = pending.popleft()
+            parts = future.result()
+            if outs is None:
+                outs = tuple(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts)
+            for out, part in zip(outs, parts):
+                out[a:b] = part
+    finally:
+        for _, _, future in pending:
+            future.cancel()
+        wait([future for _, _, future in pending])
+    return outs
