@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebint, chebval, chebvander
 
-from . import numdiff
 from .errors import (
     CurvatureDegenerateError,
     DomainError,
@@ -21,22 +21,22 @@ from .errors import (
     RegularityError,
     SpecificationError,
 )
-from .numdiff import (
-    cross3,
-    cumulative_simpson,
-    diff1,
-    diff2,
-    diff3,
-    norm3,
-    rowmap,
-    same_grid,
-    uniform_spacing,
-)
+from .numdiff import cross3, diff1, diff2, diff3, norm3, rowmap, same_grid, uniform_spacing
 
 KAPPA_FLOOR_DEFAULT = 1e-8
 SPEED_FLOOR_DEFAULT = 1e-12
 
 _ANALYTIC_KINDS = ("circle", "helix")
+
+# reparametrize_arclength's Chebyshev-Lobatto nodes, ascending. _CHEB_FIT maps values there to
+# series coefficients; _CHEB_INT and _CHEB_DER to those of its integral from -1 and derivative.
+_EQUAL_PIECES = 64
+_CHEB_POINTS = 12
+_CHEB_NODES = -np.cos(np.pi * np.arange(_CHEB_POINTS) / (_CHEB_POINTS - 1))
+_CHEB_FIT = np.linalg.inv(chebvander(_CHEB_NODES, _CHEB_POINTS - 1))
+_CHEB_INT = chebint(_CHEB_FIT, lbnd=-1.0)
+_CHEB_DER = chebder(_CHEB_FIT)
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,12 @@ class CurveSpec:
         if self.kind == "samples":
             return float(self.points[0, 0]), float(self.points[-1, 0])
         return (-math.inf, math.inf)
+
+    def interpolant(self):
+        """The not-a-knot cubic spline through the samples, s to (x, y, z)."""
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.points[:, 0], self.points[:, 1:4], axis=0)
 
     def closed_form_curvature(self) -> float:
         """kappa of the named family (circle: 1/r; helix: a/(a^2+b^2))."""
@@ -329,12 +335,7 @@ def sample_curve(
         return SampledCurve(grid=grid, positions=d0, frames=frames)
 
     pts = spec.points
-    from scipy.interpolate import CubicSpline
-
-    if same_grid(pts[:, 0], grid):
-        pos = pts[:, 1:4]
-    else:
-        pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(grid)
+    pos = pts[:, 1:4] if same_grid(pts[:, 0], grid) else spec.interpolant()(grid)
     frames = (with_arclength_derivatives(frenet_frames_sampled(grid, pos),
                                          uniform_spacing(grid)) if with_frames else None)
     return SampledCurve(grid=grid, positions=pos, frames=frames)
@@ -382,23 +383,10 @@ def reparametrize_arclength(
 ) -> SampledCurve:
     """Resample ``curve`` at n equally spaced arc-length values.
 
-    Cumulative Simpson quadrature of the speed on a fine grid of
-    m = max(8n + 1, 4097) points gives s(t); the monotone inverse t(s) comes
-    from a PCHIP interpolant, which preserves the strict monotonicity of the
-    quadrature.
-
-    Every step but the integral is row-local and runs through
-    :func:`numdiff.rowmap`, in blocks on the usable CPUs, so no (m, 3)
-    array and no m-node interpolant is ever held, and the result has the
-    bits of the whole-grid computation. The speed is taken on blocks of the
-    fine grid: a row's spline value, central difference and norm need only
-    one halo row on each side. t(s) is taken on blocks of the n output
-    rows, each fitted in pieces of at most ``numdiff._BLOCK_ROWS`` fine
-    intervals: a PCHIP slope depends only on its node's two neighbouring
-    secants, so a piece's values come from a PCHIP fit on its nodes plus
-    two on each side, whose slopes there are interior slopes from the same
-    three nodes as in the whole-grid interpolant. Only the cumulative sum
-    runs on the whole (m,) speed array.
+    The domain is cut into ``_EQUAL_PIECES`` equal pieces and at each knot of
+    a sampled curve's spline. On each piece, the Chebyshev series through the
+    exact speed |a'| at the nodes, integrated, gives s(t) and the length; t(s)
+    is the Chebyshev interpolant in s, its node values found by Newton's method.
     """
     if n < 7:
         raise SpecificationError("reparametrization needs n >= 7")
@@ -409,68 +397,50 @@ def reparametrize_arclength(
     if t0 < lo - 1e-12 or t1 > hi + 1e-12:
         raise DomainError("requested domain extends outside the curve")
 
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
-    m = max(8 * n + 1, 4097)
-    t_fine = np.linspace(t0, t1, m)
-    h = float(t_fine[1] - t_fine[0])
+    cuts = np.linspace(t0, t1, _EQUAL_PIECES + 1)
     if not curve.is_analytic:
-        pts = curve.points
-        spline = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)
-        # As in sample_curve, samples already on the fine grid are used as given.
-        given = same_grid(pts[:, 0], t_fine)
-
-    def speed_rows(lo, hi):
-        if curve.is_analytic:
-            d1 = curve._analytic_derivs(t_fine[lo:hi])[1]
-        else:
-            d1 = diff1(pts[lo:hi, 1:4] if given else spline(t_fine[lo:hi]), h)
-        return (norm3(d1),)
-
-    speed, = rowmap(speed_rows, m, halo=1)
+        spline = curve.interpolant()
+        cuts = np.union1d(cuts, spline.x[(spline.x > t0) & (spline.x < t1)])
+    # (node, piece) arrays. On a piece x = (t - mid) / half, and s = half * arc(x).
+    mid, half = (cuts[1:] + cuts[:-1]) / 2.0, (cuts[1:] - cuts[:-1]) / 2.0
+    t_nodes = (mid + half * _CHEB_NODES[:, None]).ravel()
+    d1 = curve._analytic_derivs(t_nodes)[1] if curve.is_analytic else spline(t_nodes, 1)
+    speed = norm3(d1).reshape(_CHEB_POINTS, mid.size)
     if np.min(speed) <= tol:
-        bad = float(t_fine[int(np.argmin(speed))])
-        raise RegularityError(
-            f"near-zero speed {np.min(speed):.3e} at s={bad:.6g}; curve is not regular there",
-            s=bad,
-        )
-    s_of_t = cumulative_simpson(speed, h)
-    del speed  # the (m,) arrays are this function's largest; each goes once used
-    total = float(s_of_t[-1])
+        bad = float(t_nodes[int(np.argmin(speed))])
+        raise RegularityError(f"near-zero speed {np.min(speed):.3e} at s={bad:.6g}; curve is"
+                              " not regular there", s=bad)
+    # Products with (node, piece) arrays are einsum: BLAS threads cost more than they save.
+    arc = np.einsum("jk,kp->jp", chebvander(_CHEB_NODES, _CHEB_POINTS) @ _CHEB_INT, speed)
+    target = arc[-1] * ((_CHEB_NODES[:, None] + 1.0) / 2.0)
+    # Newton's method for arc(x) = target, from the nodes, where the slope is
+    # the speed. A step d leaves an error in t of at most bound * d**2.
+    bound = half * np.abs(np.einsum("mk,kp->mp", _CHEB_DER, speed)).sum(0) / (2 * speed.min(0))
+    step = (arc - target) / speed
+    x = _CHEB_NODES[:, None] - step
+    for _ in range(_NEWTON_STEPS):
+        if np.max(bound * (step * step).max(0)) <= np.spacing(max(abs(t0), abs(t1))):
+            break
+        step = chebval(x, np.einsum("mk,kp->mp", _CHEB_INT, speed), tensor=False) - target
+        step /= chebval(x, np.einsum("mk,kp->mp", _CHEB_FIT, speed), tensor=False)
+        x = np.clip(x - step, -1.0, 1.0)
 
-    s_grid = np.linspace(0.0, total, n)
-
-    def t_rows(lo, hi):
-        s = s_grid[lo:hi]
-        # Fine interval i holds the s with s_of_t[i] <= s < s_of_t[i + 1], and
-        # s = total sits on node m - 1, the end of the last interval. The
-        # intervals a..a + step - 1 are fitted at a time, on their nodes and
-        # two more on each side.
-        step = numdiff._BLOCK_ROWS
-        first, last = np.searchsorted(s_of_t, s[[0, -1]], side="right") - 1
-        starts = np.arange(first, last + 1, step)
-        cuts = [0, *np.searchsorted(s, s_of_t[starts[1:]]), s.size]
-        t = np.empty(s.size)
-        for a, qa, qb in zip(starts, cuts, cuts[1:]):
-            fit = slice(max(a - 2, 0), a + step + 3)
-            t[qa:qb] = PchipInterpolator(s_of_t[fit], t_fine[fit])(s[qa:qb])
-        return (t,)
-
-    t_grid, = rowmap(t_rows, n)
+    edges = np.concatenate([[0.0], np.cumsum(half * arc[-1])])
+    s_grid = np.linspace(0.0, float(edges[-1]), n)
+    p = np.searchsorted(edges[1:-1], s_grid, side="right")
+    y = 2.0 * (s_grid - edges[p]) / (half[p] * arc[-1, p]) - 1.0
+    x_rows = chebval(y, np.einsum("mk,kp->mp", _CHEB_FIT, x)[:, p], tensor=False)
+    t_grid = mid[p] + half[p] * x_rows
     t_grid[0], t_grid[-1] = t0, t1
-    del t_fine, s_of_t
-    if curve.is_analytic:
-        pos = curve._analytic_derivs(t_grid)[0]
-    else:
-        pos = spline(t_grid)
+    pos = curve._analytic_derivs(t_grid)[0] if curve.is_analytic else spline(t_grid)
 
     # The frames' speed is the finite-difference |a'| of the unit-speed check.
     frames = frenet_frames_sampled(s_grid, pos, strict=False)
     h = uniform_spacing(s_grid)
-    dev = float(np.max(np.abs(frames.speed[1:-1] - 1.0)))
-    if dev > max(tol, 50.0 * h * h):
-        raise RegularityError(
-            f"unit-speed residual {dev:.3e} exceeds tolerance after reparametrization"
-        )
+    dev = np.abs(frames.speed[1:-1] - 1.0)
+    if dev.max() > max(tol, 50.0 * h * h):
+        bad = float(s_grid[1 + np.argmax(dev)])
+        raise RegularityError(f"unit-speed residual {dev.max():.3e} exceeds tolerance after"
+                              f" reparametrization at s={bad:.6g}", s=bad)
     return SampledCurve(grid=s_grid, positions=pos,
                         frames=with_arclength_derivatives(frames, h))

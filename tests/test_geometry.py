@@ -20,7 +20,7 @@ from curvemates.errors import (
     SpecificationError,
 )
 from curvemates.geometry import FrameData, curvature_derivatives, frenet_frames_sampled
-from curvemates.numdiff import cumulative_simpson, diff1, diff3, norm3, uniform_spacing
+from curvemates.numdiff import diff1, diff3, norm3, uniform_spacing
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -80,6 +80,9 @@ def test_evaluate_sampled_matches_analytic():
                                                                0 * fine]), atol=1e-9)
     np.testing.assert_allclose(diff1(off.positions, fine[1] - fine[0])[601],
                                [-math.sin(1), math.cos(1), 0], atol=1e-4)
+    # That interpolant is scipy's not-a-knot CubicSpline, bit for bit.
+    from scipy.interpolate import CubicSpline
+    assert_same_bits(off.positions, CubicSpline(s, pts[:, 1:4], axis=0)(fine))
 
 
 def test_evaluate_domain_and_order_errors():
@@ -222,80 +225,83 @@ def test_reparametrize_needs_enough_points():
         reparametrize_arclength(CurveSpec.circle(1.0), (0.0, 1.0), n=5)
 
 
-def reparametrize_whole_grid(curve, domain, n):
-    """The whole-grid reparametrization that the blocked one must reproduce
-    bit for bit: (m, 3) derivative tables and one m-node PCHIP interpolant."""
-    from scipy.interpolate import CubicSpline, PchipInterpolator
-
-    t0, t1 = domain
-    m = max(8 * n + 1, 4097)
-    t_fine = np.linspace(t0, t1, m)
-    if curve.is_analytic:
-        d1 = curve._analytic_derivs(t_fine)[1]
-    else:
-        d1 = diff1(sample_curve(curve, t_fine, with_frames=False).positions,
-                   uniform_spacing(t_fine))
-    s_of_t = cumulative_simpson(norm3(d1), t_fine[1] - t_fine[0])
-    s_grid = np.linspace(0.0, float(s_of_t[-1]), n)
-    t_grid = np.asarray(PchipInterpolator(s_of_t, t_fine)(s_grid), dtype=float)
-    t_grid[0], t_grid[-1] = t0, t1
-    if curve.is_analytic:
-        pos = curve._analytic_derivs(t_grid)[0]
-    else:
-        pts = curve.points
-        pos = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0)(t_grid)
-    frames = frenet_frames_sampled(s_grid, pos, strict=False)
-    kp, tp, ks, ts = curvature_derivatives(frames.kappa, frames.tau, frames.speed,
-                                           uniform_spacing(s_grid))
-    frames = dataclasses.replace(frames, kappa_prime=kp, tau_prime=tp, kappa_second=ks,
-                                 tau_second=ts)
-    return SampledCurve(grid=s_grid, positions=pos, frames=frames)
+def test_reparametrize_names_the_row_off_unit_speed():
+    # A tight circle at a coarse step: the stencil speed is off by
+    # (kappa*h)^2/6 = 1.7e-5 on every interior row, above max(tol, 50 h^2).
+    with pytest.raises(RegularityError) as err:
+        reparametrize_arclength(CurveSpec.circle(0.05), (0.0, 1.0), 2001)
+    s = err.value.s
+    assert s is not None and 0.0 < s < 1.0
+    assert f"s={s:.6g}" in str(err.value)
 
 
-def wobbly_helix_samples(t_end=5.0, rows=400, seed=7, t=None):
+def wobbly_helix_samples(t_end=5.0, rows=400, seed=7):
     """A seeded, non-unit-speed helix with small harmonics, as (s, x, y, z) rows."""
     rng = np.random.default_rng(seed)
-    t = np.linspace(0.0, t_end, rows) if t is None else t
+    t = np.linspace(0.0, t_end, rows)
     eps = rng.uniform(0.02, 0.06, 3)
     ph = rng.uniform(0.0, 2.0 * math.pi, 3)
     R, c = 1.0 + eps[0] * np.sin(3.0 * t + ph[0]), 0.6 + eps[1] * np.cos(2.0 * t + ph[1])
     return np.column_stack([t, R * np.cos(t), R * np.sin(t), c * t + eps[2] * np.sin(t + ph[2])])
 
 
-def _fine_grid_samples():
-    # n = 5001 gives m = 40001 fine points, the very s column of these rows.
-    n, t_end = 5001, 5.0
-    t = np.linspace(0.0, t_end, 8 * n + 1)
-    return CurveSpec.from_samples(wobbly_helix_samples(t=t)), (0.0, t_end), n
+def quad_length(curve, domain):
+    """Arc length by adaptive quadrature of the exact speed |a'|, summed over
+    the intervals between the spline's knots, where the speed is smooth."""
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
+    t0, t1 = domain
+    if curve.is_analytic:
+        def speed(t):
+            return float(norm3(curve._analytic_derivs(np.array([t]))[1])[0])
+        cuts = [t0, t1]
+    else:
+        pts = curve.points
+        d1 = CubicSpline(pts[:, 0], pts[:, 1:4], axis=0).derivative()
+
+        def speed(t):
+            return float(np.linalg.norm(d1(t)))
+        knots = pts[:, 0]
+        cuts = [t0, *knots[(knots > t0) & (knots < t1)], t1]
+    # epsrel must exceed 50 machine epsilons when epsabs is 0.
+    return math.fsum(quad(speed, a, b, epsabs=0.0, epsrel=1e-13)[0]
+                     for a, b in zip(cuts, cuts[1:]))
+
+
+KNOTS = wobbly_helix_samples()[:, 0]
+
+
+@pytest.mark.parametrize("curve, domain", [
+    (CurveSpec.helix(1.3, 0.4), (-1.0, 4.0)),
+    (CurveSpec.circle(2.0), (0.0, 6.0)),
+    (CurveSpec.from_samples(wobbly_helix_samples()), (0.0, 5.0)),
+    (CurveSpec.from_samples(wobbly_helix_samples()), (0.7, 3.9)),
+    # Six rows: few knots, so the 64 equal pieces carry the accuracy.
+    (CurveSpec.from_samples(wobbly_helix_samples(rows=6)), (0.0, 5.0)),
+    # Both ends on knots.
+    (CurveSpec.from_samples(wobbly_helix_samples()), (KNOTS[37], KNOTS[311])),
+], ids=["helix", "circle", "sampled", "sampled-sub-domain", "six-row-spline", "knot-ends"])
+def test_reparametrize_length_matches_quadrature(curve, domain):
+    out = reparametrize_arclength(curve, domain, 2001)
+    want = quad_length(curve, domain)
+    assert abs(out.grid[-1] - want) <= 1e-12 * want
+
+
+def test_reparametrize_helix_follows_exact_arclength():
+    # (a cos t, a sin t, b t) has s = sqrt(a^2 + b^2) (t - t0).
+    a, b, t0 = 1.3, 0.4, -1.0
+    out = reparametrize_arclength(CurveSpec.helix(a, b), (t0, 4.0), 2001)
+    c = math.hypot(a, b)
+    assert out.grid[-1] == pytest.approx(5.0 * c, rel=1e-14)
+    t = t0 + out.grid / c
+    exact = np.column_stack([a * np.cos(t), a * np.sin(t), b * t])
+    np.testing.assert_allclose(out.positions, exact, rtol=0.0, atol=1e-13)
 
 
 def assert_same_bits(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("case", [
-    "sampled-several-blocks", "sampled-sub-domain", "helix", "circle", "single-block",
-    "one-row-last-block", "samples-on-the-fine-grid",
-])
-def test_reparametrize_blocks_match_whole_grid(case):
-    sampled = CurveSpec.from_samples(wobbly_helix_samples())
-    curve, domain, n = {
-        "sampled-several-blocks": (sampled, (0.0, 5.0), 20001),
-        "sampled-sub-domain": (sampled, (0.7, 3.9), 20001),
-        "helix": (CurveSpec.helix(1.3, 0.4), (-1.0, 4.0), 20001),
-        "circle": (CurveSpec.circle(2.0), (0.0, 6.0), 20001),
-        "single-block": (sampled, (0.0, 5.0), 7),
-        # m = 8 * 4096 + 1 leaves one row for the last block of 2**15.
-        "one-row-last-block": (sampled, (0.0, 5.0), 4096),
-        "samples-on-the-fine-grid": _fine_grid_samples(),
-    }[case]
-    got = reparametrize_arclength(curve, domain, n)
-    want = reparametrize_whole_grid(curve, domain, n)
-    assert_same_bits(got.grid, want.grid)
-    assert_same_bits(got.positions, want.positions)
-    for field in dataclasses.fields(FrameData):
-        assert_same_bits(getattr(got.frames, field.name), getattr(want.frames, field.name))
 
 
 ARCLENGTH_DERIVATIVES = ("kappa_prime", "tau_prime", "kappa_second", "tau_second")
@@ -320,12 +326,11 @@ def test_base_builders_add_arclength_derivatives_to_stencil_frames():
                              want[name] if name in want else getattr(stencil, name))
 
 
-def test_reparametrize_memory_stays_below_ten_fine_arrays():
+def test_reparametrize_memory_stays_below_49_output_arrays():
     # Imported before tracing starts, so loading the modules is not counted.
-    from scipy.interpolate import CubicSpline, PchipInterpolator  # noqa: F401
+    from scipy.interpolate import CubicSpline  # noqa: F401
 
     n = 20001
-    m = 8 * n + 1
     curve = CurveSpec.from_samples(wobbly_helix_samples())
     tracemalloc.start()
     try:
@@ -333,7 +338,7 @@ def test_reparametrize_memory_stays_below_ten_fine_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 8 * m, f"traced peak {peak / (8 * m):.1f} fine-grid arrays"
+    assert peak <= 49 * 8 * n, f"traced peak {peak / (8 * n):.1f} arrays of n rows"
 
 
 # ---------------------------------------------------------------------------
