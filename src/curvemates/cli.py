@@ -44,6 +44,15 @@ DEFAULT_GRID = (0.0, 2.0 * math.pi, 2001)
 _VERDICT_EXIT = {"pass": 0, "fail": 1, "formula-audit-flag": 2}
 ENV_TOL_PREFIX = "CURVEMATES_TOL_"
 
+# The worked examples as verify options: curve, family, coefficients, and the start
+# value that --c0 is added to, passed as --c1 (None for TP's involute, lambda = c0 - s).
+_HELIX = '{"kind": "helix", "a": 0.7071067811865475, "b": 0.7071067811865475}'
+EXAMPLES = {
+    1: ('{"kind": "circle", "r": 1.0}', "TO", "1,1", 1.0),
+    2: (_HELIX, "TP", "-0.7071067811865475,0.7071067811865475", None),
+    3: (_HELIX, "TR", "1,1", math.sqrt(2.0)),
+}
+
 _PLOT_SCRIPT = """\
 #!/usr/bin/env python3
 \"\"\"Plot a base curve and its associated mate from the emitted CSV files.\"\"\"
@@ -159,6 +168,7 @@ def _solve_family_lambda(
     """Default offset solver per family, driven by the CLI constants."""
     grid = base.grid
     code = spec.code
+    c0 = args.c0 if args.c0 is not None else 0.0  # -0.0 keeps its sign
     kappa_arr = base.frames.kappa
     if code in ("TO", "TR"):
         ratio = spec.ratio()
@@ -168,10 +178,10 @@ def _solve_family_lambda(
             kappa0 = float(kappa_arr[0])
             if abs(ratio * kappa0) < 1e-12:
                 raise UsageError("cannot derive c1 from c0: ratio*kappa vanishes")
-            c1 = 1.0 / (ratio * kappa0) + (args.c0 or 0.0)
+            c1 = 1.0 / (ratio * kappa0) + c0
         return solve_linear(kappa_arr, ratio, c1, grid)
     if code == "TP":
-        return lambda_involute(args.c0 or 0.0, grid)
+        return lambda_involute(c0, grid)
     if code == "NO":
         kappa, tau = _named_constants(curve)
         if args.c1 is not None or args.c2 is not None:
@@ -265,52 +275,26 @@ def cmd_verify(args) -> int:
         mate = SampledCurve(grid=mate_grid, positions=mate_pos)
     report = check_association(base, mate, spec, lam_sol=sol, predicted=pred,
                                tolerances=tols)
+    if args.command == "example":
+        base_csv = cio.sampled_curve_to_csv(base)
+        _write(args, "base.csv", base_csv)
+        _write(args, "lambda.csv", cio.lambda_to_csv(sol))
+        _write(args, "mate.csv", cio.mate_to_csv(pred, base_csv))
+        del base_csv
+        if args.emit_plot_script:
+            _write(args, "plot_mates.py", _PLOT_SCRIPT)
     _write(args, "report.json", cio.report_to_json(report))
     print(f"verdict: {report.verdict}")
     return _VERDICT_EXIT[report.verdict]
-
-
-def _example_setup(index: int, c0: float, grid: np.ndarray):
-    """Base curve, family spec, and offset solution of the worked examples."""
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    if index == 1:
-        curve = CurveSpec.circle(1.0)
-        base = sample_curve(curve, grid)
-        spec = AssociationSpec(vector="T", plane="O", coeffs=(1.0, 1.0))
-        sol = solve_linear(base.frames.kappa, 1.0, 1.0 + c0, grid)
-    elif index == 2:
-        curve = CurveSpec.helix(inv_sqrt2, inv_sqrt2)
-        base = sample_curve(curve, grid)
-        spec = AssociationSpec(vector="T", plane="P", coeffs=(-inv_sqrt2, inv_sqrt2))
-        sol = lambda_involute(c0, grid)
-    elif index == 3:
-        curve = CurveSpec.helix(inv_sqrt2, inv_sqrt2)
-        base = sample_curve(curve, grid)
-        spec = AssociationSpec(vector="T", plane="R", coeffs=(1.0, 1.0))
-        sol = solve_linear(base.frames.kappa, 1.0, math.sqrt(2.0) + c0, grid)
-    else:
-        raise UsageError("example index must be 1, 2, or 3")
-    return base, spec, sol
 
 
 def cmd_example(args) -> int:
-    grid = _parse_grid(args.grid)
-    c0 = args.c0 if args.c0 is not None else 0.0
-    base, spec, sol = _example_setup(args.index, c0, grid)
-    tols = _tolerances(args)
-    pred = associate(base, spec, sol)
-    report = check_association(base, pred.mate, spec, lam_sol=sol, predicted=pred,
-                               tolerances=tols)
-    base_csv = cio.sampled_curve_to_csv(base)
-    _write(args, "base.csv", base_csv)
-    _write(args, "lambda.csv", cio.lambda_to_csv(sol))
-    _write(args, "mate.csv", cio.mate_to_csv(pred, base_csv))
-    del base_csv
-    _write(args, "report.json", cio.report_to_json(report))
-    if args.emit_plot_script:
-        _write(args, "plot_mates.py", _PLOT_SCRIPT)
-    print(f"verdict: {report.verdict}")
-    return _VERDICT_EXIT[report.verdict]
+    """Run verify on the example's row of EXAMPLES, also writing its CSV files."""
+    curve, family, coeffs, start = EXAMPLES[args.index]
+    c1 = None if start is None else start + (args.c0 or 0.0)
+    vars(args).update(curve=curve, family=family, coeffs=coeffs, c1=c1, c2=None,
+                      lambda0=None, lambda0_prime=None, lambda_csv=None, mate=None)
+    return cmd_verify(args)
 
 
 def _add_options(sub: argparse.ArgumentParser, *groups: str) -> None:

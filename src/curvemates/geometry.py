@@ -37,6 +37,8 @@ _CHEB_FIT = np.linalg.inv(chebvander(_CHEB_NODES, _CHEB_POINTS - 1))
 _CHEB_INT = chebint(_CHEB_FIT, lbnd=-1.0)
 _CHEB_DER = chebder(_CHEB_FIT)
 _NEWTON_STEPS = 50
+# reparametrize_arclength's speed floor, and its unit-speed bound with 50 h^2.
+_UNIT_SPEED_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,13 @@ class CurveSpec:
 
     def __post_init__(self):
         if self.kind == "circle":
-            if self.r is None or not (self.r > 0):
-                raise SpecificationError("circle requires radius r > 0")
+            if self.r is None or not 0 < self.r < math.inf:
+                raise SpecificationError(f"circle requires a finite radius r > 0, got {self.r!r}")
         elif self.kind == "helix":
-            if self.a is None or self.b is None or not (self.a > 0):
-                raise SpecificationError("helix requires a > 0 and finite b")
+            if self.a is None or not 0 < self.a < math.inf:
+                raise SpecificationError(f"helix requires a finite a > 0, got {self.a!r}")
+            if self.b is None or not math.isfinite(self.b):
+                raise SpecificationError(f"helix requires a finite b, got {self.b!r}")
         elif self.kind == "samples":
             pts = np.asarray(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 2:
@@ -379,7 +383,6 @@ def reparametrize_arclength(
     curve: CurveSpec,
     domain: tuple[float, float],
     n: int,
-    tol: float = 1e-6,
 ) -> SampledCurve:
     """Resample ``curve`` at n equally spaced arc-length values.
 
@@ -391,6 +394,9 @@ def reparametrize_arclength(
     if n < 7:
         raise SpecificationError("reparametrization needs n >= 7")
     t0, t1 = float(domain[0]), float(domain[1])
+    for name, end in (("t0", t0), ("t1", t1)):
+        if not math.isfinite(end):
+            raise SpecificationError(f"domain end {name} must be finite, got {end!r}")
     if not t0 < t1:
         raise SpecificationError("domain must satisfy t0 < t1")
     lo, hi = curve.domain()
@@ -406,7 +412,7 @@ def reparametrize_arclength(
     t_nodes = (mid + half * _CHEB_NODES[:, None]).ravel()
     d1 = curve._analytic_derivs(t_nodes)[1] if curve.is_analytic else spline(t_nodes, 1)
     speed = norm3(d1).reshape(_CHEB_POINTS, mid.size)
-    if np.min(speed) <= tol:
+    if np.min(speed) <= _UNIT_SPEED_TOL:
         bad = float(t_nodes[int(np.argmin(speed))])
         raise RegularityError(f"near-zero speed {np.min(speed):.3e} at s={bad:.6g}; curve is"
                               " not regular there", s=bad)
@@ -438,7 +444,7 @@ def reparametrize_arclength(
     frames = frenet_frames_sampled(s_grid, pos, strict=False)
     h = uniform_spacing(s_grid)
     dev = np.abs(frames.speed[1:-1] - 1.0)
-    if dev.max() > max(tol, 50.0 * h * h):
+    if dev.max() > max(_UNIT_SPEED_TOL, 50.0 * h * h):
         bad = float(s_grid[1 + np.argmax(dev)])
         raise RegularityError(f"unit-speed residual {dev.max():.3e} exceeds tolerance after"
                               f" reparametrization at s={bad:.6g}", s=bad)

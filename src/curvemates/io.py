@@ -14,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -271,34 +271,20 @@ def mate_positions_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _json_safe(value):
+    """JSON data for ``value``: dataclasses as dicts, tuples as lists, nan and inf as strings."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return value
+        return value if math.isfinite(value) else str(float(value))  # "nan", "inf", "-inf"
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _json_safe(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
 def report_to_json(report: VerificationReport) -> str:
-    obj = {
-        "family": {"vector": report.family.vector, "plane": report.family.plane,
-                   "coeffs": list(report.family.coeffs)},
-        "residuals": _json_safe(report.constraint_residuals),
-        "frame_errors": _json_safe(report.frame_errors),
-        "frame_raw_angles": _json_safe(report.frame_raw_angles),
-        "frame_sign_flips": _json_safe(report.frame_sign_flips),
-        "curvature_deltas": _json_safe(report.curvature_deltas),
-        "distance_check": _json_safe(report.distance_check),
-        "excluded_bands": _json_safe(report.excluded_bands),
-        "gated": report.gated,
-        "verdict": report.verdict,
-        "tolerances": _json_safe(asdict(report.tolerances)),
-        "notes": list(report.notes),
-        "gating_table_version": GATING_TABLE_VERSION,
-    }
+    obj = _json_safe(report)
+    obj["residuals"] = obj.pop("constraint_residuals")
+    obj["gating_table_version"] = GATING_TABLE_VERSION
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"

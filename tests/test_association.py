@@ -290,6 +290,79 @@ def test_mate_curvatures_closed_match_numeric(helix_base, grid_0_2, vector, make
 
 
 # ---------------------------------------------------------------------------
+# closed form on exact data: the cubic alpha(t) = (t, t^2/2, t^3/6), where
+# s = t + t^3/6 and kappa = tau = (1 + t^2/2)^-2, with lambda = 0.3 + 0.1 t + 0.05 t^2.
+# Rows are t = 0.3, 0.9 and 1.7; every value is sympy's exact one, rounded to a
+# float. Unlike the named curves, kappa', tau', kappa'' and tau'' are nonzero.
+
+_CUBIC_T = (0.3, 0.9, 1.7)
+_CUBIC_BASE = [  # T, N, B, kappa, tau, kappa', tau', kappa'', tau''
+    (0.9569377990430622, 0.28708133971291866, 0.0430622009569378, -0.28708133971291866,
+     0.9138755980861244, 0.28708133971291866, 0.0430622009569378, -0.28708133971291866,
+     0.9569377990430622, 0.9157299512373801, 0.9157299512373801, -0.5031368061559287,
+     -0.5031368061559287, -1.0520171614410878, -1.0520171614410878),
+    (0.7117437722419929, 0.6405693950177936, 0.28825622775800713, -0.6405693950177936,
+     0.4234875444839858, 0.6405693950177936, 0.28825622775800713, -0.6405693950177936,
+     0.7117437722419929, 0.5065791973252618, 0.5065791973252618, -0.4619204696928718,
+     -0.4619204696928718, 0.47709857433777847, 0.47709857433777847),
+    (0.40899795501022496, 0.6952965235173824, 0.591002044989775, -0.6952965235173824,
+     -0.18200408997955012, 0.6952965235173824, 0.591002044989775, -0.6952965235173824,
+     0.40899795501022496, 0.16727932720254599, 0.16727932720254599, -0.09514006925174391,
+     -0.09514006925174391, 0.0853323071464578, 0.0853323071464578),
+]
+_CUBIC_LAMBDA = [  # lambda, lambda', lambda'', lambda''' in s
+    (0.3345, 0.12440191387559808, 0.05739742756559655, -0.1563174638583332),
+    (0.4305, 0.13523131672597866, -0.010996914959729884, -0.0337170892468581),
+    (0.6145, 0.11042944785276074, -0.014675425638014772, 0.004964725374883496),
+]
+_CUBIC_MATES = {  # kappa*, tau*, T*, B* of alpha + lambda V, per V
+    "T": [
+        (0.7644657500385867, 0.8001640862558632, 0.8478331521345157, 0.5171930736521507,
+         0.11700543024959201, 0.18424946595182784, -0.49424047338067195, 0.849575475616449),
+        (0.35377516956280874, 0.337119348559367, 0.5781171563787558, 0.708959819467135,
+         0.40392638918702545, 0.4586572560525463, -0.6917794425279289, 0.5577407322099551),
+        (0.11987028339964267, 0.10743733063541615, 0.34316670600329424, 0.6755599213351946,
+         0.6525759760950707, 0.6712649304771229, -0.662358680711245, 0.3326926076696058),
+    ],
+    "N": [
+        (0.7096258492420693, -0.020069586910804738, 0.834535209534124, 0.2926647690518918,
+         0.46679579797127424, -0.26084519809038026, -0.5364003564764267, 0.8026421619907296),
+        (0.40549431503966665, 0.6644982151361458, 0.6473846183051296, 0.5084703542378449,
+         0.5677596805367233, -0.12703002979571454, -0.6625276768362769, 0.7381872722798909),
+        (0.1419329071910658, 0.27600283262676156, 0.3857159995347415, 0.5850217720848503,
+         0.7134232221406988, 0.3777347612909551, -0.8056162768293513, 0.45639770444216654),
+    ],
+    "B": [
+        (0.8366844669910298, 0.965360577083717, 0.9971485892955848, -0.0271192131154307,
+         0.0704218655378067, -0.07163450102605722, -0.04669401338468717, 0.9963373762821399),
+        (0.5544464933874227, 0.6029791948083355, 0.8624785889166995, 0.447103547908286,
+         0.23712676168682845, 0.07795280999048786, -0.5803136910378577, 0.8106536741473542),
+        (0.1878795547053768, 0.19783708512731857, 0.5396270047605933, 0.6300936213790062,
+         0.5583768655940181, 0.421742960111394, -0.7763264496764956, 0.4684550342660081),
+    ],
+}
+
+
+@pytest.mark.parametrize("vector", ["T", "N", "B"])
+def test_closed_form_on_exact_cubic_jets(vector):
+    base, lam = np.array(_CUBIC_BASE), np.array(_CUBIC_LAMBDA)
+    frames = FrameData(T=base[:, 0:3], N=base[:, 3:6], B=base[:, 6:9], kappa=base[:, 9],
+                       tau=base[:, 10], speed=np.ones(3), kappa_prime=base[:, 11],
+                       tau_prime=base[:, 12], kappa_second=base[:, 13], tau_second=base[:, 14])
+    sol = LambdaSolution(grid=[t + t**3 / 6.0 for t in _CUBIC_T], lam=lam[:, 0],
+                         lam_prime=lam[:, 1], lam_double_prime=lam[:, 2], provenance="exact")
+    want = np.array(_CUBIC_MATES[vector])
+    ks, ts, defined = mate_curvatures_closed(frames, vector, sol, lam[:, 3])
+    T_star, _, B_star, defined_frames = predicted_frames_grid(frames, vector, sol)
+    assert defined.all() and defined_frames.all()
+    np.testing.assert_allclose(ks, want[:, 0], rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(ts, want[:, 1], rtol=1e-13, atol=0.0)
+    # Unit vectors: an absolute bound is a bound relative to their length.
+    np.testing.assert_allclose(T_star, want[:, 2:5], rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(B_star, want[:, 5:8], rtol=0.0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 

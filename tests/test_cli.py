@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import curvemates
+from curvemates import cli
 from curvemates import io as cio
 from curvemates.cli import main
 
@@ -68,6 +69,36 @@ def test_example_emits_plot_script(tmp_path):
     assert main(["example", "1", "--grid", "0:2:401", "--out", out,
                  "--emit-plot-script"]) == 0
     assert "mate.csv" in read(os.path.join(out, "plot_mates.py"))
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+@pytest.mark.parametrize("c0", ["0.137", "-0.0"])
+def test_example_files_come_from_its_verify_options(index, c0, tmp_path):
+    # Each example is its row of EXAMPLES run through verify's code path, so
+    # frenet, solve-lambda and associate on that row write the same bytes.
+    curve, family, coeffs, start = cli.EXAMPLES[index]
+    grid = "--grid=0:3:201"
+    code = main(["example", str(index), grid, f"--c0={c0}", f"--out={tmp_path / 'ex'}"])
+    offset = [f"--c0={c0}"] if start is None else [f"--c1={start + float(c0)!r}"]
+    row = ["--curve", curve, "--family", family, f"--coeffs={coeffs}", grid]
+    assert main(["verify", *row, *offset, f"--out={tmp_path / 'v'}"]) == code
+    assert main(["frenet", "--curve", curve, grid, f"--out={tmp_path / 'f'}"]) == 0
+    assert main(["solve-lambda", *row, *offset, f"--out={tmp_path / 's'}"]) == 0
+    assert main(["associate", *row, f"--lambda-csv={tmp_path / 'ex' / 'lambda.csv'}",
+                 f"--out={tmp_path / 'a'}"]) == 0
+    for sub, name in (("v", "report.json"), ("f", "base.csv"), ("s", "lambda.csv"),
+                      ("a", "mate.csv")):
+        assert read(tmp_path / sub / name) == read(tmp_path / "ex" / name), name
+
+
+@pytest.mark.parametrize("command", ["solve-lambda", "associate"])
+def test_tp_offset_keeps_the_sign_of_c0(command, tmp_path):
+    # lambda = c0 - s, so --c0=-0.0 starts at -0.0, as example 2 does.
+    assert main([command, "--curve", HELIX, "--family", "TP", "--grid", "0:1:9",
+                 "--c0=-0.0", "--out", str(tmp_path)]) == 0
+    text = read(tmp_path / ("lambda.csv" if command == "solve-lambda" else "mate.csv"))
+    lam0 = text.splitlines()[2].split(",")[1 if command == "solve-lambda" else 15]
+    assert lam0 == "-0.0"
 
 
 def test_frenet_csv_columns(tmp_path):
@@ -210,6 +241,19 @@ def test_bad_curve_numbers_exit_64(tmp_path, capsys, curve):
     assert main(["verify", "--curve", curve, "--family", "TO", "--out", str(tmp_path)]) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("curve, name", [
+    ('{"kind": "helix", "a": 0.7, "b": NaN}', "b"),
+    ('{"kind": "helix", "a": Infinity, "b": 0.7}', "a"),
+    ('{"kind": "circle", "r": Infinity}', "radius r"),
+    ('{"kind": "circle", "r": -Infinity}', "radius r"),
+])
+def test_nonfinite_curve_parameters_exit_64(tmp_path, capsys, curve, name):
+    # A parse error that names the parameter, not a curvature-floor exit 65.
+    assert main(["frenet", "--curve", curve, "--grid", "0:1:9", "--out", str(tmp_path)]) == 64
+    assert f"finite {name}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,10 +10,10 @@ from curvemates import AssociationSpec, CurveSpec, associate, sample_curve, veri
 from curvemates import cli
 from curvemates.errors import InsufficientDataError, ParseError, SpecificationError
 from curvemates import io as cio
-from curvemates.cli import _example_setup
 from curvemates.geometry import curvature_derivatives
 from curvemates.numdiff import diff1, norm3, uniform_spacing
 from curvemates.solvers import lambda_involute, solve_linear
+from curvemates.verify import GATING_TABLE_VERSION
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
@@ -215,9 +216,10 @@ def test_report_json_schema(helix_base, grid_0_2):
     pred = associate(helix_base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)), sol)
     report = verify_mate(pred)
     obj = json.loads(cio.report_to_json(report))
-    for key in ("family", "residuals", "frame_errors", "curvature_deltas",
-                "excluded_bands", "verdict"):
-        assert key in obj
+    # Every report field, with constraint_residuals written as "residuals".
+    fields = {f.name for f in dataclasses.fields(report)} - {"constraint_residuals"}
+    assert set(obj) == fields | {"residuals", "gating_table_version"}
+    assert obj["gating_table_version"] == GATING_TABLE_VERSION
     assert obj["family"] == {"vector": "T", "plane": "P",
                              "coeffs": [-INV_SQRT2, INV_SQRT2]}
     assert obj["verdict"] in ("pass", "formula-audit-flag", "fail")
@@ -275,10 +277,19 @@ def _reference_example_texts(base, sol, pred, monkeypatch):
             "mate.csv": _reference_rows_to_csv(cio._MATE_COLUMNS, mate_rows, [mate_comment])}
 
 
+def _example_inputs(index, n):
+    """(base, spec, lambda) of an example, solved by verify from its row of cli.EXAMPLES."""
+    curve, family, coeffs, start = cli.EXAMPLES[index]
+    args = cli.build_parser().parse_args(
+        ["verify", f"--curve={curve}", f"--family={family}", f"--coeffs={coeffs}",
+         f"--grid=0:{2.0 * math.pi!r}:{n}"] + ([] if start is None else [f"--c1={start!r}"]))
+    curve, base, spec = cli._inputs(args)
+    return base, spec, cli._solve_family_lambda(spec, curve, base, args)
+
+
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_example_csv_matches_per_cell_writer(index, monkeypatch):
-    grid = np.linspace(0.0, 2.0 * math.pi, 2001)
-    base, spec, sol = _example_setup(index, 0.0, grid)
+    base, spec, sol = _example_inputs(index, 2001)
     pred = associate(base, spec, sol)
     base_csv = cio.sampled_curve_to_csv(base)
     texts = {"base.csv": base_csv, "lambda.csv": cio.lambda_to_csv(sol),
@@ -296,7 +307,7 @@ def test_example_files_match_per_cell_writer_across_blocks(index, tmp_path, monk
     n = 2 * cio._BLOCK_ROWS + 1
     assert cli.main(["example", str(index), "--grid", f"0:{2.0 * math.pi!r}:{n}",
                      "--out", str(tmp_path)]) in (0, 1, 2)
-    base, spec, sol = _example_setup(index, 0.0, np.linspace(0.0, 2.0 * math.pi, n))
+    base, spec, sol = _example_inputs(index, n)
     expected = _reference_example_texts(base, sol, associate(base, spec, sol), monkeypatch)
     for name, text in expected.items():
         _assert_same_text((tmp_path / name).read_text(), text, name)
