@@ -398,7 +398,7 @@ FAMILIES = {f.vector + f.plane: f for f in (
            constant_offset=True),
     Family("N", "R", "normal/rectifying", _gates(True, False, False), _printed_nr,
            coefficient=("NR-coefficient",
-                        lambda K, L, M, lam, k, t: M * (lam * k - 1.0) - K * lam * t)),
+                        lambda K, L, M, lam, k, t: M * (1.0 - lam * k) - K * lam * t)),
     Family("B", "O", "binormal/osculating", _gates(True, False, False), _printed_bo,
            coefficient=("Z-coefficient", lambda X, Y, Z, lam, k, t: Z)),
     Family("B", "P", "binormal/normal", _gates(True, True, False), _printed_bp,

@@ -61,11 +61,18 @@ class CurveSpec:
         if self.kind == "circle":
             if self.r is None or not 0 < self.r < math.inf:
                 raise SpecificationError(f"circle requires a finite radius r > 0, got {self.r!r}")
+            square = float(self.r) * float(self.r)
+            if not (0 < square < math.inf and 1.0 / square < math.inf):
+                raise SpecificationError(
+                    f"circle radius r={self.r!r} out of range: r^2 and 1/r^2 must be finite and nonzero")
         elif self.kind == "helix":
             if self.a is None or not 0 < self.a < math.inf:
                 raise SpecificationError(f"helix requires a finite a > 0, got {self.a!r}")
             if self.b is None or not math.isfinite(self.b):
                 raise SpecificationError(f"helix requires a finite b, got {self.b!r}")
+            if not 0 < float(self.a) * float(self.a) + float(self.b) * float(self.b) < math.inf:
+                raise SpecificationError(f"helix a={self.a!r}, b={self.b!r} out of range: "
+                                         "a^2 + b^2 must be finite and nonzero")
         elif self.kind == "samples":
             pts = np.asarray(self.points, dtype=float)
             if pts.ndim != 2 or pts.shape[1] != 4 or pts.shape[0] < 2:
@@ -306,11 +313,7 @@ def frenet_frames_sampled(
                      direction_error=direction_error)
 
 
-def sample_curve(
-    spec: CurveSpec,
-    grid: np.ndarray,
-    with_frames: bool = True,
-) -> SampledCurve:
+def sample_curve(spec: CurveSpec, grid: np.ndarray) -> SampledCurve:
     """Sample a CurveSpec on ``grid``; analytic curves get exact frames."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = spec.domain()
@@ -319,29 +322,23 @@ def sample_curve(
     if spec.is_analytic:
         def rows(lo, hi):
             d0, d1, d2, d3 = spec._analytic_derivs(grid[lo:hi])
-            if not with_frames:
-                return (d0,)
             T, N, B, kappa, tau, speed, _, valid = _frenet_from_derivs(
                 d1, d2, d3, KAPPA_FLOOR_DEFAULT)
             return d0, T, N, B, kappa, tau, speed, valid
 
-        d0, *frame_rows = rowmap(rows, grid.size)
-        frames = None
-        if with_frames:
-            T, N, B, kappa, tau, speed, valid = frame_rows
-            _require_valid(valid, KAPPA_FLOOR_DEFAULT, grid)
-            zeros = np.zeros_like(kappa)
-            # Named families have constant curvature and torsion.
-            frames = FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau,
-                               kappa_prime=zeros, tau_prime=zeros, speed=speed,
-                               kappa_second=zeros, tau_second=zeros,
-                               valid=valid)
+        d0, T, N, B, kappa, tau, speed, valid = rowmap(rows, grid.size)
+        _require_valid(valid, KAPPA_FLOOR_DEFAULT, grid)
+        zeros = np.zeros_like(kappa)
+        # Named families have constant curvature and torsion.
+        frames = FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau,
+                           kappa_prime=zeros, tau_prime=zeros, speed=speed,
+                           kappa_second=zeros, tau_second=zeros,
+                           valid=valid)
         return SampledCurve(grid=grid, positions=d0, frames=frames)
 
     pts = spec.points
     pos = pts[:, 1:4] if same_grid(pts[:, 0], grid) else spec.interpolant()(grid)
-    frames = (with_arclength_derivatives(frenet_frames_sampled(grid, pos),
-                                         uniform_spacing(grid)) if with_frames else None)
+    frames = with_arclength_derivatives(frenet_frames_sampled(grid, pos), uniform_spacing(grid))
     return SampledCurve(grid=grid, positions=pos, frames=frames)
 
 

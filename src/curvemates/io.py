@@ -2,11 +2,12 @@
 
 Floats are serialized with repr (shortest round-trip decimal form) so every
 file reloads bit-identically; writes go through a temp file plus rename.
-CSV rows are written and parsed in blocks of ``_BLOCK_ROWS`` rows. Within a
-block each distinct float of a column (keyed by its bits, so -0.0 stays
-apart from 0.0) is formatted once; repr depends only on the bits, so the
-bytes are the same as formatting every cell. The base columns of a mate CSV
-are copied from the base CSV's lines, so they are formatted once.
+CSV rows are written in blocks of ``_BLOCK_ROWS`` rows. Within a block each
+distinct float of a column (keyed by its bits, so -0.0 stays apart from 0.0)
+is formatted once; repr depends only on the bits, so the bytes are the same
+as formatting every cell. The base columns of a mate CSV are copied from the
+base CSV's lines, so they are formatted once. numpy's text reader converts
+the data rows back, to the same bits as ``float``.
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-# Rows per block when writing and parsing CSV. Only one block's cell strings
-# are alive at a time, so that memory does not grow with the row count.
+# Rows per block when writing CSV. Only one block's cell strings are alive
+# at a time, so that memory does not grow with the row count.
 _BLOCK_ROWS = 2048
 
 
@@ -72,14 +73,13 @@ def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None
     return "\n".join(lines) + "\n"
 
 
-def _parse_csv(
-    text: str, expected_header: list[str], finite: tuple[str, ...] = ()
-) -> tuple[np.ndarray, list[str]]:
+def _parse_csv(text: str, expected_header: list[str],
+               finite: tuple[str, ...] = ()) -> tuple[np.ndarray, list[str]]:
     """Numeric rows and comment lines; the ``finite`` columns must hold finite values."""
     comments = []
     header = None
-    data = []
-    for line in text.splitlines():
+    data, numbers = [], []
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -89,26 +89,19 @@ def _parse_csv(
         if header is None:
             header = [c.strip() for c in line.split(",")]
             if header != expected_header:
-                raise ParseError(
-                    f"unexpected header {header}; expected {expected_header}"
-                )
+                raise ParseError(f"unexpected header {header}; expected {expected_header}")
             continue
         data.append(line)
+        numbers.append(number)
     if header is None or not data:
         raise ParseError("empty CSV")
     width = len(expected_header)
-    array = np.empty((len(data), width))
-    for start in range(0, len(data), _BLOCK_ROWS):
-        block = data[start:start + _BLOCK_ROWS]
-        # Per-row counts: a short row and a long row would balance in the joined split.
-        if any(line.count(",") != width - 1 for line in block):
-            raise ParseError(_row_error(text, width))
-        cells = ",".join(block).split(",")
-        try:
-            values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-        except ValueError:
-            raise ParseError(_row_error(text, width)) from None
-        array[start:start + len(block)] = values.reshape(-1, width)
+    try:
+        array = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        raise ParseError(_row_error(data, numbers, width)) from None
+    if array.shape[1] != width:
+        raise ParseError(_row_error(data, numbers, width))
     for name in finite:
         column = array[:, expected_header.index(name)]
         bad = np.flatnonzero(~np.isfinite(column))
@@ -118,24 +111,20 @@ def _parse_csv(
     return array, comments
 
 
-def _row_error(text: str, width: int) -> str:
-    """The located message of the first malformed data row, found by a rescan."""
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            header_seen = True
-            continue
-        cells = line.split(",")
+def _row_error(rows: list[str], numbers: list[int], width: int) -> str:
+    """The located message of the first malformed row; ``numbers`` are the line numbers."""
+    for number, row in zip(numbers, rows):
+        cells = row.split(",")
         if len(cells) != width:
-            return f"line {lineno}: expected {width} columns"
-        try:
-            for cell in cells:
+            return f"line {number}: expected {width} columns"
+        for cell in cells:
+            try:
                 float(cell)
-        except ValueError as exc:
-            return f"line {lineno}: {exc}"
+            except ValueError as exc:
+                return f"line {number}: {exc}"
+            # float reads digit grouping (1_0) and non-ASCII digits; numpy does not.
+            if "_" in cell or not cell.strip().isascii():
+                return f"line {number}: could not convert string to float: {cell!r}"
     return "malformed data row"
 
 
@@ -156,7 +145,7 @@ def curve_from_json(text: str) -> CurveSpec:
             return CurveSpec.helix(obj["a"], obj["b"])
         if kind == "samples":
             return CurveSpec.from_samples(obj["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed curve JSON: {exc}") from None
     except SpecificationError as exc:
         raise ParseError(str(exc)) from None
@@ -200,17 +189,14 @@ def lambda_from_csv(text: str) -> LambdaSolution:
     data, comments = _parse_csv(text, _LAMBDA_COLUMNS, finite=tuple(_LAMBDA_COLUMNS))
     provenance = "closed-form"
     constants: dict[str, float] = {}
-    for comment in comments:
-        for token in comment.split():
-            if "=" in token:
-                key, value = token.split("=", 1)
-                if key == "provenance":
-                    provenance = value
-                else:
-                    try:
-                        constants[key] = float(value)
-                    except ValueError:
-                        pass
+    for key, value in (t.split("=", 1) for c in comments for t in c.split() if "=" in t):
+        if key == "provenance":
+            provenance = value
+        else:
+            try:
+                constants[key] = float(value)
+            except ValueError:
+                pass
     return LambdaSolution(grid=data[:, 0], lam=data[:, 1], lam_prime=data[:, 2],
                           lam_double_prime=data[:, 3], provenance=provenance,
                           constants=constants)
@@ -232,11 +218,8 @@ def mate_to_csv(pred: PredictedMate, base_csv: str) -> str:
     rows = len(pred.base.grid)
     if base_csv.count("\n") != rows + 1 or not base_csv.endswith("\n"):
         raise SpecificationError(f"base_csv must hold {rows} data rows, one per grid point")
-    mate_rows = np.column_stack([
-        pred.lam.lam, pred.mate.positions,
-        pred.T_star, pred.N_star, pred.B_star,
-        pred.kappa_star, pred.tau_star,
-    ])
+    mate_rows = np.column_stack([pred.lam.lam, pred.mate.positions, pred.T_star, pred.N_star,
+                                 pred.B_star, pred.kappa_star, pred.tau_star])
     chunks = [f"# family={pred.family.code} classification={pred.classification}\n",
               ",".join(_MATE_COLUMNS) + "\n"]
     base_lines = _data_lines(base_csv, header_end + 1)

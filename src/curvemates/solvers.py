@@ -478,7 +478,7 @@ def solve_constraint_ode(
         def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
             lam, lam_p = y
             k, t, kp, tp = coefficients(s)
-            coeff = (lam * t) ** 2 - (1.0 - lam * k) ** 2
+            coeff = (1.0 - lam * k) ** 2 + (lam * t) ** 2
             if abs(coeff) < 1e-10:
                 raise SingularOdeError(
                     f"vanishing second-derivative coefficient at s={s:.6g}", s=s
@@ -486,7 +486,7 @@ def solve_constraint_ode(
             d = (1.0 - lam * k) * k - lam * t * t
             k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
             m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
-            rest = m0 * (lam * k - 1.0) - k0 * lam * t
+            rest = m0 * (1.0 - lam * k) - k0 * lam * t
             return lam_p, -rest / coeff
 
     elif family == "BR":

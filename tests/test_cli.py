@@ -256,6 +256,21 @@ def test_nonfinite_curve_parameters_exit_64(tmp_path, capsys, curve, name):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("curve, message", [
+    ('{"kind": "circle", "r": 1e300}', "radius r=1e+300 out of range: r^2 and 1/r^2"),
+    ('{"kind": "circle", "r": 1e-320}', "radius r=1e-320 out of range: r^2 and 1/r^2"),
+    ('{"kind": "helix", "a": 1e200, "b": 1}', "a=1e+200, b=1.0 out of range: a^2 + b^2"),
+    ('{"kind": "circle", "r": 1' + "0" * 400 + "}", "int too large to convert to float"),
+])
+def test_out_of_range_curve_parameters_exit_64(tmp_path, capsys, curve, message):
+    # Finite but huge or tiny: a parse error that names the parameter, not an
+    # OverflowError traceback (exit 1) or a curvature-floor exit 65.
+    assert main(["frenet", "--curve", curve, "--grid", "0:1:9", "--out", str(tmp_path)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("args", [
     ["--family", "BO", "--grid", "0:3:61", "--tol", "constraint=nan"],
     ["--family", "BO", "--grid", "0:3:61", "--tol", "frame_angle=-1e-4"],
@@ -390,7 +405,7 @@ NINE_FAMILIES = {
     "NR": (
         0, 'pass', ['gated set empty: every point is degenerate or boundary'],
         '+<N,N*> +NR-coefficient +distance -frame_T -frame_N -frame_B -kappa -tau',
-        1, {'<N,N*>': 0.0, 'NR-coefficient': 8.608691147257173e-28},
+        1, {'<N,N*>': 0.0, 'NR-coefficient': 1.9428902930931458e-16},
         {'B': 0.0, 'N': 0.0, 'T': 0.0},
         {'gated_points': 0, 'kappa': 0.0, 'tau': 0.0}),
     "BO": (

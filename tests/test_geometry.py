@@ -75,7 +75,7 @@ def test_evaluate_sampled_matches_analytic():
                                [math.sin(1), -math.cos(1), 0], atol=1e-3)
     # Off the sample grid, positions come from the cubic interpolant.
     fine = np.linspace(0.0, 2.0, 1203)
-    off = sample_curve(curve, fine, with_frames=False)
+    off = sample_curve(curve, fine)
     np.testing.assert_allclose(off.positions, np.column_stack([np.cos(fine), np.sin(fine),
                                                                0 * fine]), atol=1e-9)
     np.testing.assert_allclose(diff1(off.positions, fine[1] - fine[0])[601],
@@ -89,7 +89,7 @@ def test_evaluate_domain_and_order_errors():
     s = np.linspace(0.0, 1.0, 9)
     curve = CurveSpec.from_samples(np.column_stack([s, s, 0 * s, 0 * s]))
     with pytest.raises(DomainError):
-        sample_curve(curve, np.array([0.0, 2.0]), with_frames=False)
+        sample_curve(curve, np.array([0.0, 2.0]))
     with pytest.raises(DomainError):
         reparametrize_arclength(curve, (0.0, 2.0), n=9)
 
@@ -113,6 +113,18 @@ def test_curvespec_rejects_nonfinite_parameters(make, name, value):
     # Rejected before any arithmetic: no RuntimeWarning, no curvature-floor error.
     with pytest.raises(SpecificationError, match=f"finite {name}.*got {value!r}"):
         make(value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CurveSpec.circle(1e300),  # r^2 overflows
+    lambda: CurveSpec.circle(1e-160),  # 1/r^2 overflows
+    lambda: CurveSpec.circle(1e-320),  # r^2 underflows to 0
+    lambda: CurveSpec.helix(1e200, 1.0),  # a^2 + b^2 overflows
+    lambda: CurveSpec.helix(1e-200, 0.0),  # a^2 + b^2 underflows to 0
+])
+def test_curvespec_rejects_out_of_range_parameters(make):
+    with pytest.raises(SpecificationError, match="out of range"):
+        make()
 
 
 @pytest.mark.parametrize("domain, end", [

@@ -12,7 +12,8 @@ from curvemates.errors import InsufficientDataError, ParseError, SpecificationEr
 from curvemates import io as cio
 from curvemates.geometry import curvature_derivatives
 from curvemates.numdiff import diff1, norm3, uniform_spacing
-from curvemates.solvers import lambda_involute, solve_linear
+from curvemates.solvers import (constant_admissible_lambda, lambda_constant, lambda_involute,
+                                solve_linear)
 from curvemates.verify import GATING_TABLE_VERSION
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -30,7 +31,7 @@ def _reference_rows_to_csv(header, rows, comments=None):
 
 
 def _reference_parse_csv(text, expected_header):
-    """The per-row parser that the blocked one must match, messages included."""
+    """The per-row float parser that numpy's reader must match, messages included."""
     comments = []
     header = None
     data = []
@@ -352,7 +353,7 @@ def test_parse_csv_matches_per_row_parser():
 
 def test_parse_csv_errors_after_first_block():
     header, lines = _long_csv()
-    row = cio._BLOCK_ROWS + 100  # a line index inside the second block
+    row = cio._BLOCK_ROWS + 100  # a line past the first block of written rows
     cases = {
         "bad cell": (lines[row].replace(",", ",x", 1), lines[row + 1],
                      f"line {row + 1}: could not convert string to float: 'x"),
@@ -360,7 +361,7 @@ def test_parse_csv_errors_after_first_block():
                       f"line {row + 1}: expected 4 columns"),
         "long row": (lines[row] + ",1.0", lines[row + 1],
                      f"line {row + 1}: expected 4 columns"),
-        # Three cells then five: a joined split would still count 8 = 2 * 4.
+        # Three cells then five: 8 = 2 * 4 cells in all, but two bad rows.
         "short then long": (lines[row].rsplit(",", 1)[0], lines[row + 1] + ",2.0",
                             f"line {row + 1}: expected 4 columns"),
     }
@@ -374,3 +375,45 @@ def test_parse_csv_errors_after_first_block():
             _reference_parse_csv(text, header)
         assert str(exc.value) == str(ref.value), name
         assert str(exc.value).startswith(message), name
+
+
+@pytest.mark.parametrize("row", [5, cio._BLOCK_ROWS + 100])  # in the first block and past it
+def test_parse_csv_locates_cells_numpy_rejects(row):
+    # float reads 1_0 as 10.0 and Arabic-Indic digits as 12.0; numpy's reader
+    # reads neither, so the cell is a located error, not a silent value.
+    header, lines = _long_csv()
+    cells = lines[row].split(",")
+    cases = {
+        "digit grouping": (",".join(cells[:2] + ["1_0"] + cells[3:]),
+                           "could not convert string to float: '1_0'"),
+        "non-ASCII digits": (",".join(cells[:2] + ["\u0661\u0662"] + cells[3:]),
+                             "could not convert string to float: '\u0661\u0662'"),
+        "trailing comma": (lines[row] + ",", "expected 4 columns"),
+        "commas alone": (",,,", "could not convert string to float: ''"),
+    }
+    for name, (line, message) in cases.items():
+        bad = lines.copy()
+        bad[row] = line
+        with pytest.raises(ParseError) as exc:
+            cio._parse_csv("\n".join(bad) + "\n", header)
+        assert str(exc.value) == f"line {row + 1}: {message}", name
+
+
+@pytest.mark.parametrize("rows", ["1,2,3\n5,6,7\n", "1,2,3,4,0\n5,6,7,8,0\n"])
+def test_parse_csv_checks_the_header_width(rows):
+    # numpy takes its column count from the rows, so three or five numbers on
+    # every row parse; the count must still be checked against the header.
+    with pytest.raises(ParseError, match="^line 2: expected 4 columns$"):
+        cio._parse_csv("a,b,c,d\n" + rows, ["a", "b", "c", "d"])
+
+
+def test_parse_mate_csv_with_nan_cells(helix_base, grid_0_2):
+    # NO's constant branch puts the mate on the axis, where the closed-form
+    # frames and curvatures are undefined: mate_to_csv writes nan there.
+    kappa, tau = float(helix_base.frames.kappa[0]), float(helix_base.frames.tau[0])
+    sol = lambda_constant(constant_admissible_lambda("NO", kappa, tau), grid_0_2)
+    pred = associate(helix_base, AssociationSpec("N", "O", (0.0, 1.0)), sol)
+    text = cio.mate_to_csv(pred, cio.sampled_curve_to_csv(helix_base))
+    array, _ = cio._parse_csv(text, cio._MATE_COLUMNS)
+    assert np.isnan(array).sum() >= len(grid_0_2)
+    _assert_same_parse(text, cio._MATE_COLUMNS)

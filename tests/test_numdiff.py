@@ -134,8 +134,6 @@ def test_rowmap_sample_curve_bits(monkeypatch, spec, n):
     got = sample_curve(spec, grid)
     want = _one_block(monkeypatch, lambda: sample_curve(spec, grid))
     _assert_same_fields(got, want)
-    bare = sample_curve(spec, grid, with_frames=False)
-    assert bare.frames is None and _same_bits(bare.positions, want.positions)
 
 
 def _defaults(code, n):

@@ -326,10 +326,12 @@ def test_constraint_residual_default_slopes_follow_the_solver(family):
 
 
 def test_constraint_nr_singular_at_degenerate_constant():
-    # The constant branch sits exactly on the vanishing second-derivative
-    # coefficient; integrating from it must report the singular location.
+    # The second-derivative coefficient (1 - lambda kappa)^2 + (lambda tau)^2
+    # vanishes only where lambda tau = 0 and lambda kappa = 1, as on a circle
+    # (kappa = 1, tau = 0) from lambda = 1, its centre; integrating from there
+    # must report the singular location.
     with pytest.raises(SingularOdeError) as err:
-        solve_constraint_ode("NR", INV_SQRT2, INV_SQRT2, (INV_SQRT2, 0.0), GRID)
+        solve_constraint_ode("NR", 1.0, 0.0, (1.0, 0.0), GRID)
     assert err.value.s == 0.0
 
 
@@ -498,11 +500,11 @@ def _ref_solve(family, kappa, tau, lam0, grid, ratio=None):
             denom = 1.0 + (lam * t) ** 2
             num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
             return num / denom
-        coeff = (lam * t) ** 2 - (1.0 - lam * k) ** 2
+        coeff = (1.0 - lam * k) ** 2 + (lam * t) ** 2
         d = (1.0 - lam * k) * k - lam * t * t
         k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
         m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
-        rest = m0 * (lam * k - 1.0) - k0 * lam * t
+        rest = m0 * (1.0 - lam * k) - k0 * lam * t
         return -rest / coeff
 
     def rhs(s, y):

@@ -7,6 +7,7 @@ import pytest
 from curvemates import (
     FAMILIES,
     AssociationSpec,
+    CurveSpec,
     SampledCurve,
     associate,
     check_association,
@@ -20,6 +21,7 @@ from curvemates.solvers import (
     lambda_constant,
     lambda_half_curvature,
     lambda_involute,
+    solve_constraint_ode,
     solve_linear,
     solve_riccati,
 )
@@ -348,6 +350,23 @@ def test_check_association_riccati_binormal(helix_base, grid_0_2):
     assert report.verdict != "fail"
     assert report.constraint_residuals["<B,B*>"] < 1e-5
     assert report.constraint_residuals["Z-coefficient"] < 1e-6
+
+
+@pytest.mark.parametrize("initial", [(0.3, 0.0), (0.5, 0.1)])
+def test_check_association_rk4_normal_rectifying(initial):
+    # N lies in the mate's rectifying plane: the oracle's <N,N*> and the
+    # closed form's must both vanish on an RK4 solution, not only the
+    # coefficient equation that the solver integrates.
+    grid = np.linspace(0.0, 1.0, 2001)
+    base = sample_curve(CurveSpec.helix(0.8, 0.6), grid)
+    sol = solve_constraint_ode("NR", 0.8, 0.6, initial, grid)
+    pred = associate(base, AssociationSpec("N", "R", (1.0, 1.0)), sol)
+    report = verify_mate(pred)
+    assert report.verdict != "fail"
+    assert report.constraint_residuals["<N,N*>"] < 1e-5
+    assert report.constraint_residuals["NR-coefficient"] < 1e-6
+    dots = _row_dots(base.frames.N, pred.N_star)[pred.defined]
+    assert dots.size > 1900 and np.max(np.abs(dots)) < 1e-10
 
 
 def test_constraint_residual_refines_with_grid(unit_helix_spec):
