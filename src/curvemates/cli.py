@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -104,17 +105,24 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _read(path: str, what: str) -> str:
-    """The text of a file named on the command line."""
+@contextmanager
+def _opened(path: str, what: str):
+    """A file named on the command line, open as UTF-8 text."""
     if not os.path.exists(path):
         raise UsageError(f"{what} file not found: {path}")
-    with open(path) as handle:
-        return handle.read()
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"{what} file {path} is not UTF-8 text: {exc}") from None
 
 
 def _parse_curve(text: str) -> CurveSpec:
     text = text.strip()
-    return cio.curve_from_json(text if text.startswith("{") else _read(text, "curve"))
+    if not text.startswith("{"):
+        with _opened(text, "curve") as handle:
+            text = handle.read()
+    return cio.curve_from_json(text)
 
 
 def _parse_coeffs(text: str) -> tuple[float, float]:
@@ -207,13 +215,6 @@ def _solve_family_lambda(
     raise UsageError(f"no default solver for family {code}")
 
 
-def _write(args, name: str, text: str) -> None:
-    """Write ``text`` atomically to ``name`` in --out (default .)."""
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    cio.atomic_write_text(os.path.join(out, name), text)
-
-
 def cmd_frenet(args) -> int:
     base = sample_curve(_parse_curve(args.curve), _parse_grid(args.grid))
     if args.format == "json":
@@ -226,9 +227,9 @@ def cmd_frenet(args) -> int:
             "T": f.T.tolist(), "N": f.N.tolist(), "B": f.B.tolist(),
             "kappa": f.kappa.tolist(), "tau": f.tau.tolist(),
         }
-        _write(args, "frenet.json", json.dumps(obj, sort_keys=True) + "\n")
+        cio.write_files(args.out, {"frenet.json": [json.dumps(obj, sort_keys=True) + "\n"]})
     else:
-        _write(args, "base.csv", cio.sampled_curve_to_csv(base))
+        cio.write_files(args.out, {"base.csv": cio.sampled_curve_chunks(base)})
     return 0
 
 
@@ -244,21 +245,23 @@ def _offset(args, curve: CurveSpec, base: SampledCurve, spec: AssociationSpec) -
     """The --lambda-csv offset on the base grid, or else the family's default solve."""
     if not args.lambda_csv:
         return _solve_family_lambda(spec, curve, base, args)
-    sol = cio.lambda_from_csv(_read(args.lambda_csv, "lambda"))
+    with _opened(args.lambda_csv, "lambda") as handle:
+        sol = cio.lambda_from_lines(handle)
     sol.require_grid(base.grid)
     return sol
 
 
 def cmd_solve_lambda(args) -> int:
     curve, base, spec = _inputs(args)
-    _write(args, "lambda.csv", cio.lambda_to_csv(_solve_family_lambda(spec, curve, base, args)))
+    sol = _solve_family_lambda(spec, curve, base, args)
+    cio.write_files(args.out, {"lambda.csv": cio.lambda_chunks(sol)})
     return 0
 
 
 def cmd_associate(args) -> int:
     curve, base, spec = _inputs(args)
     pred = associate(base, spec, _offset(args, curve, base, spec))
-    _write(args, "mate.csv", cio.mate_to_csv(pred, cio.sampled_curve_to_csv(pred.base)))
+    cio.write_files(args.out, {"mate.csv": cio.mate_chunks(pred)})
     return 0
 
 
@@ -269,21 +272,20 @@ def cmd_verify(args) -> int:
     pred = associate(base, spec, sol)
     mate = pred.mate
     if args.mate:
-        mate_grid, mate_pos, _ = cio.mate_positions_from_csv(_read(args.mate, "mate"))
+        with _opened(args.mate, "mate") as handle:
+            mate_grid, mate_pos, _ = cio.mate_positions_from_lines(handle)
         if not same_grid(mate_grid, base.grid):
             raise AlignmentError("mate file grid does not match --grid")
         mate = SampledCurve(grid=mate_grid, positions=mate_pos)
     report = check_association(base, mate, spec, lam_sol=sol, predicted=pred,
                                tolerances=tols)
     if args.command == "example":
-        base_csv = cio.sampled_curve_to_csv(base)
-        _write(args, "base.csv", base_csv)
-        _write(args, "lambda.csv", cio.lambda_to_csv(sol))
-        _write(args, "mate.csv", cio.mate_to_csv(pred, base_csv))
-        del base_csv
+        base_csv, mate_csv = cio.base_and_mate_chunks(pred)
+        files = {"base.csv": base_csv, "lambda.csv": cio.lambda_chunks(sol), "mate.csv": mate_csv}
         if args.emit_plot_script:
-            _write(args, "plot_mates.py", _PLOT_SCRIPT)
-    _write(args, "report.json", cio.report_to_json(report))
+            files["plot_mates.py"] = [_PLOT_SCRIPT]
+        cio.write_files(args.out, files)
+    cio.atomic_write_text(os.path.join(args.out, "report.json"), cio.report_to_json(report))
     print(f"verdict: {report.verdict}")
     return _VERDICT_EXIT[report.verdict]
 
@@ -302,7 +304,7 @@ def _add_options(sub: argparse.ArgumentParser, *groups: str) -> None:
     sub.add_argument("--grid", default=f"{DEFAULT_GRID[0]}:{DEFAULT_GRID[1]}:{DEFAULT_GRID[2]}",
                      help="sample grid as min:max:n (default [0, 2pi] with 2001 points); "
                           "a negative min needs '=', as in --grid=-1:1:201")
-    sub.add_argument("--out", default=None, help="output directory (default .)")
+    sub.add_argument("--out", default=".", help="output directory (default .)")
     if "curve" in groups:
         sub.add_argument("--curve", required=True,
                          help="curve JSON (inline or a file path)")
@@ -364,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, ParseError) as exc:
+    except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except CurveMatesError as exc:

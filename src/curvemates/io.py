@@ -2,20 +2,22 @@
 
 Floats are serialized with repr (shortest round-trip decimal form) so every
 file reloads bit-identically; writes go through a temp file plus rename.
-CSV rows are written in blocks of ``_BLOCK_ROWS`` rows. Within a block each
-distinct float of a column (keyed by its bits, so -0.0 stays apart from 0.0)
-is formatted once; repr depends only on the bits, so the bytes are the same
-as formatting every cell. The base columns of a mate CSV are copied from the
-base CSV's lines, so they are formatted once. numpy's text reader converts
-the data rows back, to the same bits as ``float``.
+CSV text is made and read in blocks of ``_BLOCK_ROWS`` rows. Within a block
+each distinct float of a column (keyed by its bits, so -0.0 stays apart from
+0.0) is formatted once; repr depends only on the bits, so the bytes are the
+same as formatting every cell. The base columns of a mate CSV are copied
+from the base CSV's lines, so they are formatted once. numpy's text reader
+converts the data rows back, to the same bits as ``float``.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-import tempfile
+from collections.abc import Iterable, Iterator
+from contextlib import ExitStack
 from dataclasses import fields, is_dataclass
+from itertools import chain, islice, tee, zip_longest
 
 import numpy as np
 
@@ -34,18 +36,33 @@ _MATE_COLUMNS = _CURVE_COLUMNS + ["lambda", "xs", "ys", "zs",
                                   "Bsx", "Bsy", "Bsz", "kappa_star", "tau_star"]
 
 
+def write_files(directory: str, files: dict[str, Iterable[str]]) -> None:
+    """Write ``files`` (name: its text in chunks) in ``directory``, made if missing,
+    one chunk of each file per step, through a temp file each (with the mode
+    ``open(path, "w")`` gives); all are renamed into place after the last chunk,
+    and on an error the temp files are removed and existing files are left as
+    they were."""
+    os.makedirs(directory, exist_ok=True)
+    temps = [os.path.join(directory, f".tmp-{os.urandom(8).hex()}") for _ in files]
+    try:
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(tmp, "x", encoding="utf-8", newline="\n"))
+                       for tmp in temps]
+            for chunks in zip_longest(*files.values(), fillvalue=""):
+                for handle, chunk in zip(handles, chunks):
+                    handle.write(chunk)
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, os.path.join(directory, name))
+    finally:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write-temp-rename so partially written files are never observed."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    path = os.path.abspath(path)
+    write_files(os.path.dirname(path), {os.path.basename(path): [text]})
 
 
 # Rows per block when writing CSV. Only one block's cell strings are alive
@@ -53,33 +70,56 @@ def atomic_write_text(path: str, text: str) -> None:
 _BLOCK_ROWS = 2048
 
 
-def _row_blocks(rows: np.ndarray):
-    """The CSV lines of ``rows``, without newlines, one list per block."""
-    bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
-    for start in range(0, len(bits), _BLOCK_ROWS):
-        columns = []
-        for column in bits[start:start + _BLOCK_ROWS].T:
+def _row_lines(columns: list[np.ndarray]):
+    """The CSV lines, without newlines, of the rows that ``np.column_stack(columns)``
+    would give; the rows are stacked and formatted one block at a time."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
+        cells = []
+        for column in np.asarray(rows, dtype=np.float64).view(np.int64).T:
             keys, inverse = np.unique(column, return_inverse=True)
             texts = list(map(repr, keys.view(np.float64).tolist()))
-            columns.append([texts[i] for i in inverse.tolist()])
-        yield list(map(",".join, zip(*columns)))
+            cells.append([texts[i] for i in inverse.tolist()])
+        lines = list(map(",".join, zip(*cells)))
+        del cells  # not held while the lines are taken
+        yield from lines
 
 
-def _rows_to_csv(header: list[str], rows: np.ndarray, comments: list[str] | None = None) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
-    lines.append(",".join(header))
-    for block in _row_blocks(rows):
-        lines.extend(block)
-    return "\n".join(lines) + "\n"
+def _csv_chunks(header: list[str], lines: Iterator[str], comments=()) -> Iterator[str]:
+    """A CSV text in chunks: the comments and header, then one chunk per block of lines."""
+    yield "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
+    while block := list(islice(lines, _BLOCK_ROWS)):
+        yield "\n".join(block) + "\n"
 
 
-def _parse_csv(text: str, expected_header: list[str],
+def _parse_csv(lines: Iterable[str], expected_header: list[str],
                finite: tuple[str, ...] = ()) -> tuple[np.ndarray, list[str]]:
-    """Numeric rows and comment lines; the ``finite`` columns must hold finite values."""
+    """Data rows and comments of CSV ``lines`` (a list or open file); checks ``finite`` columns."""
     comments = []
+    rows = _data_rows(lines, expected_header, comments)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError("empty CSV")
+    try:
+        array = np.loadtxt((row for _, row in chain([first], rows)), delimiter=",",
+                           comments=None, ndmin=2)
+    except ValueError:
+        raise ParseError(_row_error(lines, expected_header)) from None
+    if array.shape[1] != len(expected_header):
+        raise ParseError(_row_error(lines, expected_header))
+    for name in finite:
+        column = array[:, expected_header.index(name)]
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ParseError(f"data row {bad[0] + 1}: {name} must be finite, "
+                             f"got {float(column[bad[0]])!r}")
+    return array, comments
+
+
+def _data_rows(lines: Iterable[str], expected_header: list[str], comments: list[str]):
+    """(line number, stripped line) of each data row; comment lines go to ``comments``."""
     header = None
-    data, numbers = [], []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -91,29 +131,15 @@ def _parse_csv(text: str, expected_header: list[str],
             if header != expected_header:
                 raise ParseError(f"unexpected header {header}; expected {expected_header}")
             continue
-        data.append(line)
-        numbers.append(number)
-    if header is None or not data:
-        raise ParseError("empty CSV")
+        yield number, line
+
+
+def _row_error(lines, expected_header: list[str]) -> str:
+    """The located message of the first malformed row, rescanning ``lines`` from the start."""
+    if hasattr(lines, "seek"):
+        lines.seek(0)
     width = len(expected_header)
-    try:
-        array = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        raise ParseError(_row_error(data, numbers, width)) from None
-    if array.shape[1] != width:
-        raise ParseError(_row_error(data, numbers, width))
-    for name in finite:
-        column = array[:, expected_header.index(name)]
-        bad = np.flatnonzero(~np.isfinite(column))
-        if bad.size:
-            raise ParseError(f"data row {bad[0] + 1}: {name} must be finite, "
-                             f"got {float(column[bad[0]])!r}")
-    return array, comments
-
-
-def _row_error(rows: list[str], numbers: list[int], width: int) -> str:
-    """The located message of the first malformed row; ``numbers`` are the line numbers."""
-    for number, row in zip(numbers, rows):
+    for number, row in _data_rows(lines, expected_header, []):
         cells = row.split(",")
         if len(cells) != width:
             return f"line {number}: expected {width} columns"
@@ -156,17 +182,24 @@ def curve_from_json(text: str) -> CurveSpec:
 # SampledCurve CSV
 
 
-def sampled_curve_to_csv(curve: SampledCurve) -> str:
+def _curve_lines(curve: SampledCurve) -> Iterator[str]:
     if curve.frames is None:
         raise SpecificationError("CSV export requires a curve with frames")
     f = curve.frames
-    rows = np.column_stack([curve.grid, curve.positions, f.T, f.N, f.B, f.kappa, f.tau])
-    return _rows_to_csv(_CURVE_COLUMNS, rows)
+    return _row_lines([curve.grid, curve.positions, f.T, f.N, f.B, f.kappa, f.tau])
+
+
+def sampled_curve_chunks(curve: SampledCurve) -> Iterator[str]:
+    return _csv_chunks(_CURVE_COLUMNS, _curve_lines(curve))
+
+
+def sampled_curve_to_csv(curve: SampledCurve) -> str:
+    return "".join(sampled_curve_chunks(curve))
 
 
 def sampled_curve_from_csv(text: str) -> SampledCurve:
     """A base curve from its CSV; the grid must be uniform with at least 4 rows."""
-    data, _ = _parse_csv(text, _CURVE_COLUMNS)
+    data, _ = _parse_csv(text.splitlines(), _CURVE_COLUMNS)
     grid, pos = data[:, 0], data[:, 1:4]
     h = uniform_spacing(grid)
     frames = FrameData(T=data[:, 4:7], N=data[:, 7:10], B=data[:, 10:13],
@@ -178,15 +211,19 @@ def sampled_curve_from_csv(text: str) -> SampledCurve:
 # LambdaSolution CSV
 
 
-def lambda_to_csv(sol: LambdaSolution) -> str:
+def lambda_chunks(sol: LambdaSolution) -> Iterator[str]:
     constants = " ".join(f"{k}={float(v)!r}" for k, v in sorted(sol.constants.items()))
     comments = [f"provenance={sol.provenance}" + (f" {constants}" if constants else "")]
-    rows = np.column_stack([sol.grid, sol.lam, sol.lam_prime, sol.lam_double_prime])
-    return _rows_to_csv(_LAMBDA_COLUMNS, rows, comments)
+    lines = _row_lines([sol.grid, sol.lam, sol.lam_prime, sol.lam_double_prime])
+    return _csv_chunks(_LAMBDA_COLUMNS, lines, comments)
 
 
-def lambda_from_csv(text: str) -> LambdaSolution:
-    data, comments = _parse_csv(text, _LAMBDA_COLUMNS, finite=tuple(_LAMBDA_COLUMNS))
+def lambda_to_csv(sol: LambdaSolution) -> str:
+    return "".join(lambda_chunks(sol))
+
+
+def lambda_from_lines(lines: Iterable[str]) -> LambdaSolution:
+    data, comments = _parse_csv(lines, _LAMBDA_COLUMNS, finite=tuple(_LAMBDA_COLUMNS))
     provenance = "closed-form"
     constants: dict[str, float] = {}
     for key, value in (t.split("=", 1) for c in comments for t in c.split() if "=" in t):
@@ -202,51 +239,51 @@ def lambda_from_csv(text: str) -> LambdaSolution:
                           constants=constants)
 
 
+def lambda_from_csv(text: str) -> LambdaSolution:
+    return lambda_from_lines(text.splitlines())
+
+
 # ---------------------------------------------------------------------------
 # PredictedMate CSV
 
 
-def mate_to_csv(pred: PredictedMate, base_csv: str) -> str:
-    """The mate CSV; ``base_csv`` must be ``sampled_curve_to_csv(pred.base)``.
+def mate_chunks(pred: PredictedMate, base_lines: Iterable[str] | None = None) -> Iterator[str]:
+    """The mate CSV in chunks. Each row is the base CSV's line for the same
+    grid point, then the mate columns; ``base_lines`` are those lines without
+    newlines, formatted from ``pred.base`` when not given."""
+    base = _curve_lines(pred.base) if base_lines is None else base_lines
+    mate = _row_lines([pred.lam.lam, pred.mate.positions, pred.T_star, pred.N_star,
+                       pred.B_star, pred.kappa_star, pred.tau_star])
+    comments = [f"family={pred.family.code} classification={pred.classification}"]
+    return _csv_chunks(_MATE_COLUMNS, map("{},{}".format, base, mate), comments)
 
-    Each row is that text's line for the same grid point, then the mate
-    columns, so the base columns are formatted once for both files.
-    """
-    header_end = base_csv.find("\n")
-    if base_csv[:header_end] != ",".join(_CURVE_COLUMNS):
+
+def base_and_mate_chunks(pred: PredictedMate) -> tuple[Iterator[str], Iterator[str]]:
+    """The chunks of ``pred.base``'s CSV and of the mate CSV, each base line formatted
+    once for both; advanced together, as by ``write_files``, they hold one block."""
+    lines, shared = tee(_curve_lines(pred.base))
+    return _csv_chunks(_CURVE_COLUMNS, lines), mate_chunks(pred, shared)
+
+
+def mate_to_csv(pred: PredictedMate, base_csv: str) -> str:
+    """The mate CSV; ``base_csv`` must be ``sampled_curve_to_csv(pred.base)``."""
+    if base_csv[:base_csv.find("\n")] != ",".join(_CURVE_COLUMNS):
         raise SpecificationError("base_csv does not start with the base curve CSV header")
     rows = len(pred.base.grid)
     if base_csv.count("\n") != rows + 1 or not base_csv.endswith("\n"):
         raise SpecificationError(f"base_csv must hold {rows} data rows, one per grid point")
-    mate_rows = np.column_stack([pred.lam.lam, pred.mate.positions, pred.T_star, pred.N_star,
-                                 pred.B_star, pred.kappa_star, pred.tau_star])
-    chunks = [f"# family={pred.family.code} classification={pred.classification}\n",
-              ",".join(_MATE_COLUMNS) + "\n"]
-    base_lines = _data_lines(base_csv, header_end + 1)
-    for block in _row_blocks(mate_rows):
-        # The block goes first: zip draws from its first iterator before it
-        # finds the second spent, so base_lines first would lose a line per block.
-        chunks.append("".join(f"{line},{mate}\n" for mate, line in zip(block, base_lines)))
-    return "".join(chunks)
+    return "".join(mate_chunks(pred, base_csv.splitlines()[1:]))
 
 
-def _data_lines(text: str, pos: int):
-    """The newline-terminated lines of ``text`` from ``pos`` on, read lazily
-    so that the whole text is never split."""
-    while pos < len(text):
-        end = text.index("\n", pos)
-        yield text[pos:end]
-        pos = end + 1
+def mate_positions_from_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(grid, mate positions, lambda), all finite, from a mate CSV given as in
+    ``_parse_csv``; the other columns may hold nan, where the closed form is undefined."""
+    data, _ = _parse_csv(lines, _MATE_COLUMNS, finite=("s", "lambda", "xs", "ys", "zs"))
+    return data[:, 0].copy(), data[:, 16:19].copy(), data[:, 15].copy()
 
 
 def mate_positions_from_csv(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(grid, mate positions, lambda) from a mate CSV; all three must be finite.
-
-    The mate frame and curvature columns may hold nan, which mate_to_csv
-    writes where the closed form is undefined.
-    """
-    data, _ = _parse_csv(text, _MATE_COLUMNS, finite=("s", "lambda", "xs", "ys", "zs"))
-    return data[:, 0], data[:, 16:19], data[:, 15]
+    return mate_positions_from_lines(text.splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,76 @@ def test_verify_nonfinite_files_exit_64(tmp_path, capsys, name, columns):
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 
+def test_bad_cell_deep_in_a_streamed_mate_file_is_located(tmp_path, capsys):
+    # Data row 5 000 is line 5 002, after the comment and the header; the
+    # reader rescans the file from its start to name it.
+    ex, grid = tmp_path / "ex", "0:6.283185307179586:6001"
+    assert main(["example", "1", "--grid", grid, "--out", str(ex)]) == 0
+    lines = (ex / "mate.csv").read_text().split("\n")
+    cells = lines[5001].split(",")
+    cells[cio._MATE_COLUMNS.index("Tsx")] = "x"
+    lines[5001] = ",".join(cells)
+    (ex / "mate.csv").write_text("\n".join(lines))
+    code = main(["verify", "--curve", '{"kind":"circle","r":1.0}', "--family", "TO",
+                 "--coeffs=1,1", "--grid", grid, "--mate", str(ex / "mate.csv"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 64
+    assert capsys.readouterr().err == "error: line 5002: could not convert string to float: 'x'\n"
+
+
+def _not_utf8(path, source, row):
+    """``source`` with a Latin-1 byte in the first cell of data row ``row``."""
+    lines = source.read_bytes().split(b"\n")
+    at = next(i for i, line in enumerate(lines) if not line.startswith(b"#")) + row
+    lines[at] = b"1\xe9" + lines[at][lines[at].index(b","):]
+    path.write_bytes(b"\n".join(lines))
+    return str(path)
+
+
+def test_unreadable_input_files_exit_64_naming_them(tmp_path, capsys):
+    ex = tmp_path / "ex"
+    assert main(["example", "1", "--grid", "0:2:3001", "--out", str(ex)]) == 0
+    curve = tmp_path / "curve.json"
+    curve.write_bytes(b'{"kind": "circle", "r": 1.0} \xff')
+    lam, mate = str(ex / "lambda.csv"), str(ex / "mate.csv")
+    cases = {
+        str(tmp_path): ["--mate", str(tmp_path), "--lambda-csv", lam],
+        # Row 2 500 lies past the first chunk that the text reader decodes.
+        str(tmp_path / "m.csv"): ["--mate", _not_utf8(tmp_path / "m.csv", ex / "mate.csv", 2500)],
+        str(tmp_path / "l.csv"): ["--lambda-csv", _not_utf8(tmp_path / "l.csv", ex / "lambda.csv", 1),
+                                  "--mate", mate],
+        str(curve): ["--curve", str(curve)],
+    }
+    for path, options in cases.items():
+        argv = ["verify", "--curve", '{"kind":"circle","r":1.0}', "--family", "TO",
+                "--coeffs=1,1", "--grid", "0:2:3001", "--out", str(tmp_path / "out")]
+        code = main(argv + options)
+        err = capsys.readouterr().err
+        assert code == 64, (path, err)
+        assert err.startswith("error: ") and path in err, err
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["example", "1", f"--out={blocker / 'x'}"]) == 64
+    assert str(blocker / "x") in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "report.json")
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_output_files_get_the_mode_of_the_umask(tmp_path, umask, mode):
+    # The mode that open(path, "w") gives, for every file a call writes.
+    old = os.umask(umask)
+    try:
+        assert main(["example", "1", "--emit-plot-script", "--out", str(tmp_path)]) == 0
+        assert main(["frenet", "--curve", '{"kind":"circle","r":1.0}', "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["base.csv", "frenet.json", "lambda.csv", "mate.csv",
+                                   "plot_mates.py", "report.json"], mode)
+
+
 def test_nan_tolerance_env_exit_64(tmp_path, monkeypatch):
     monkeypatch.setenv("CURVEMATES_TOL_CONSTRAINT", "nan")
     assert main(["verify", "--curve", HELIX, "--family", "BO", "--grid", "0:3:61",

@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import tracemalloc
+from io import StringIO
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -25,9 +28,18 @@ def _reference_rows_to_csv(header, rows, comments=None):
     """The per-cell writer that the blocked one must match byte for byte."""
     lines = [f"# {c}" for c in (comments or [])]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines.extend(_reference_row_lines([rows]))
     return "\n".join(lines) + "\n"
+
+
+def _reference_row_lines(columns):
+    """Each row of the stacked columns as a line, every cell formatted on its own."""
+    return (",".join(repr(float(v)) for v in row) for row in np.column_stack(columns))
+
+
+def _blocked_csv(header, rows, comments=()):
+    """The library's blocked writer on a table of rows."""
+    return "".join(cio._csv_chunks(header, cio._row_lines([rows]), comments))
 
 
 def _reference_parse_csv(text, expected_header):
@@ -66,11 +78,23 @@ def _assert_same_text(got, want, name):
 
 
 def _assert_same_parse(text, header):
-    array, comments = cio._parse_csv(text, header)
+    # As a list of lines (the *_from_csv readers) and as a stream (an open file).
     ref_array, ref_comments = _reference_parse_csv(text, header)
-    assert comments == ref_comments
-    assert array.shape == ref_array.shape
-    assert array.tobytes() == ref_array.tobytes()
+    for lines in (text.splitlines(), StringIO(text)):
+        array, comments = cio._parse_csv(lines, header)
+        assert comments == ref_comments
+        assert array.shape == ref_array.shape
+        assert array.tobytes() == ref_array.tobytes()
+
+
+def _parse_errors(text, header):
+    """The ParseError messages of a malformed CSV, read as a list of lines and as a stream."""
+    messages = []
+    for lines in (text.splitlines(), StringIO(text)):
+        with pytest.raises(ParseError) as exc:
+            cio._parse_csv(lines, header)
+        messages.append(str(exc.value))
+    return messages
 
 
 def _edge_table(rows):
@@ -271,7 +295,7 @@ def _reference_example_texts(base, sol, pred, monkeypatch):
                                  pred.kappa_star, pred.tau_star])
     mate_comment = f"family={pred.family.code} classification={pred.classification}"
     with monkeypatch.context() as patch:
-        patch.setattr(cio, "_rows_to_csv", _reference_rows_to_csv)
+        patch.setattr(cio, "_row_lines", _reference_row_lines)
         lambda_text = cio.lambda_to_csv(sol)
     return {"base.csv": _reference_rows_to_csv(cio._CURVE_COLUMNS, base_rows),
             "lambda.csv": lambda_text,
@@ -314,6 +338,89 @@ def test_example_files_match_per_cell_writer_across_blocks(index, tmp_path, monk
         _assert_same_text((tmp_path / name).read_text(), text, name)
 
 
+def _first_rows(obj, rows):
+    """A copy of a dataclass whose array fields, nested ones too, keep their first ``rows`` rows."""
+    changes = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, np.ndarray) and value.ndim:
+            changes[field.name] = value[:rows]
+        elif dataclasses.is_dataclass(value):
+            changes[field.name] = _first_rows(value, rows)
+    return dataclasses.replace(obj, **changes)
+
+
+def _example_files(pred):
+    """The chunk iterators of an example's three CSV files, as the CLI writes them."""
+    base_chunks, mate_chunks = cio.base_and_mate_chunks(pred)
+    return {"base.csv": base_chunks, "lambda.csv": cio.lambda_chunks(pred.lam),
+            "mate.csv": mate_chunks}
+
+
+@pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 3 * 2048 + 5])
+def test_streamed_files_match_text_and_per_cell_writers(rows, tmp_path, monkeypatch):
+    # One row, a block less one, one block, a block plus one, three blocks plus five.
+    assert cio._BLOCK_ROWS == 2048
+    base, spec, sol = _example_inputs(1, 3 * 2048 + 5)
+    pred = _first_rows(associate(base, spec, sol), rows)
+    base, sol = pred.base, pred.lam
+    base_csv = cio.sampled_curve_to_csv(base)
+    texts = {"base.csv": base_csv, "lambda.csv": cio.lambda_to_csv(sol),
+             "mate.csv": cio.mate_to_csv(pred, base_csv)}
+    expected = _reference_example_texts(base, sol, pred, monkeypatch)
+    cio.write_files(str(tmp_path / "example"), _example_files(pred))
+    # The standalone generators, as frenet and associate write them.
+    cio.write_files(str(tmp_path / "alone"), {"base.csv": cio.sampled_curve_chunks(base),
+                                              "mate.csv": cio.mate_chunks(pred)})
+    for name, text in texts.items():
+        assert text.count("\n") == rows + 1 + (name != "base.csv")
+        _assert_same_text(text, expected[name], name)
+        _assert_same_text((tmp_path / "example" / name).read_text(), text, name)
+        if name != "lambda.csv":
+            _assert_same_text((tmp_path / "alone" / name).read_text(), text, name)
+    assert sorted(os.listdir(tmp_path / "example")) == sorted(texts)
+
+
+def _raising_after(chunks, count):
+    """The first ``count`` chunks of ``chunks``, then an error."""
+    yield from islice(chunks, count)
+    raise RuntimeError("no second block")
+
+
+def test_write_files_error_leaves_no_temp_and_old_files(tmp_path):
+    base, spec, sol = _example_inputs(1, 2 * 2048 + 1)
+    files = _example_files(associate(base, spec, sol))
+    for name in files:
+        (tmp_path / name).write_text(f"old {name}\n")
+    files["mate.csv"] = _raising_after(files["mate.csv"], 2)  # the header and one block
+    with pytest.raises(RuntimeError, match="no second block"):
+        cio.write_files(str(tmp_path), files)
+    assert sorted(os.listdir(tmp_path)) == sorted(files)  # no .tmp-* file is left
+    for name in files:
+        assert (tmp_path / name).read_text() == f"old {name}\n"
+
+
+def test_streamed_write_and_parse_hold_one_block_of_text(tmp_path):
+    # Traced peaks stay within the float data plus 16 MB. Holding the text
+    # instead peaks at 37.8 MB (write) and 34.9 MB (parse) at n = 20 001.
+    n = 16 * cio._BLOCK_ROWS + 1
+    base, spec, sol = _example_inputs(1, n)
+    pred = associate(base, spec, sol)
+    tracemalloc.start()
+    try:
+        cio.write_files(str(tmp_path), _example_files(pred))
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(tmp_path / "mate.csv", encoding="utf-8") as handle:
+            grid, positions, lam = cio.mate_positions_from_lines(handle)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(positions, pred.mate.positions) and np.array_equal(lam, sol.lam)
+    assert write_peak < 34 * 8 * n + 16e6, write_peak
+    assert parse_peak < 30 * 8 * n + 16e6, parse_peak
+
+
 def test_rows_to_csv_matches_per_cell_writer():
     header = ["a", "b", "c", "d"]
     tables = [
@@ -324,17 +431,16 @@ def test_rows_to_csv_matches_per_cell_writer():
     ]
     for rows in tables:
         names = header if rows.shape[1] == 4 else [f"c{i}" for i in range(rows.shape[1])]
-        text = cio._rows_to_csv(names, rows, ["note=1"])
+        text = _blocked_csv(names, rows, ["note=1"])
         assert text == _reference_rows_to_csv(names, rows, ["note=1"])
         _assert_same_parse(text, names)
-    assert cio._rows_to_csv(["a"], np.array([[-0.0], [0.0]])) == "a\n-0.0\n0.0\n"
+    assert _blocked_csv(["a"], np.array([[-0.0], [0.0]])) == "a\n-0.0\n0.0\n"
 
 
 def _long_csv():
     """2 * block + 1 data rows with comments, blank lines and padded cells."""
     header = ["a", "b", "c", "d"]
-    lines = cio._rows_to_csv(header, _edge_table(2 * cio._BLOCK_ROWS + 1),
-                             ["first"]).splitlines()
+    lines = _blocked_csv(header, _edge_table(2 * cio._BLOCK_ROWS + 1), ["first"]).splitlines()
     lines.insert(10, "# between rows")
     lines.insert(20, "")
     lines.insert(cio._BLOCK_ROWS + 30, "   ")
@@ -346,7 +452,7 @@ def test_parse_csv_matches_per_row_parser():
     header, lines = _long_csv()
     text = "\n".join(lines) + "\n"
     _assert_same_parse(text, header)
-    array, comments = cio._parse_csv(text, header)
+    array, comments = cio._parse_csv(text.splitlines(), header)
     assert comments == ["first", "between rows"]
     assert array.shape == (2 * cio._BLOCK_ROWS + 1, 4)
 
@@ -369,12 +475,10 @@ def test_parse_csv_errors_after_first_block():
         bad = lines.copy()
         bad[row], bad[row + 1] = first, second
         text = "\n".join(bad) + "\n"
-        with pytest.raises(ParseError) as exc:
-            cio._parse_csv(text, header)
         with pytest.raises(ParseError) as ref:
             _reference_parse_csv(text, header)
-        assert str(exc.value) == str(ref.value), name
-        assert str(exc.value).startswith(message), name
+        assert _parse_errors(text, header) == [str(ref.value)] * 2, name
+        assert str(ref.value).startswith(message), name
 
 
 @pytest.mark.parametrize("row", [5, cio._BLOCK_ROWS + 100])  # in the first block and past it
@@ -394,17 +498,14 @@ def test_parse_csv_locates_cells_numpy_rejects(row):
     for name, (line, message) in cases.items():
         bad = lines.copy()
         bad[row] = line
-        with pytest.raises(ParseError) as exc:
-            cio._parse_csv("\n".join(bad) + "\n", header)
-        assert str(exc.value) == f"line {row + 1}: {message}", name
+        assert _parse_errors("\n".join(bad) + "\n", header) == [f"line {row + 1}: {message}"] * 2, name
 
 
 @pytest.mark.parametrize("rows", ["1,2,3\n5,6,7\n", "1,2,3,4,0\n5,6,7,8,0\n"])
 def test_parse_csv_checks_the_header_width(rows):
     # numpy takes its column count from the rows, so three or five numbers on
     # every row parse; the count must still be checked against the header.
-    with pytest.raises(ParseError, match="^line 2: expected 4 columns$"):
-        cio._parse_csv("a,b,c,d\n" + rows, ["a", "b", "c", "d"])
+    assert _parse_errors("a,b,c,d\n" + rows, ["a", "b", "c", "d"]) == ["line 2: expected 4 columns"] * 2
 
 
 def test_parse_mate_csv_with_nan_cells(helix_base, grid_0_2):
@@ -414,6 +515,6 @@ def test_parse_mate_csv_with_nan_cells(helix_base, grid_0_2):
     sol = lambda_constant(constant_admissible_lambda("NO", kappa, tau), grid_0_2)
     pred = associate(helix_base, AssociationSpec("N", "O", (0.0, 1.0)), sol)
     text = cio.mate_to_csv(pred, cio.sampled_curve_to_csv(helix_base))
-    array, _ = cio._parse_csv(text, cio._MATE_COLUMNS)
+    array, _ = cio._parse_csv(text.splitlines(), cio._MATE_COLUMNS)
     assert np.isnan(array).sum() >= len(grid_0_2)
     _assert_same_parse(text, cio._MATE_COLUMNS)
