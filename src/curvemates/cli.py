@@ -170,74 +170,76 @@ def _named_constants(curve: CurveSpec) -> tuple[float, float]:
     return curve.closed_form_curvature(), curve.closed_form_torsion()
 
 
+# The start options that each family's default solve reads; TO and TR read --c0 or
+# --c1, not both. Any other start option, or one given with --lambda-csv, exits 64.
+START_OPTIONS = {
+    "TO": ("--c0", "--c1"), "TR": ("--c0", "--c1"), "TP": ("--c0",),
+    "NO": ("--c1", "--c2"), "NP": ("--lambda0",), "BP": ("--lambda0",),
+    "BO": ("--lambda0",), "BR": ("--lambda0", "--lambda0-prime"), "NR": (),
+}
+
+
+def _check_start_options(code: str, args) -> None:
+    """Raise UsageError on a start option that family ``code``'s solve does not read."""
+    given = [flag for flag in ("--c0", "--c1", "--c2", "--lambda0", "--lambda0-prime")
+             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    if given and getattr(args, "lambda_csv", None):
+        raise UsageError(f"{given[0]} is not read for family {code} with --lambda-csv")
+    for flag in given:
+        if flag not in START_OPTIONS[code]:
+            reads = ", ".join(START_OPTIONS[code]) or "no start option"
+            raise UsageError(f"{flag} is not read for family {code}, which reads {reads}")
+    if code in ("TO", "TR") and len(given) == 2:
+        raise UsageError(f"family {code} reads --c0 or --c1, not both")
+
+
 def _solve_family_lambda(
     spec: AssociationSpec, curve: CurveSpec, base: SampledCurve, args
 ) -> LambdaSolution:
-    """Default offset solver per family, driven by the CLI constants."""
-    grid = base.grid
-    code = spec.code
-    c0 = args.c0 if args.c0 is not None else 0.0  # -0.0 keeps its sign
-    kappa_arr = base.frames.kappa
+    """Default offset solver per family, started from the options in START_OPTIONS."""
+    def start(name: str, default: float) -> float:
+        value = getattr(args, name)
+        return default if value is None else value  # -0.0 keeps its sign
+
+    grid, code = base.grid, spec.code
     if code in ("TO", "TR"):
-        ratio = spec.ratio()
-        if args.c1 is not None:
-            c1 = args.c1
-        else:
-            kappa0 = float(kappa_arr[0])
-            if abs(ratio * kappa0) < 1e-12:
+        ratio, kappa = spec.ratio(), base.frames.kappa
+        c1 = args.c1
+        if c1 is None:
+            if abs(ratio * float(kappa[0])) < 1e-12:
                 raise UsageError("cannot derive c1 from c0: ratio*kappa vanishes")
-            c1 = 1.0 / (ratio * kappa0) + c0
-        return solve_linear(kappa_arr, ratio, c1, grid)
+            c1 = 1.0 / (ratio * float(kappa[0])) + start("c0", 0.0)
+        return solve_linear(kappa, ratio, c1, grid)
     if code == "TP":
-        return lambda_involute(c0, grid)
-    if code == "NO":
-        kappa, tau = _named_constants(curve)
-        if args.c1 is not None or args.c2 is not None:
-            a, b = spec.coeffs
-            return lambda_helix_hyperbolic(a, b, kappa, tau,
-                                           args.c1 or 0.0, args.c2 or 0.0, grid)
-        return lambda_half_curvature(kappa, grid)
-    if code == "NR":
-        kappa, tau = _named_constants(curve)
-        return lambda_constant(constant_admissible_lambda("NR", kappa, tau), grid)
+        return lambda_involute(start("c0", 0.0), grid)
     if code in ("NP", "BP"):
-        value = args.lambda0 if args.lambda0 is not None else 1.0
-        return lambda_constant(value, grid)
+        return lambda_constant(start("lambda0", 1.0), grid)
+    kappa, tau = _named_constants(curve)
+    if code == "NO":
+        if args.c1 is None and args.c2 is None:
+            return lambda_half_curvature(kappa, grid)
+        a, b = spec.coeffs
+        return lambda_helix_hyperbolic(a, b, kappa, tau, args.c1 or 0.0, args.c2 or 0.0, grid)
+    if code == "NR":
+        return lambda_constant(constant_admissible_lambda("NR", kappa, tau), grid)
     if code == "BO":
-        kappa, tau = _named_constants(curve)
-        lam0 = args.lambda0 if args.lambda0 is not None else 0.0
-        return solve_riccati(kappa, tau, lam0, grid)
-    if code == "BR":
-        kappa, tau = _named_constants(curve)
-        lam0 = args.lambda0 if args.lambda0 is not None else 0.5
-        lam0p = args.lambda0_prime if args.lambda0_prime is not None else 0.0
-        return solve_constraint_ode("BR", kappa, tau, (lam0, lam0p), grid)
-    raise UsageError(f"no default solver for family {code}")
+        return solve_riccati(kappa, tau, start("lambda0", 0.0), grid)
+    initial = (start("lambda0", 0.5), start("lambda0_prime", 0.0))
+    return solve_constraint_ode("BR", kappa, tau, initial, grid)
 
 
 def cmd_frenet(args) -> int:
     base = sample_curve(_parse_curve(args.curve), _parse_grid(args.grid))
-    if args.format == "json":
-        import json
-
-        f = base.frames
-        obj = {
-            "s": base.grid.tolist(),
-            "position": base.positions.tolist(),
-            "T": f.T.tolist(), "N": f.N.tolist(), "B": f.B.tolist(),
-            "kappa": f.kappa.tolist(), "tau": f.tau.tolist(),
-        }
-        cio.write_files(args.out, {"frenet.json": [json.dumps(obj, sort_keys=True) + "\n"]})
-    else:
-        cio.write_files(args.out, {"base.csv": cio.sampled_curve_chunks(base)})
+    cio.write_files(args.out, {"base.csv": cio.sampled_curve_chunks(base)})
     return 0
 
 
 def _inputs(args) -> tuple[CurveSpec, SampledCurve, AssociationSpec]:
     """The curve, its sampled base and the family spec named by the options."""
+    spec = _family_spec(args.family, _parse_coeffs(args.coeffs) if args.coeffs else None)
+    _check_start_options(spec.code, args)
     curve = _parse_curve(args.curve)
     base = sample_curve(curve, _parse_grid(args.grid))
-    spec = _family_spec(args.family, _parse_coeffs(args.coeffs) if args.coeffs else None)
     return curve, base, spec
 
 
@@ -293,8 +295,9 @@ def cmd_verify(args) -> int:
 def cmd_example(args) -> int:
     """Run verify on the example's row of EXAMPLES, also writing its CSV files."""
     curve, family, coeffs, start = EXAMPLES[args.index]
-    c1 = None if start is None else start + (args.c0 or 0.0)
-    vars(args).update(curve=curve, family=family, coeffs=coeffs, c1=c1, c2=None,
+    if start is not None:  # --c0 moves into --c1, as a user would type it
+        args.c1, args.c0 = start + (args.c0 or 0.0), None
+    vars(args).update(curve=curve, family=family, coeffs=coeffs, c2=None,
                       lambda0=None, lambda0_prime=None, lambda_csv=None, mate=None)
     return cmd_verify(args)
 
@@ -332,7 +335,6 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("frenet", help="sample a curve with its Frenet frames")
     _add_options(p, "curve")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = subs.add_parser("solve-lambda", help="solve the offset function of a family")
     _add_options(p, "curve", "family", "c0")

@@ -5,8 +5,8 @@ file reloads bit-identically; writes go through a temp file plus rename.
 CSV text is made and read in blocks of ``_BLOCK_ROWS`` rows. Within a block
 each distinct float of a column (keyed by its bits, so -0.0 stays apart from
 0.0) is formatted once; repr depends only on the bits, so the bytes are the
-same as formatting every cell. The base columns of a mate CSV are copied
-from the base CSV's lines, so they are formatted once. numpy's text reader
+same as formatting every cell. When the base and mate CSV are written
+together, each base line is formatted once for both. numpy's text reader
 converts the data rows back, to the same bits as ``float``.
 """
 from __future__ import annotations
@@ -265,14 +265,8 @@ def base_and_mate_chunks(pred: PredictedMate) -> tuple[Iterator[str], Iterator[s
     return _csv_chunks(_CURVE_COLUMNS, lines), mate_chunks(pred, shared)
 
 
-def mate_to_csv(pred: PredictedMate, base_csv: str) -> str:
-    """The mate CSV; ``base_csv`` must be ``sampled_curve_to_csv(pred.base)``."""
-    if base_csv[:base_csv.find("\n")] != ",".join(_CURVE_COLUMNS):
-        raise SpecificationError("base_csv does not start with the base curve CSV header")
-    rows = len(pred.base.grid)
-    if base_csv.count("\n") != rows + 1 or not base_csv.endswith("\n"):
-        raise SpecificationError(f"base_csv must hold {rows} data rows, one per grid point")
-    return "".join(mate_chunks(pred, base_csv.splitlines()[1:]))
+def mate_to_csv(pred: PredictedMate) -> str:
+    return "".join(mate_chunks(pred))
 
 
 def mate_positions_from_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

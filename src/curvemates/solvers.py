@@ -449,8 +449,10 @@ def solve_constraint_ode(
 
     family: "NO" (first order, cross-coefficient along the normal = 0),
     "NR"/"BR" (second order, affine in lambda''), "BO" (first order,
-    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). A family's constant branch
-    is ``lambda_constant(constant_admissible_lambda(...), grid)``.
+    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). The "BO" IVP is not BO's
+    constraint: with ratio = a/b it keeps <B, T*> = a/sqrt(a^2 + b^2), not
+    <B, B*> = 0; BO's own solver is ``solve_riccati``. A family's constant
+    branch is ``lambda_constant(constant_admissible_lambda(...), grid)``.
     """
     grid = np.asarray(grid, dtype=float)
     coefficients = _coefficients(kappa, tau)

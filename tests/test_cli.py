@@ -196,19 +196,66 @@ def test_cli_usage_errors():
 HELIX = json.dumps({"kind": "helix", "a": INV_SQRT2, "b": INV_SQRT2})
 
 
-def test_format_only_on_frenet(tmp_path, capsys):
+def test_format_is_not_an_option(tmp_path, capsys):
+    # Every file is CSV (and report.json); no subcommand takes --format.
     out = str(tmp_path)
     for argv in (["example", "1"],
+                 ["frenet", "--curve", HELIX],
                  ["solve-lambda", "--curve", HELIX, "--family", "TP"],
                  ["associate", "--curve", HELIX, "--family", "TP"],
                  ["verify", "--curve", HELIX, "--family", "TP"]):
-        # Only frenet writes JSON; elsewhere the flag would silently write CSV.
         assert main(argv + ["--grid", "0:1:9", "--format", "json", "--out", out]) == 64
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
     assert os.listdir(out) == []
-    assert main(["frenet", "--curve", HELIX, "--grid", "0:1:9", "--format", "json",
-                 "--out", out]) == 0
-    assert os.listdir(out) == ["frenet.json"]
+
+
+START_FLAGS = ("--c0", "--c1", "--c2", "--lambda0", "--lambda0-prime")
+CIRCLE = '{"kind":"circle","r":1.0}'
+
+
+def _solve_lambda(family, out, *options):
+    curve = CIRCLE if family == "TO" else HELIX
+    return main(["solve-lambda", "--curve", curve, "--family", family, "--grid", "0:3:201",
+                 "--out", str(out), *options])
+
+
+@pytest.mark.parametrize("family", list(cli.START_OPTIONS))
+def test_each_family_reads_only_its_start_options(family, tmp_path, capsys):
+    # The 12 pairs of START_OPTIONS each change lambda.csv; the other 33 exit 64.
+    assert _solve_lambda(family, tmp_path / "default") == 0
+    default = read(tmp_path / "default" / "lambda.csv")
+    for flag in START_FLAGS:
+        out = tmp_path / flag
+        code = _solve_lambda(family, out, f"{flag}=0.1")
+        if flag in cli.START_OPTIONS[family]:
+            assert code == 0
+            assert read(out / "lambda.csv") != default, flag
+        else:
+            assert code == 64, flag
+            assert f"{flag} is not read for family {family}" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["TO", "TR"])
+def test_c0_with_c1_exit_64(family, tmp_path, capsys):
+    # TO and TR start from --c1, or derive it from --c0; both at once is ambiguous.
+    assert _solve_lambda(family, tmp_path, "--c0=0.25", "--c1=2") == 64
+    assert f"family {family} reads --c0 or --c1, not both" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["associate", "verify"])
+@pytest.mark.parametrize("flag", START_FLAGS)
+def test_start_option_with_lambda_csv_exit_64(command, flag, tmp_path, capsys):
+    # A loaded offset is not solved, so no start option is read.
+    assert main(["solve-lambda", "--curve", CIRCLE, "--family", "TO", "--grid", "0:3:201",
+                 "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert main([command, "--curve", CIRCLE, "--family", "TO", "--grid", "0:3:201",
+                 "--lambda-csv", str(tmp_path / "lambda.csv"), f"{flag}=1",
+                 "--out", str(out)]) == 64
+    assert f"{flag} is not read for family TO with --lambda-csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,14 +421,15 @@ def test_output_files_get_the_mode_of_the_umask(tmp_path, umask, mode):
     # The mode that open(path, "w") gives, for every file a call writes.
     old = os.umask(umask)
     try:
-        assert main(["example", "1", "--emit-plot-script", "--out", str(tmp_path)]) == 0
-        assert main(["frenet", "--curve", '{"kind":"circle","r":1.0}', "--format", "json",
-                     "--out", str(tmp_path)]) == 0
+        assert main(["example", "1", "--emit-plot-script", "--out", str(tmp_path / "ex")]) == 0
+        assert main(["frenet", "--curve", '{"kind":"circle","r":1.0}',
+                     "--out", str(tmp_path / "frenet")]) == 0
     finally:
         os.umask(old)
-    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
-    assert modes == dict.fromkeys(["base.csv", "frenet.json", "lambda.csv", "mate.csv",
-                                   "plot_mates.py", "report.json"], mode)
+    modes = {p.relative_to(tmp_path).as_posix(): p.stat().st_mode & 0o777
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert modes == dict.fromkeys(["ex/base.csv", "ex/lambda.csv", "ex/mate.csv",
+                                   "ex/plot_mates.py", "ex/report.json", "frenet/base.csv"], mode)
 
 
 def test_nan_tolerance_env_exit_64(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 from curvemates import AssociationSpec, CurveSpec, associate, sample_curve, verify_mate
 from curvemates import cli
-from curvemates.errors import InsufficientDataError, ParseError, SpecificationError
+from curvemates.errors import InsufficientDataError, ParseError
 from curvemates import io as cio
 from curvemates.geometry import curvature_derivatives
 from curvemates.numdiff import diff1, norm3, uniform_spacing
@@ -188,7 +188,7 @@ def test_lambda_csv_round_trip(grid_0_2):
 def test_mate_csv_round_trip(helix_base, grid_0_2):
     sol = lambda_involute(1.0, grid_0_2)
     pred = associate(helix_base, AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)), sol)
-    text = cio.mate_to_csv(pred, cio.sampled_curve_to_csv(helix_base))
+    text = cio.mate_to_csv(pred)
     # The mate frame is undefined at the involute cusp (s = 1): its cells read nan.
     assert ",nan," in text
     grid, pos, lam = cio.mate_positions_from_csv(text)
@@ -214,26 +214,12 @@ def involute_mate(helix_base, grid_0_2):
 def test_mate_reader_converts_every_column(involute_mate, helix_base):
     # The reader returns 5 of the 30 columns but converts all of them, so a
     # malformed cell in a column it does not return is still located.
-    lines = cio.mate_to_csv(involute_mate, cio.sampled_curve_to_csv(helix_base)).splitlines()
+    lines = cio.mate_to_csv(involute_mate).splitlines()
     cells = lines[5].split(",")
     cells[cio._MATE_COLUMNS.index("Tsx")] = "x"
     lines[5] = ",".join(cells)
     with pytest.raises(ParseError, match="line 6: could not convert string to float: 'x'"):
         cio.mate_positions_from_csv("\n".join(lines) + "\n")
-
-
-def test_mate_csv_rejects_another_base_text(involute_mate, helix_base):
-    base_csv = cio.sampled_curve_to_csv(helix_base)
-    last_row = base_csv.rsplit("\n", 2)[1] + "\n"
-    cases = {
-        "short": (base_csv[:-len(last_row)], "2001 data rows"),
-        "long": (base_csv + last_row, "2001 data rows"),
-        "long, unterminated": (base_csv + last_row[:-1], "2001 data rows"),
-        "header": (base_csv.replace("kappa,tau", "kappa,torsion", 1), "header"),
-    }
-    for name, (text, message) in cases.items():
-        with pytest.raises(SpecificationError, match=message):
-            cio.mate_to_csv(involute_mate, text)
 
 
 def test_report_json_schema(helix_base, grid_0_2):
@@ -316,9 +302,8 @@ def _example_inputs(index, n):
 def test_example_csv_matches_per_cell_writer(index, monkeypatch):
     base, spec, sol = _example_inputs(index, 2001)
     pred = associate(base, spec, sol)
-    base_csv = cio.sampled_curve_to_csv(base)
-    texts = {"base.csv": base_csv, "lambda.csv": cio.lambda_to_csv(sol),
-             "mate.csv": cio.mate_to_csv(pred, base_csv)}
+    texts = {"base.csv": cio.sampled_curve_to_csv(base), "lambda.csv": cio.lambda_to_csv(sol),
+             "mate.csv": cio.mate_to_csv(pred)}
     expected = _reference_example_texts(base, sol, pred, monkeypatch)
     for name, text in texts.items():
         _assert_same_text(text, expected[name], name)
@@ -364,9 +349,8 @@ def test_streamed_files_match_text_and_per_cell_writers(rows, tmp_path, monkeypa
     base, spec, sol = _example_inputs(1, 3 * 2048 + 5)
     pred = _first_rows(associate(base, spec, sol), rows)
     base, sol = pred.base, pred.lam
-    base_csv = cio.sampled_curve_to_csv(base)
-    texts = {"base.csv": base_csv, "lambda.csv": cio.lambda_to_csv(sol),
-             "mate.csv": cio.mate_to_csv(pred, base_csv)}
+    texts = {"base.csv": cio.sampled_curve_to_csv(base), "lambda.csv": cio.lambda_to_csv(sol),
+             "mate.csv": cio.mate_to_csv(pred)}
     expected = _reference_example_texts(base, sol, pred, monkeypatch)
     cio.write_files(str(tmp_path / "example"), _example_files(pred))
     # The standalone generators, as frenet and associate write them.
@@ -514,7 +498,7 @@ def test_parse_mate_csv_with_nan_cells(helix_base, grid_0_2):
     kappa, tau = float(helix_base.frames.kappa[0]), float(helix_base.frames.tau[0])
     sol = lambda_constant(constant_admissible_lambda("NO", kappa, tau), grid_0_2)
     pred = associate(helix_base, AssociationSpec("N", "O", (0.0, 1.0)), sol)
-    text = cio.mate_to_csv(pred, cio.sampled_curve_to_csv(helix_base))
+    text = cio.mate_to_csv(pred)
     array, _ = cio._parse_csv(text.splitlines(), cio._MATE_COLUMNS)
     assert np.isnan(array).sum() >= len(grid_0_2)
     _assert_same_parse(text, cio._MATE_COLUMNS)

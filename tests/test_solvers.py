@@ -37,6 +37,8 @@ from conftest import helix_equation, linear_equation, prime_consistency, riccati
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, 2.0, 2001)
+# (kappa, tau) of two circular helices: a = b = 1/sqrt(2), and a = 0.8, b = 0.6.
+HELICES = [(INV_SQRT2, INV_SQRT2), (0.8, 0.6)]
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +186,50 @@ def test_exponential_pair_solves_squared_constraint():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+# Each shipped closed form on a circular helix (kappa, tau), read against its
+# family's raw cross-product coefficient on its exact lambda, lambda' and
+# lambda''. The raw value, not the normalized one: on the axis mates (NO at
+# a = b, NR's constant branch) (K, L, M) is itself round-off, so a ratio
+# means nothing there.
+@pytest.mark.parametrize("code, kappa, tau, closed_form", [
+    pytest.param("NO", INV_SQRT2, INV_SQRT2, lambda g: lambda_half_curvature(INV_SQRT2, g),
+                 id="NO-half-curvature"),
+    pytest.param("NR", INV_SQRT2, INV_SQRT2, lambda g: lambda_constant(
+        constant_admissible_lambda("NR", INV_SQRT2, INV_SQRT2), g), id="NR-constant"),
+    pytest.param("BR", INV_SQRT2, INV_SQRT2, lambda g: lambda_constant(
+        constant_admissible_lambda("BR", INV_SQRT2, INV_SQRT2), g), id="BR-constant"),
+    # On the unit circle tau = 0, so NO's L vanishes for every lambda.
+    pytest.param("NO", 1.0, 0.0, lambda g: lambda_helix_hyperbolic(1.0, 1.0, 1.0, 0.0, 0.3, 0.1, g),
+                 id="NO-hyperbolic-circle"),
+    pytest.param("NO", 0.8, 0.6, lambda g: lambda_helix_hyperbolic(1.0, 1.0, 0.8, 0.6, 0.3, 0.1, g),
+                 id="NO-hyperbolic-helix", marks=pytest.mark.xfail(
+                     strict=True, reason="on a helix L = -2 tau lambda', and the hyperbolic "
+                     "form has lambda' != 0: |L|/|(K, L, M)| reaches 0.894")),
+    pytest.param("BO", INV_SQRT2, INV_SQRT2, lambda g: lambda_exponential_pair(
+        1.0, 1.0, INV_SQRT2, 0.5, -1.0, g), id="BO-exponential-pair", marks=pytest.mark.xfail(
+            strict=True, reason="the pair solves lambda'^2 = (a/b)^2 (1 + lambda^2 tau^2), "
+            "not BO's Z = 0: |Z|/|(X, Y, Z)| reaches 0.71")),
+])
+def test_closed_form_satisfies_its_family_constraint(code, kappa, tau, closed_form):
+    sol = closed_form(GRID)
+    k, t, zero = np.full(GRID.shape, kappa), np.full(GRID.shape, tau), np.zeros(GRID.shape)
+    entry = FAMILIES[code]
+    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
+    components = cross(sol.lam, sol.lam_prime, sol.lam_double_prime, k, t, zero, zero)
+    assert np.max(np.abs(entry.coefficient[1](*components, sol.lam, k, t))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Riccati
 
 
 def test_riccati_matches_tangent_closed_form():
-    sol = solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, GRID)
-    exact = math.sqrt(2.0) * np.tan(GRID / (2.0 * math.sqrt(2.0)))
-    assert np.max(np.abs(sol.lam - exact)) < 1e-6
-    assert np.max(offset_residual(sol, riccati_z(INV_SQRT2, INV_SQRT2), 1)) < 1e-6
+    # lambda = (1/tau) tan(kappa s/2 + atan(lambda0 tau)) on a circular helix.
+    for (kappa, tau), lam0 in zip(HELICES, (0.0, 0.3)):
+        sol = solve_riccati(kappa, tau, lam0, GRID)
+        exact = np.tan(kappa * GRID / 2.0 + math.atan(lam0 * tau)) / tau
+        assert np.max(np.abs(sol.lam - exact)) < 1e-6
+        assert np.max(offset_residual(sol, riccati_z(kappa, tau), 1)) < 1e-6
 
 
 def test_riccati_fourth_order_convergence():
@@ -309,9 +346,24 @@ def test_constraint_br_ivp_residual():
 
 
 def test_constraint_no_ivp_is_constant_on_constant_curvatures():
-    sol = solve_constraint_ode("NO", INV_SQRT2, INV_SQRT2, (0.3, 0.0), GRID)
-    np.testing.assert_allclose(sol.lam, 0.3, atol=1e-12)
-    assert np.max(constraint_residual(sol, "NO", INV_SQRT2, INV_SQRT2)) < 1e-10
+    for kappa, tau in HELICES:
+        sol = solve_constraint_ode("NO", kappa, tau, (0.3, 0.0), GRID)
+        np.testing.assert_allclose(sol.lam, 0.3, atol=1e-12)
+        assert np.max(constraint_residual(sol, "NO", kappa, tau)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [2001, 20001])
+@pytest.mark.parametrize("kappa, tau", HELICES)
+def test_constraint_br_ivp_keeps_its_first_integral(kappa, tau, n):
+    # With theta = atan(lambda tau), BR's constraint on a circular helix is
+    # theta'' = (tau^2/2) sin 2 theta, so E = theta'^2 + (tau^2/2) cos 2 theta
+    # is constant along every solution.
+    sol = solve_constraint_ode("BR", kappa, tau, (0.5, 0.1), np.linspace(0.0, 1.5, n))
+    theta = np.arctan(sol.lam * tau)
+    theta_p = tau * sol.lam_prime / (1.0 + (sol.lam * tau) ** 2)
+    energy = theta_p**2 + 0.5 * tau**2 * np.cos(2.0 * theta)
+    assert energy[0] > 0.1
+    assert np.max(np.abs(energy - energy[0])) < 1e-13
 
 
 @pytest.mark.parametrize("family", ["NO", "NR", "BR"])
