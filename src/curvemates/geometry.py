@@ -39,6 +39,7 @@ _CHEB_DER = chebder(_CHEB_FIT)
 _NEWTON_STEPS = 50
 # reparametrize_arclength's speed floor, and its unit-speed bound with 50 h^2.
 _UNIT_SPEED_TOL = 1e-6
+STENCIL_HALO = 3  # stencil_frames' reach: diff1 of diff3 reads 3 rows on each side
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,11 @@ class FrameData:
     """Vectorized frame arrays aligned with a sample grid.
 
     The arc-length derivatives ``kappa_prime`` ... ``tau_second`` are None on
-    stencil frames from :func:`frenet_frames_sampled`, which the oracle uses
-    without them; base curves carry them. ``direction_error`` is the
-    leading finite-difference error of the T and B directions, per point,
-    for frames differentiated from samples; it is None for exact analytic
-    frames and for frames read from a file.
+    stencil frames from :func:`frenet_frames_sampled` and on the oracle's
+    (whose T, N, B and speed are None too); base curves carry them.
+    ``direction_error`` is the leading finite-difference error of the T and
+    B directions, per point, for frames differentiated from samples; it is
+    None for exact analytic frames and for frames read from a file.
     """
 
     T: np.ndarray
@@ -272,13 +273,25 @@ def with_arclength_derivatives(frames: FrameData, h: float) -> FrameData:
     return replace(frames, kappa_prime=kp, tau_prime=tp, kappa_second=ks, tau_second=ts)
 
 
+def stencil_frames(p: np.ndarray, h: float, kappa_min: float) -> tuple[np.ndarray, ...]:
+    """(T, N, B, kappa, tau, speed, valid, direction_error) of the (m, 3) positions
+    ``p``, h apart; frenet_frames_sampled and the oracle run it in row blocks."""
+    d1, d2, d3 = diff1(p, h), diff2(p, h), diff3(p, h)
+    T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(d1, d2, d3, kappa_min)
+    n2, n3, n4 = (norm3(d) for d in (d2, d3, diff1(d3, h)))
+    tiny = 1e-300
+    est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
+    est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
+    return T, N, B, kappa, tau, speed, valid, est_tangent + est_binormal
+
+
 def frenet_frames_sampled(
     grid: np.ndarray,
     positions: np.ndarray,
     kappa_min: float = KAPPA_FLOOR_DEFAULT,
     strict: bool = True,
 ) -> FrameData:
-    """Numeric frames for sampled positions (O(h^2) stencils).
+    """Numeric frames for sampled positions (O(h^2) stencils, :func:`stencil_frames`).
 
     With strict=False degenerate points are masked in ``valid`` instead of
     raising; their frame rows are not meaningful. ``direction_error`` is the
@@ -294,19 +307,8 @@ def frenet_frames_sampled(
         raise InsufficientDataError("numeric frames need at least 7 samples")
     # One h for every block: a block's own first step can differ in the last ulp.
     h = uniform_spacing(grid)
-
-    def rows(lo, hi):
-        p = positions[lo:hi]
-        d1, d2, d3 = diff1(p, h), diff2(p, h), diff3(p, h)
-        T, N, B, kappa, tau, speed, cn, valid = _frenet_from_derivs(d1, d2, d3, kappa_min)
-        n2, n3, n4 = (norm3(d) for d in (d2, d3, diff1(d3, h)))
-        tiny = 1e-300
-        est_tangent = (h * h / 6.0) * n3 / np.maximum(speed, tiny)
-        est_binormal = h * h * (n3 * n2 / 6.0 + speed * n4 / 12.0) / np.maximum(cn, tiny)
-        return T, N, B, kappa, tau, speed, valid, est_tangent + est_binormal
-
-    # diff1 of diff3 reaches three rows on each side.
-    T, N, B, kappa, tau, speed, valid, direction_error = rowmap(rows, grid.size, halo=3)
+    T, N, B, kappa, tau, speed, valid, direction_error = rowmap(
+        lambda lo, hi: stencil_frames(positions[lo:hi], h, kappa_min), grid.size, STENCIL_HALO)
     if strict:
         _require_valid(valid, kappa_min, grid)
     return FrameData(T=T, N=N, B=B, kappa=kappa, tau=tau, speed=speed, valid=valid,

@@ -9,16 +9,16 @@ tolerances; that rule trims its second-order edge rows. ``norm3`` and
 ``cross3`` are the row norm and row cross product of (n, 3) arrays.
 
 ``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows
-on the usable CPUs and stitches the blocks, with the bits of one call on
-all rows.
+on the usable CPUs, each block writing its own rows of the result, with the
+bits of one call on all rows.
 """
 from __future__ import annotations
 
 import contextvars
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import suppress
+from concurrent.futures import FIRST_COMPLETED, Future, InvalidStateError, ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -190,12 +190,15 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _run_block(fn, n, halo, a, b, err):
+def _run_block(fn, n, halo, a, b, err, shapes, outs):
     lo, hi = max(a - halo, 0), min(b + halo, n)
     # numpy 2 keeps errstate in the copied context; numpy 1 keeps it per thread.
     with np.errstate(**err):
         parts = fn(lo, hi)
-    return [part[a - lo:b - lo] for part in parts]
+    with suppress(InvalidStateError):  # raised when another block published first
+        shapes.set_result([(part.shape[1:], part.dtype) for part in parts])
+    for out, part in zip(outs.result(), parts):
+        out[a:b] = part[a - lo:b - lo]
 
 
 def rowmap(
@@ -207,34 +210,31 @@ def rowmap(
     each of its rows may depend on the rows within ``halo`` of it. Rows
     ``0..n`` go in the blocks of :func:`_blocks`. Each block gets ``halo``
     extra rows on each side (fewer at the ends of the grid), which are
-    trimmed before its rows are written into arrays of n rows, so the
-    result has the bits of ``fn(0, n)`` for any row-local ``fn``. Blocks
-    run on a shared thread pool, one worker per usable CPU, each in a copy
-    of the caller's ``contextvars`` context and ``np.errstate``. With one
-    block or one usable CPU, and inside a block, ``fn(0, n)`` runs inline
-    and no thread is started. When blocks raise, the exception of the
-    first failing block in row order propagates once every running block
-    has stopped.
+    trimmed before the block's own thread writes its rows into arrays of n
+    rows, so the result has the bits of ``fn(0, n)`` for any row-local
+    ``fn``. The caller makes those arrays (``np.empty``) from the shapes and
+    dtypes that the first finished block publishes. Blocks run on a shared
+    thread pool, one worker per usable CPU, each in a copy of the caller's
+    ``contextvars`` context and ``np.errstate``. With one block or one usable
+    CPU, and inside a block, ``fn(0, n)`` runs inline and no thread is
+    started. When blocks raise, the exception of the first failing block in
+    row order propagates once every running block has stopped.
     """
     blocks = _blocks(n)
     if len(blocks) < 2 or getattr(_WORKER, "active", False) or _usable_cpus() < 2:
         return tuple(fn(0, n))
-    pool, err = _pool(), np.geterr()
-    pending = deque(
-        (a, b, pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b, err))
-        for a, b in blocks)
-    outs = None
+    pool, err, shapes, outs = _pool(), np.geterr(), Future(), Future()
+    futures = [pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b, err,
+                           shapes, outs) for a, b in blocks]
     try:
-        while pending:
-            # Popped before its result is read, so no future keeps a stitched block alive.
-            a, b, future = pending.popleft()
-            parts = future.result()
-            if outs is None:
-                outs = tuple(np.empty((n,) + p.shape[1:], dtype=p.dtype) for p in parts)
-            for out, part in zip(outs, parts):
-                out[a:b] = part
+        # A block that returns publishes before it waits, so until then only failures finish.
+        while not shapes.done() and not all(future.done() for future in futures):
+            wait([shapes, *(f for f in futures if not f.done())], return_when=FIRST_COMPLETED)
+        if shapes.done():
+            outs.set_result(tuple(np.empty((n,) + shape, dtype) for shape, dtype in shapes.result()))
+        for future in futures:
+            future.result()
     finally:
-        for _, _, future in pending:
-            future.cancel()
-        wait([future for _, _, future in pending])
-    return outs
+        outs.cancel()  # once set, a no-op; else it releases the blocks that wait for it
+        wait([future for future in futures if not future.cancel()])
+    return outs.result()

@@ -26,8 +26,8 @@ import numpy as np
 
 from .association import FAMILIES, PLANE_NORMAL, AssociationSpec, PredictedMate
 from .errors import SpecificationError
-from .geometry import FrameData, SampledCurve, frenet_frames_sampled
-from .numdiff import norm3, same_grid
+from .geometry import STENCIL_HALO, FrameData, SampledCurve, stencil_frames
+from .numdiff import norm3, rowmap, same_grid, uniform_spacing
 from .solvers import LambdaSolution, constraint_residual
 
 GATING_TABLE_VERSION = 1
@@ -200,12 +200,14 @@ def check_association(
 ) -> VerificationReport:
     """Verify a constructed mate against its family's defining relations.
 
-    The mate's frames are recomputed numerically from its positions; the
-    family's defining orthogonality (offset vector against the mate plane
-    normal) is evaluated on the gated interior. With ``lam_sol`` the
-    distance identity and the coefficient constraint are checked too; with
-    ``predicted`` the closed-form frames and printed curvature formulas are
-    compared against the oracle.
+    The mate's frames are recomputed from its positions by
+    ``geometry.stencil_frames`` in ``rowmap`` blocks, which return per row
+    only kappa, tau, ``valid``, ``direction_error`` and the dots the checks
+    read, never the whole (n, 3) frames. The family's defining orthogonality
+    (offset vector against the mate plane normal) is evaluated on the gated
+    interior. With ``lam_sol`` the distance identity and the coefficient
+    constraint are checked too; with ``predicted`` the closed-form frames
+    and printed curvature formulas are compared against the oracle.
     """
     tols = tolerances or Tolerances()
     if mate.n < 7:
@@ -219,18 +221,30 @@ def check_association(
         raise SpecificationError(
             f"mate positions must be finite; first non-finite row at s={mate.grid[first]:.6g}")
 
-    numeric = frenet_frames_sampled(mate.grid, mate.positions,
-                                    kappa_min=tols.kappa_min, strict=False)
+    h = uniform_spacing(mate.grid)  # one h for every block, as in frenet_frames_sampled
+    normal_name = PLANE_NORMAL[spec.plane]
+    # (rows, oracle frame) pairs whose row dots the checks read.
+    pairs = [(getattr(base.frames, spec.vector), normal_name)]
+    if predicted is not None:
+        pairs += [(getattr(predicted, f"{name}_star"), name) for name in "TNB"]
+
+    def block(lo, hi):
+        T, N, B, kappa, tau, _, valid, error = stencil_frames(mate.positions[lo:hi], h,
+                                                              tols.kappa_min)
+        frames = {"T": T, "N": N, "B": B}
+        return (kappa, tau, valid, error,
+                *(np.einsum("ij,ij->i", v[lo:hi], frames[name]) for v, name in pairs))
+
+    kappa, tau, valid, error, normal_dots, *frame_dots = rowmap(block, mate.n, STENCIL_HALO)
+    # No T, N, B or speed: _gate_mask and audit_curvature_formulas read the other fields.
+    numeric = FrameData(None, None, None, kappa, tau, None, valid=valid, direction_error=error)
     gate, bands = _gate_mask(mate.grid, numeric, tols)
     family = FAMILIES[spec.code]
     gates_for = family.gates
     notes = []
 
-    offset = getattr(base.frames, spec.vector)
-    normal_name = PLANE_NORMAL[spec.plane]
-    ortho = np.abs(np.einsum("ij,ij->i", offset, getattr(numeric, normal_name)))
     key = f"<{spec.vector},{normal_name}*>"
-    constraint_residuals = {key: float(np.max(ortho[gate], initial=0.0))}
+    constraint_residuals = {key: float(np.max(np.abs(normal_dots[gate]), initial=0.0))}
     if not np.any(gate):
         notes.append("gated set empty: every point is degenerate or boundary")
     # One row per check, in failure order: (name, value, gates, tolerance).
@@ -256,10 +270,9 @@ def check_association(
     curvature_deltas: dict[str, float] = {}
     if predicted is not None:
         rows = np.flatnonzero(gate & predicted.defined)
-        for name in ("T", "N", "B"):
-            # Dot whole rows, then gather: NaN rows of undefined frames stay silent.
-            dots = np.einsum("ij,ij->i", getattr(predicted, f"{name}_star"),
-                             getattr(numeric, name))[rows]
+        for name, row_dots in zip("TNB", frame_dots):
+            # Whole rows were dotted, then gathered: NaN rows of undefined frames stay silent.
+            dots = row_dots[rows]
             frame_errors[name], frame_raw[name], frame_flips[name] = _frame_angles(dots)
             checks.append((f"frame_{name}", frame_errors[name], gates_for["frames"],
                            tols.frame_angle))

@@ -1,9 +1,11 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from curvemates import CurveSpec, sample_curve
+from curvemates import AssociationSpec, CurveSpec, sample_curve
+from curvemates.cli import _solve_family_lambda
 from curvemates.numdiff import diff1
 from curvemates.verify import _frame_angles
 
@@ -29,6 +31,17 @@ def helix_base(unit_helix_spec, grid_0_2):
 @pytest.fixture(scope="session")
 def circle_base(grid_0_2):
     return sample_curve(CurveSpec.circle(1.0), grid_0_2)
+
+
+def cli_default_inputs(code, n):
+    """(base, spec, lambda solution) of family ``code`` on [0, 3] with n rows and
+    the CLI's default coefficients and solve: TO on the unit circle, every
+    other family on the helix a = b = 1/sqrt(2)."""
+    curve = CurveSpec.circle(1.0) if code == "TO" else CurveSpec.helix(INV_SQRT2, INV_SQRT2)
+    base = sample_curve(curve, np.linspace(0.0, 3.0, n))
+    spec = AssociationSpec(code[0], code[1], (1.0, 1.0))
+    args = argparse.Namespace(c0=None, c1=None, c2=None, lambda0=None, lambda0_prime=None)
+    return base, spec, _solve_family_lambda(spec, curve, base, args)
 
 
 def rotation_matrix(axis, angle):

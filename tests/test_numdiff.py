@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import math
 import os
@@ -21,11 +20,12 @@ from curvemates import (
     sample_curve,
     verify_mate,
 )
-from curvemates.cli import _solve_family_lambda
 from curvemates.errors import CurvatureDegenerateError
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.io import report_to_json
 from curvemates.numdiff import cross3, norm3
+
+from conftest import cli_default_inputs
 
 INF, NAN = np.inf, np.nan
 
@@ -136,17 +136,9 @@ def test_rowmap_sample_curve_bits(monkeypatch, spec, n):
     _assert_same_fields(got, want)
 
 
-def _defaults(code, n):
-    curve = CurveSpec.circle(1.0) if code == "TO" else CurveSpec.helix(S2, S2)
-    base = sample_curve(curve, np.linspace(0.0, 3.0, n))
-    spec = AssociationSpec(code[0], code[1], (1.0, 1.0))
-    args = argparse.Namespace(c0=None, c1=None, c2=None, lambda0=None, lambda0_prime=None)
-    return base, spec, _solve_family_lambda(spec, curve, base, args)
-
-
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 def test_rowmap_oracle_frames_bits(monkeypatch, n):
-    mate = associate(*_defaults("TP", n)).mate
+    mate = associate(*cli_default_inputs("TP", n)).mate
     got = frenet_frames_sampled(mate.grid, mate.positions, strict=False)
     want = _one_block(monkeypatch,
                       lambda: frenet_frames_sampled(mate.grid, mate.positions, strict=False))
@@ -166,7 +158,7 @@ def test_rowmap_reparametrize_bits(monkeypatch, n):
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 @pytest.mark.parametrize("code", list(FAMILIES))
 def test_rowmap_associate_and_report_bits(monkeypatch, code, n):
-    base, spec, sol = _defaults(code, n)
+    base, spec, sol = cli_default_inputs(code, n)
 
     def run():
         pred = associate(base, spec, sol)
@@ -232,6 +224,31 @@ def test_rowmap_raises_the_first_failing_block_in_row_order():
 
     with pytest.raises(ValueError, match=f"rows from {BLOCK}$"):
         numdiff.rowmap(fn, 3 * BLOCK)
+
+
+def test_rowmap_all_blocks_raise_and_the_pool_serves_the_next_call():
+    # No block publishes its shapes, so the result arrays are never made; no
+    # worker may be left waiting for them, or the next call would hang.
+    def fail(lo, hi):
+        if lo == 0:
+            time.sleep(0.05)  # so that later blocks fail first
+        raise ValueError(f"rows from {lo}")
+
+    outcome = {}
+
+    def calls():
+        try:
+            numdiff.rowmap(fail, 3 * BLOCK)
+        except ValueError as error:
+            outcome["error"] = str(error)
+        outcome["rows"] = numdiff.rowmap(lambda lo, hi: (np.arange(lo, hi),), 3 * BLOCK)[0]
+
+    caller = threading.Thread(target=calls, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert outcome["error"] == "rows from 0"
+    assert _same_bits(outcome["rows"], np.arange(3 * BLOCK))
 
 
 def test_rowmap_inside_a_block_runs_inline():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from curvemates import (
     associate,
     check_association,
     check_distance,
+    numdiff,
     sample_curve,
     verify_mate,
 )
+from curvemates.association import PLANE_NORMAL
 from curvemates.errors import SpecificationError
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.solvers import (
@@ -31,12 +35,14 @@ from curvemates.verify import (
     _bands_from_mask,
     _frame_angles,
     _gate_mask,
+    audit_curvature_formulas,
 )
 
-from conftest import vector_angles
+from conftest import cli_default_inputs, vector_angles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 IDENTITY = np.eye(3)  # rows T, N, B
+BLOCK = numdiff._BLOCK_ROWS
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +238,56 @@ def test_gate_mask_matches_reference(unit_helix_spec, n):
             ref_gate, ref_bands = _gate_mask_reference(grid, positions, numeric, tol)
             np.testing.assert_array_equal(gate, ref_gate)
             assert bands == ref_bands
+
+
+# ---------------------------------------------------------------------------
+# the oracle pass: stencil frames and their dots in row blocks
+
+
+@pytest.mark.parametrize("n", [BLOCK + 7, 2 * BLOCK + 5])
+@pytest.mark.parametrize("code", list(FAMILIES))
+def test_oracle_pass_matches_reference_at_block_sizes(code, n):
+    # Against the whole (n, 3) stencil frames, their gate mask and row dots.
+    base, spec, sol = cli_default_inputs(code, n)
+    pred = associate(base, spec, sol)
+    tol = Tolerances()
+    report = verify_mate(pred, tol)
+    numeric = frenet_frames_sampled(pred.mate.grid, pred.mate.positions,
+                                    kappa_min=tol.kappa_min, strict=False)
+    gate, bands = _gate_mask(pred.mate.grid, numeric, tol)
+    assert report.excluded_bands == bands
+    normal = PLANE_NORMAL[spec.plane]
+    ortho = np.abs(_row_dots(getattr(base.frames, spec.vector), getattr(numeric, normal)))
+    assert _same_bits(report.constraint_residuals[f"<{spec.vector},{normal}*>"],
+                      np.max(ortho[gate], initial=0.0))
+    rows = np.flatnonzero(gate & pred.defined)
+    for name in ("T", "N", "B"):
+        dots = _row_dots(getattr(pred, f"{name}_star"), getattr(numeric, name))[rows]
+        got = (report.frame_errors[name], report.frame_raw_angles[name],
+               report.frame_sign_flips[name])
+        assert _same_bits(got, _angles_reference(dots, rows.size))
+    want = audit_curvature_formulas(pred, numeric, rows)
+    assert report.curvature_deltas.keys() == want.keys()
+    assert _same_bits(list(report.curvature_deltas.values()), list(want.values()))
+
+
+@pytest.mark.skipif(numdiff._usable_cpus() < 2,
+                    reason="the inline path holds whole-grid temporaries by design")
+def test_oracle_peak_memory_stays_in_blocks(monkeypatch):
+    # The mate's numeric frames alone would be 3 x 4.8 MB at this size. Each
+    # worker holds one block's temporaries, so the pool has two workers here
+    # whatever the CPU count: with four the peak is ~33 MiB, with eight ~45.
+    pred = associate(*cli_default_inputs("TP", 200_001))
+    pool = ThreadPoolExecutor(2, initializer=numdiff._mark_worker)
+    monkeypatch.setattr(numdiff, "_POOL", pool)
+    tracemalloc.start()
+    try:
+        verify_mate(pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        pool.shutdown()
+    assert peak <= 30 * 2**20
 
 
 # ---------------------------------------------------------------------------
