@@ -9,11 +9,13 @@ derivatives of alpha* have closed-form components in the base frame:
     V = N:  alpha*'  = (1 - lambda kappa) T + lambda' N + lambda tau B
     V = B:  alpha*'  = T - lambda tau N + lambda' B
 
-with matching second and third derivatives. The mate's tangent is the
-normalized first derivative, its binormal the normalized cross product of
-the first two derivatives, and N* = B* x T*; predicted frames and
-curvatures below are evaluated on the whole grid from those exact component
-vectors.
+Taken as jets (value and derivatives) of the components, alpha*'' and
+alpha*''' follow from alpha*' by one Frenet-Serret derivative,
+D(a, b, c) = (a' - kappa b, b' + kappa a - tau c, c' + tau b), with the
+Leibniz rule for products. The mate's tangent is the normalized first
+derivative, its binormal the normalized cross product of the first two
+derivatives, and N* = B* x T*; predicted frames and curvatures below are
+evaluated on the whole grid from those exact component vectors.
 
 FAMILIES holds what distinguishes the nine families: the coefficient and
 base-curve prerequisites, which verification checks gate the verdict, the
@@ -116,52 +118,48 @@ def xyz_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p):
     return X, Y, Z
 
 
-def _first_derivative_components(vector, lam, lam_p, kappa, tau):
-    """alpha*' in the base frame basis, per offset vector."""
-    zeros = np.zeros_like(lam)
+def _leibniz(x, y, m):
+    """Orders 0..m-1 (m <= 3) of the product of two jets, each a tuple of a
+    function's value and derivatives: the Leibniz rule."""
+    xy = (x[0] * y[0],)
+    if m > 1:
+        xy += (x[1] * y[0] + x[0] * y[1],)
+    if m > 2:
+        xy += (x[2] * y[0] + 2.0 * x[1] * y[1] + x[0] * y[2],)
+    return xy
+
+
+def _frenet_derivative(v, kappa, tau):
+    """D(a, b, c) = (a' - kappa b, b' + kappa a - tau c, c' + tau b): the
+    derivative of a T + b N + c B along the unit-speed base, on jets of its
+    components; each result jet is one order shorter."""
+    a, b, c = v
+    m = len(a) - 1
+    kb, ka, tc, tb = (_leibniz(kappa, b, m), _leibniz(kappa, a, m),
+                      _leibniz(tau, c, m), _leibniz(tau, b, m))
+    return (tuple(a[i + 1] - kb[i] for i in range(m)),
+            tuple(b[i + 1] + ka[i] - tc[i] for i in range(m)),
+            tuple(c[i + 1] + tb[i] for i in range(m)))
+
+
+def _mate_derivatives(vector, lam, kappa, tau):
+    """alpha*', alpha*' x alpha*'' and alpha*''' in the base frame basis, (n, 3)
+    each, from the jets lam = (lambda, ..., lambda'''), kappa = (kappa, kappa',
+    kappa'') and tau = (tau, tau', tau''). alpha*' is the module docstring's
+    line for the offset vector, its components as jets of order 2 (0.0 where
+    one vanishes); the Frenet-Serret derivative gives the rest."""
     if vector == "T":
-        return np.stack([1.0 + lam_p, lam * kappa, zeros], axis=-1)
-    if vector == "N":
-        return np.stack([1.0 - lam * kappa, lam_p, lam * tau], axis=-1)
-    return np.stack([np.ones_like(lam), -lam * tau, lam_p], axis=-1)
-
-
-def _cross_components(vector, lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p):
-    """alpha*' x alpha*'' in the base frame basis, per offset vector."""
-    if vector == "T":
-        wT = lam**2 * kappa**2 * tau
-        wN = -(1.0 + lam_p) * lam * kappa * tau
-        wB = (1.0 + lam_p) * ((1.0 + lam_p) * kappa + lam_p * kappa + lam * kappa_p) \
-            - lam * kappa * (lam_pp - lam * kappa**2)
-        return np.stack([wT, wN, wB], axis=-1)
-    if vector == "N":
-        K, L, M = klm_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p)
-        return np.stack([K, L, M], axis=-1)
-    X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p)
-    return np.stack([X, Y, Z], axis=-1)
-
-
-def _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp,
-                                 kappa, tau, kappa_p, tau_p, kappa_pp, tau_pp):
-    """alpha*''' in the base frame basis, per offset vector."""
-    if vector == "T":
-        cT = lam_ppp - 3.0 * lam_p * kappa**2 - 3.0 * lam * kappa * kappa_p - kappa**2
-        cN = (-kappa**3 * lam - lam * kappa * tau**2 + 3.0 * lam_pp * kappa
-              + 3.0 * lam_p * kappa_p + lam * kappa_pp + kappa_p)
-        cB = 3.0 * lam_p * kappa * tau + lam * kappa * tau_p + 2.0 * lam * kappa_p * tau + kappa * tau
+        d1 = ((1.0 + lam[1], lam[2], lam[3]), _leibniz(lam, kappa, 3), (0.0, 0.0, 0.0))
     elif vector == "N":
-        cT = (lam * kappa**3 + lam * kappa * tau**2 - 3.0 * lam_p * kappa_p
-              - lam * kappa_pp - 3.0 * lam_pp * kappa - kappa**2)
-        cN = (lam_ppp - 3.0 * lam_p * (kappa**2 + tau**2)
-              - 3.0 * lam * (kappa * kappa_p + tau * tau_p) + kappa_p)
-        cB = (kappa * tau - lam * kappa**2 * tau - lam * tau**3
-              + 3.0 * lam_p * tau_p + lam * tau_pp + 3.0 * lam_pp * tau)
+        lk = _leibniz(lam, kappa, 3)
+        d1 = ((1.0 - lk[0], -lk[1], -lk[2]), lam[1:], _leibniz(lam, tau, 3))
     else:
-        cT = lam * tau * kappa_p + 2.0 * lam * tau_p * kappa + 3.0 * lam_p * tau * kappa - kappa**2
-        cN = (lam * tau * kappa**2 + lam * tau**3 - lam * tau_pp
-              - 3.0 * lam_pp * tau - 3.0 * lam_p * tau_p + kappa_p)
-        cB = lam_ppp - 3.0 * lam * tau * tau_p - 3.0 * lam_p * tau**2 + kappa * tau
-    return np.stack([cT, cN, cB], axis=-1)
+        lt = _leibniz(lam, tau, 3)
+        d1 = ((1.0, 0.0, 0.0), (-lt[0], -lt[1], -lt[2]), lam[1:])
+    d2 = _frenet_derivative(d1, kappa, tau)
+    u, v, d3 = ([c[0] for c in d] for d in (d1, d2, _frenet_derivative(d2, kappa, tau)))
+    w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    return tuple(np.stack(np.broadcast_arrays(*x), axis=-1) for x in (u, w, d3))
 
 
 def _embed(components: np.ndarray, frames: FrameData) -> np.ndarray:
@@ -184,12 +182,10 @@ def _closed_form(
     vectors and N* = B* x T*. ``defined`` masks points where |u| or |w| is at
     the floor; those rows are NaN.
     """
-    lam, lam_p, lam_pp = lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime
-    k, t, kp, tp = frames.kappa, frames.tau, frames.kappa_prime, frames.tau_prime
-    u = _first_derivative_components(vector, lam, lam_p, k, t)
-    w = _cross_components(vector, lam, lam_p, lam_pp, k, t, kp, tp)
-    d3 = _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp, k, t, kp, tp,
-                                      frames.kappa_second, frames.tau_second)
+    u, w, d3 = _mate_derivatives(
+        vector, (lam_sol.lam, lam_sol.lam_prime, lam_sol.lam_double_prime, lam_ppp),
+        (frames.kappa, frames.kappa_prime, frames.kappa_second),
+        (frames.tau, frames.tau_prime, frames.tau_second))
     T_c, B_c, kappa_star, tau_star, un, wn = frenet_from_cross(u, w, d3)
     # Free the component arrays before the world vectors are built; held,
     # they would set associate's memory peak.
@@ -409,16 +405,13 @@ FAMILIES = {f.vector + f.plane: f for f in (
 
 
 def predicted_curvature_arrays(
-    frames: FrameData, spec: AssociationSpec, lam_sol: LambdaSolution,
-    lam_ppp: np.ndarray | None = None,
+    frames: FrameData, spec: AssociationSpec, lam_sol: LambdaSolution, lam_ppp: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The family's catalogued printed formulas for kappa*, tau*.
 
     Points where a printed denominator vanishes become NaN; formulas under
     the audit posture are reported and flagged, never silently repaired.
     """
-    if lam_ppp is None:
-        lam_ppp = lam_sol.lam_third()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return FAMILIES[spec.code].curvatures(
             *spec.coeffs, lam=lam_sol.lam, lam_p=lam_sol.lam_prime,

@@ -219,7 +219,7 @@ def _solve_family_lambda(
         if args.c1 is None and args.c2 is None:
             return lambda_half_curvature(kappa, grid)
         a, b = spec.coeffs
-        return lambda_helix_hyperbolic(a, b, kappa, tau, args.c1 or 0.0, args.c2 or 0.0, grid)
+        return lambda_helix_hyperbolic(a, b, kappa, tau, start("c1", 0.0), start("c2", 0.0), grid)
     if code == "NR":
         return lambda_constant(constant_admissible_lambda("NR", kappa, tau), grid)
     if code == "BO":

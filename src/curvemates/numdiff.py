@@ -212,13 +212,16 @@ def rowmap(
     extra rows on each side (fewer at the ends of the grid), which are
     trimmed before the block's own thread writes its rows into arrays of n
     rows, so the result has the bits of ``fn(0, n)`` for any row-local
-    ``fn``. The caller makes those arrays (``np.empty``) from the shapes and
-    dtypes that the first finished block publishes. Blocks run on a shared
-    thread pool, one worker per usable CPU, each in a copy of the caller's
-    ``contextvars`` context and ``np.errstate``. With one block or one usable
-    CPU, and inside a block, ``fn(0, n)`` runs inline and no thread is
-    started. When blocks raise, the exception of the first failing block in
-    row order propagates once every running block has stopped.
+    ``fn``. The caller, not a worker, makes those arrays (``np.empty``) from
+    the shapes and dtypes that the first finished block publishes: glibc
+    keeps memory in the arena of the thread that allocated it, and arrays
+    made by a worker raised ``oracle-large``'s peak RSS from 201 to 283 MB.
+    Blocks run on a shared thread pool, one worker per usable CPU, each in a
+    copy of the caller's ``contextvars`` context and ``np.errstate``. With
+    one block or one usable CPU, and inside a block, ``fn(0, n)`` runs
+    inline and no thread is started. When blocks raise, the exception of the
+    first failing block in row order propagates once every running block
+    has stopped.
     """
     blocks = _blocks(n)
     if len(blocks) < 2 or getattr(_WORKER, "active", False) or _usable_cpus() < 2:

@@ -18,6 +18,7 @@ from curvemates import (
     sample_curve,
 )
 from curvemates.association import (
+    _mate_derivatives,
     klm_coefficients,
     predicted_curvature_arrays,
     predicted_frames_grid,
@@ -360,6 +361,122 @@ def test_closed_form_on_exact_cubic_jets(vector):
     # Unit vectors: an absolute bound is a bound relative to their length.
     np.testing.assert_allclose(T_star, want[:, 2:5], rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(B_star, want[:, 5:8], rtol=0.0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The Frenet-Serret jet rule against the hand-written components it replaced,
+# kept verbatim below as the reference.
+
+
+def _first_derivative_components(vector, lam, lam_p, kappa, tau):
+    """alpha*' in the base frame basis, per offset vector."""
+    zeros = np.zeros_like(lam)
+    if vector == "T":
+        return np.stack([1.0 + lam_p, lam * kappa, zeros], axis=-1)
+    if vector == "N":
+        return np.stack([1.0 - lam * kappa, lam_p, lam * tau], axis=-1)
+    return np.stack([np.ones_like(lam), -lam * tau, lam_p], axis=-1)
+
+
+def _cross_components(vector, lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p):
+    """alpha*' x alpha*'' in the base frame basis, per offset vector."""
+    if vector == "T":
+        wT = lam**2 * kappa**2 * tau
+        wN = -(1.0 + lam_p) * lam * kappa * tau
+        wB = (1.0 + lam_p) * ((1.0 + lam_p) * kappa + lam_p * kappa + lam * kappa_p) \
+            - lam * kappa * (lam_pp - lam * kappa**2)
+        return np.stack([wT, wN, wB], axis=-1)
+    if vector == "N":
+        K, L, M = klm_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p)
+        return np.stack([K, L, M], axis=-1)
+    X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p)
+    return np.stack([X, Y, Z], axis=-1)
+
+
+def _third_derivative_components(vector, lam, lam_p, lam_pp, lam_ppp,
+                                 kappa, tau, kappa_p, tau_p, kappa_pp, tau_pp):
+    """alpha*''' in the base frame basis, per offset vector."""
+    if vector == "T":
+        cT = lam_ppp - 3.0 * lam_p * kappa**2 - 3.0 * lam * kappa * kappa_p - kappa**2
+        cN = (-kappa**3 * lam - lam * kappa * tau**2 + 3.0 * lam_pp * kappa
+              + 3.0 * lam_p * kappa_p + lam * kappa_pp + kappa_p)
+        cB = 3.0 * lam_p * kappa * tau + lam * kappa * tau_p + 2.0 * lam * kappa_p * tau + kappa * tau
+    elif vector == "N":
+        cT = (lam * kappa**3 + lam * kappa * tau**2 - 3.0 * lam_p * kappa_p
+              - lam * kappa_pp - 3.0 * lam_pp * kappa - kappa**2)
+        cN = (lam_ppp - 3.0 * lam_p * (kappa**2 + tau**2)
+              - 3.0 * lam * (kappa * kappa_p + tau * tau_p) + kappa_p)
+        cB = (kappa * tau - lam * kappa**2 * tau - lam * tau**3
+              + 3.0 * lam_p * tau_p + lam * tau_pp + 3.0 * lam_pp * tau)
+    else:
+        cT = lam * tau * kappa_p + 2.0 * lam * tau_p * kappa + 3.0 * lam_p * tau * kappa - kappa**2
+        cN = (lam * tau * kappa**2 + lam * tau**3 - lam * tau_pp
+              - 3.0 * lam_pp * tau - 3.0 * lam_p * tau_p + kappa_p)
+        cB = lam_ppp - 3.0 * lam * tau * tau_p - 3.0 * lam_p * tau**2 + kappa * tau
+    return np.stack([cT, cN, cB], axis=-1)
+
+
+class _Terms:
+    """A number with the summed magnitude of the terms that make it up: a sum
+    or difference adds the magnitudes, a product multiplies them."""
+
+    def __init__(self, value, size):
+        self.value, self.size = value, size
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, _Terms) else _Terms(x, abs(x))
+
+    def __add__(self, other):
+        other = _Terms.of(other)
+        return _Terms(self.value + other.value, self.size + other.size)
+
+    def __sub__(self, other):
+        other = _Terms.of(other)
+        return _Terms(self.value - other.value, self.size + other.size)
+
+    def __mul__(self, other):
+        other = _Terms.of(other)
+        return _Terms(self.value * other.value, self.size * other.size)
+
+    def __rsub__(self, other):
+        return _Terms.of(other) - self
+
+    def __neg__(self):
+        return _Terms(-self.value, self.size)
+
+    def __pow__(self, k):
+        return _Terms(self.value**k, self.size**k)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _hand_written(vector, lam, kappa, tau):
+    """u, w and alpha*''' from the reference components."""
+    return (_first_derivative_components(vector, lam[0], lam[1], kappa[0], tau[0]),
+            _cross_components(vector, *lam[:3], kappa[0], tau[0], kappa[1], tau[1]),
+            _third_derivative_components(vector, *lam, kappa[0], tau[0], kappa[1], tau[1],
+                                         kappa[2], tau[2]))
+
+
+@pytest.mark.parametrize("vector", ["T", "N", "B"])
+def test_frenet_jet_rule_matches_hand_written_components(vector):
+    # Seeded jets with magnitudes in [0.5, 2] and kappa > 0: every term of a
+    # component is at least 0.5**5 ~ 0.03, so a dropped or mis-signed term
+    # misses the bound, 1e-13 times the component's summed term magnitudes
+    # (at most ~100), by about nine orders.
+    rng = np.random.default_rng(20211)
+    jets = rng.uniform(0.5, 2.0, (10, 400)) * rng.choice([-1.0, 1.0], (10, 400))
+    jets[4] = np.abs(jets[4])
+    lam, kappa, tau = tuple(jets[:4]), tuple(jets[4:7]), tuple(jets[7:])
+    u, w, d3 = _mate_derivatives(vector, lam, kappa, tau)
+    want_u, want_w, want_d3 = _hand_written(vector, lam, kappa, tau)
+    assert u.tobytes() == want_u.tobytes()
+    terms = np.vectorize(_Terms, otypes=[object])(jets, np.abs(jets))
+    sizes = _hand_written(vector, tuple(terms[:4]), tuple(terms[4:7]), tuple(terms[7:]))
+    for got, want, size in ((w, want_w, sizes[1]), (d3, want_d3, sizes[2])):
+        size = np.vectorize(lambda x: _Terms.of(x).size, otypes=[float])(size)
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
 
 
 # ---------------------------------------------------------------------------

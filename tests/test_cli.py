@@ -101,6 +101,15 @@ def test_tp_offset_keeps_the_sign_of_c0(command, tmp_path):
     assert lam0 == "-0.0"
 
 
+@pytest.mark.parametrize("flag, other", [("--c1", "--c2"), ("--c2", "--c1")])
+def test_no_offset_keeps_the_sign_of_c1_and_c2(flag, other, tmp_path):
+    # NO reads --c1 and --c2 as TP reads --c0: -0.0 reaches lambda.csv's provenance.
+    assert main(["solve-lambda", "--curve", '{"kind":"helix","a":0.8,"b":0.6}', "--family", "NO",
+                 f"{flag}=-0.0", other, "0.1", "--grid", "0:1:9", "--out", str(tmp_path)]) == 0
+    provenance = read(tmp_path / "lambda.csv").splitlines()[0].split()
+    assert f"{flag[2:]}=-0.0" in provenance and f"{other[2:]}=0.1" in provenance
+
+
 def test_frenet_csv_columns(tmp_path):
     out = str(tmp_path)
     curve = json.dumps({"kind": "helix", "a": INV_SQRT2, "b": INV_SQRT2})
@@ -194,6 +203,38 @@ def test_cli_usage_errors():
 
 
 HELIX = json.dumps({"kind": "helix", "a": INV_SQRT2, "b": INV_SQRT2})
+# The helix above sampled at 41 points of [0, 4], as a "samples" curve.
+SAMPLED_HELIX = json.dumps({"kind": "samples", "points": [
+    [s, INV_SQRT2 * math.cos(s * INV_SQRT2), INV_SQRT2 * math.sin(s * INV_SQRT2), s * INV_SQRT2]
+    for s in np.linspace(0.0, 4.0, 41).tolist()]})
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["frenet", "--curve", HELIX, "--grid", "1:1:9"], 64, "--grid requires min < max and n >= 7"),
+    (["frenet", "--curve", HELIX, "--grid", "0:1:6"], 64, "--grid requires min < max and n >= 7"),
+    (["verify", "--curve", HELIX, "--family", "NP", "--coeffs", "1,x"], 64,
+     "--coeffs expects two comma-separated reals, got '1,x'"),
+    (["verify", "--curve", HELIX, "--family", "NP", "--coeffs", "1,1,1"], 64,
+     "--coeffs expects exactly two values"),
+    (["verify", "--curve", HELIX, "--family", "XY"], 64,
+     "--family must be one of TO,TP,TR,NO,NP,NR,BO,BP,BR, got 'XY'"),
+    (["verify", "--curve", HELIX, "--family", "TP", "--tol", "constraint"], 64,
+     "--tol expects key=value, got 'constraint'"),
+    (["solve-lambda", "--curve", SAMPLED_HELIX, "--family", "BO", "--grid", "0:3:61"], 64,
+     "this solver needs a named analytic curve (constant kappa, tau)"),
+    (["verify", "--curve", HELIX, "--family", "TP", "--grid", "0:1.5:9", "--mate", "{mate}"], 65,
+     "mate file grid does not match --grid"),
+], ids=["grid min=max", "grid n=6", "coeffs not a number", "three coeffs", "unknown family",
+        "tol without =", "samples curve for BO", "mate on another grid"])
+def test_cli_error_branches(argv, code, message, tmp_path, capsys):
+    # The --mate case reads a TP mate written on [0, 1] with the same 9 rows.
+    assert main(["associate", "--curve", HELIX, "--family", "TP", "--grid", "0:1:9",
+                 "--out", str(tmp_path / "mate")]) == 0
+    argv = [str(tmp_path / "mate" / "mate.csv") if arg == "{mate}" else arg for arg in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_format_is_not_an_option(tmp_path, capsys):

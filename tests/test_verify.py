@@ -322,6 +322,30 @@ def test_check_distance_constant_unit(circle_base, grid_0_2):
 
 
 # ---------------------------------------------------------------------------
+# inputs that check_association and check_distance refuse
+
+
+_TP = AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2))
+
+
+@pytest.mark.parametrize("check, args, message", [
+    (check_association, lambda base, grid: (
+        base, SampledCurve(grid[:6], base.positions[:6]), _TP), "mate needs at least 7 samples"),
+    (check_association, lambda base, grid: (
+        SampledCurve(grid, base.positions), base, _TP), "base curve must carry frames"),
+    (check_association, lambda base, grid: (
+        base, SampledCurve(grid + 0.5, base.positions), _TP), "base and mate grids must coincide"),
+    (check_distance, lambda base, grid: (
+        base, SampledCurve(grid + 0.5, base.positions), lambda_constant(0.0, grid)),
+     "base and mate grids must coincide"),
+], ids=["association: 6-row mate", "association: base without frames",
+        "association: mismatched grids", "distance: mismatched grids"])
+def test_checks_refuse_their_inputs(helix_base, grid_0_2, check, args, message):
+    with pytest.raises(SpecificationError, match=f"^{message}$"):
+        check(*args(helix_base, grid_0_2))
+
+
+# ---------------------------------------------------------------------------
 # check_association
 
 
