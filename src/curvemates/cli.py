@@ -180,15 +180,19 @@ START_OPTIONS = {
 
 
 def _check_start_options(code: str, args) -> None:
-    """Raise UsageError on a start option that family ``code``'s solve does not read."""
-    given = [flag for flag in ("--c0", "--c1", "--c2", "--lambda0", "--lambda0-prime")
-             if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+    """Raise UsageError on a start option that family ``code``'s solve does not
+    read, or that is not finite."""
+    values = {flag: getattr(args, flag[2:].replace("-", "_"), None)
+              for flag in ("--c0", "--c1", "--c2", "--lambda0", "--lambda0-prime")}
+    given = [flag for flag, value in values.items() if value is not None]
     if given and getattr(args, "lambda_csv", None):
         raise UsageError(f"{given[0]} is not read for family {code} with --lambda-csv")
     for flag in given:
         if flag not in START_OPTIONS[code]:
             reads = ", ".join(START_OPTIONS[code]) or "no start option"
             raise UsageError(f"{flag} is not read for family {code}, which reads {reads}")
+        if not math.isfinite(values[flag]):
+            raise UsageError(f"{flag} must be finite, got {values[flag]!r}")
     if code in ("TO", "TR") and len(given) == 2:
         raise UsageError(f"family {code} reads --c0 or --c1, not both")
 
@@ -295,6 +299,7 @@ def cmd_verify(args) -> int:
 def cmd_example(args) -> int:
     """Run verify on the example's row of EXAMPLES, also writing its CSV files."""
     curve, family, coeffs, start = EXAMPLES[args.index]
+    _check_start_options(family, args)  # before --c0 moves into --c1
     if start is not None:  # --c0 moves into --c1, as a user would type it
         args.c1, args.c0 = start + (args.c0 or 0.0), None
     vars(args).update(curve=curve, family=family, coeffs=coeffs, c2=None,

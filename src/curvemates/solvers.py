@@ -11,15 +11,17 @@ The scalar offset lambda(s) obeys, depending on the family:
 Closed forms are evaluated exactly; quadrature is cumulative composite
 Simpson; initial-value integration is classical fixed-step RK4, stepped in
 plain Python floats (a float state, or a pair for second-order ODEs) with
-no per-stage arrays. ``offset_residual`` is the one independent residual
-rule for every offset equation: it differentiates the lambda samples with
-fourth-order differences, never recycling derivatives from the defining
-equation, and trims the rows where those stencils are not fourth order.
+no per-stage arrays, through the kernels of one factory, ``_rhs``, that a
+test checks against FAMILIES; leaving |y| <= BLOWUP_CAP = 1e6 is a located
+FiniteEscapeError. BO's Riccati has one array form, ``_riccati``.
+``offset_residual`` is the one independent residual rule for every offset
+equation: it differentiates the lambda samples with fourth-order
+differences, never recycling derivatives from the defining equation, and
+trims the rows where those stencils are not fourth order.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,9 +40,8 @@ from .errors import (
 from .numdiff import cumulative_simpson, diff1, diff1_o4, same_grid, uniform_spacing
 
 TORSION_FLOOR = 1e-8
-BLOWUP_CAP_DEFAULT = 1e6
+BLOWUP_CAP = 1e6
 _EXP_LIMIT = 700.0  # log of the largest double
-_DOUBLE_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -287,9 +288,7 @@ def lambda_exponential_pair(
                           constants={"a": a, "b": b, "tau": tau, "c1": c1, "c2": c2})
 
 
-def _rk4_path(
-    f, y0: float | tuple[float, float], grid: np.ndarray, cap: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, np.ndarray]:
     """Classical RK4 over a uniform grid, stepped in plain Python floats.
 
     The state ``y0`` is a float or, for a second-order ODE, a pair of floats,
@@ -297,16 +296,15 @@ def _rk4_path(
     and s_i + h. Returns ``(path, slope)``: the state and ``f`` at every grid
     point, with shape (n,) for a float state and (n, 2) for a pair.
 
-    After each step every component of the state must be finite and, unless
-    ``cap`` is None, at most ``cap`` in magnitude; otherwise the step raises
-    FiniteEscapeError at its end point. A stage whose float arithmetic
-    overflows or divides by zero (Python floats raise where numpy arrays
-    give inf) is the same escape.
+    After each step every component of the state must be finite and at most
+    BLOWUP_CAP in magnitude; otherwise the step raises FiniteEscapeError at
+    its end point. A stage whose float arithmetic overflows or divides by
+    zero (Python floats raise where numpy arrays give inf) is the same escape.
     """
     grid = np.asarray(grid, dtype=float)
     h = uniform_spacing(grid)
     half, sixth = 0.5 * h, h / 6.0
-    limit = _DOUBLE_MAX if cap is None else min(cap, _DOUBLE_MAX)
+    limit = BLOWUP_CAP
     if isinstance(y0, tuple):
         def axpy(y, c, k):
             return (y[0] + c * k[0], y[1] + c * k[1])
@@ -353,130 +351,37 @@ def _rk4_path(
     return np.array(path), np.array(slope)
 
 
-def solve_riccati(
-    kappa, tau, lambda0: float, grid: np.ndarray,
-    cap: float = BLOWUP_CAP_DEFAULT,
-) -> LambdaSolution:
-    """RK4 integration of the binormal-offset Riccati equation.
+def _riccati(k, t, tp):
+    """(A, B, C) of BO's Riccati equation lambda' = A lambda^2 + B lambda + C."""
+    return t * k / 2.0, -tp / (2.0 * t), k / (2.0 * t)
 
-    lambda' = (tau kappa / 2) lambda^2 - (tau'/(2 tau)) lambda + kappa/(2 tau),
-    the rearranged vanishing of the binormal cross-product coefficient.
-    """
-    grid = np.asarray(grid, dtype=float)
+
+def _rhs(family: str, kappa, tau, ratio: float | None = None):
+    """The RK4 right-hand side f(s, y) of an offset ODE: BO's "riccati", "NO"
+    solved for lambda', "NR" and "BR" for lambda'' with y = (lambda, lambda'),
+    and the "BO" ratio IVP, which has no FAMILIES constraint. Hand-written,
+    since a kernel derived from FAMILIES makes RK4 2-5x slower; a test checks
+    each against its family's coefficient."""
     coefficients = _coefficients(kappa, tau)
-    kappas, taus, _, tps = _coefficient_arrays(grid, kappa, tau)
-    if float(np.min(np.abs(taus))) <= TORSION_FLOOR:
-        raise TorsionDegenerateError(
-            f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined"
-        )
-
-    def rhs(s: float, lam: float) -> float:
-        k, t, _, tp = coefficients(s)
-        return (t * k / 2.0) * lam ** 2 - (tp / (2.0 * t)) * lam + k / (2.0 * t)
-
-    lam, _ = _rk4_path(rhs, float(lambda0), grid, cap=cap)
-    # lambda' stays an array expression rather than the RK4 slope: numpy's
-    # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
-    lam_p = (taus * kappas / 2.0) * lam**2 - (tps / (2.0 * taus)) * lam + kappas / (2.0 * taus)
-    lam_pp = diff1(lam_p, uniform_spacing(grid))
-    return LambdaSolution(grid=grid, lam=lam, lam_prime=lam_p,
-                          lam_double_prime=lam_pp, provenance="rk4",
-                          constants={"lambda0": float(lambda0)})
-
-
-def riccati_linearize(
-    lambda_particular: LambdaSolution, kappa, tau, grid: np.ndarray,
-    mu0: float | None = None, lambda0: float | None = None,
-) -> LambdaSolution:
-    """General Riccati solution through a known particular solution.
-
-    Substituting lambda = lambda_1 + 1/mu turns the Riccati equation into
-    mu' - (2 lambda_1 (-tau kappa/2) + tau'/(2 tau)) mu = -tau kappa/2,
-    solved with the integrating-factor routine. The returned trajectory must
-    agree with direct RK4 from the same initial value away from mu = 0.
-    """
-    grid = np.asarray(grid, dtype=float)
-    lambda_particular.require_grid(grid)
-    k, t, _, tp = _coefficient_arrays(grid, kappa, tau)
-    if float(np.min(np.abs(t))) <= TORSION_FLOOR:
-        raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
-
-    # Z = -lambda tau' - 2 lambda' tau + kappa + lambda^2 tau^2 kappa, xyz_coefficients' Z.
-    part_res = offset_residual(
-        lambda_particular,
-        lambda lam, lam_p, _: -lam * tp - 2.0 * lam_p * t + k + lam**2 * t**2 * k, 1)
-    if float(np.max(part_res)) > 1e-6:
-        raise SpecificationError(
-            f"particular solution residual {np.max(part_res):.3e} exceeds 1e-6"
-        )
-
-    lam1 = lambda_particular.lam
-    if mu0 is None:
-        if lambda0 is None:
-            raise SpecificationError("provide mu0 or lambda0")
-        gap = float(lambda0) - float(lam1[0])
-        if abs(gap) < 1e-12:
-            raise SpecificationError(
-                "initial value coincides with the particular solution (1/mu = 0 limit)"
-            )
-        mu0 = 1.0 / gap
-
-    p_arr = 2.0 * lam1 * (-t * k / 2.0) + tp / (2.0 * t)
-    q_arr = -t * k / 2.0
-    mu, mu_p = solve_linear_first_order(p_arr, q_arr, float(mu0), grid)
-    if float(np.min(np.abs(mu))) < 1e-12 or np.any(np.sign(mu) != np.sign(mu[0])):
-        i = int(np.argmin(np.abs(mu)))
-        raise PoleError(
-            f"mu crosses zero near s={grid[i]:.6g}; general solution has a pole there"
-        )
-    lam = lam1 + 1.0 / mu
-    lam_p = lambda_particular.lam_prime - mu_p / mu**2
-    lam_pp = diff1(lam_p, uniform_spacing(grid))
-    return LambdaSolution(grid=grid, lam=lam, lam_prime=lam_p,
-                          lam_double_prime=lam_pp, provenance="integrating-factor",
-                          constants={"mu0": float(mu0)})
-
-
-def solve_constraint_ode(
-    family: str,
-    kappa, tau,
-    initial: tuple[float, float],
-    grid: np.ndarray,
-    ratio: float | None = None,
-    cap: float = BLOWUP_CAP_DEFAULT,
-) -> LambdaSolution:
-    """Integrate the implicit constraint ODE of an associated-curve family.
-
-    family: "NO" (first order, cross-coefficient along the normal = 0),
-    "NR"/"BR" (second order, affine in lambda''), "BO" (first order,
-    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). The "BO" IVP is not BO's
-    constraint: with ratio = a/b it keeps <B, T*> = a/sqrt(a^2 + b^2), not
-    <B, B*> = 0; BO's own solver is ``solve_riccati``. A family's constant
-    branch is ``lambda_constant(constant_admissible_lambda(...), grid)``.
-    """
-    grid = np.asarray(grid, dtype=float)
-    coefficients = _coefficients(kappa, tau)
-    y0 = float(initial[0])
-    constants = {"lambda0": y0}
-    if family == "NO":
+    if family == "riccati":
+        def rhs(s: float, lam: float) -> float:
+            k, t, _, tp = coefficients(s)
+            return (t * k / 2.0) * lam ** 2 - (tp / (2.0 * t)) * lam + k / (2.0 * t)
+    elif family == "NO":
         def rhs(s: float, lam: float) -> float:
             k, t, kp, tp = coefficients(s)
             if abs(t) < 1e-10:
                 raise SingularOdeError(f"torsion vanishes at s={s:.6g}", s=s)
             num = lam * lam * t * kp + (1.0 - lam * k) * lam * tp
             return -num / (2.0 * t)
-
     elif family == "BO":
         if ratio is None:
             raise SpecificationError("BO constraint needs ratio = a/b")
-        constants["ratio"] = float(ratio)
 
         def rhs(s: float, lam: float) -> float:
             t = coefficients(s)[1]
             return ratio * math.sqrt(1.0 + (lam * t) ** 2)
-
     elif family == "NR":
-        # The constraint is affine in lambda''; isolate it.
         def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
             lam, lam_p = y
             k, t, kp, tp = coefficients(s)
@@ -490,7 +395,6 @@ def solve_constraint_ode(
             m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
             rest = m0 * (1.0 - lam * k) - k0 * lam * t
             return lam_p, -rest / coeff
-
     elif family == "BR":
         def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
             lam, lam_p = y
@@ -498,19 +402,109 @@ def solve_constraint_ode(
             denom = 1.0 + (lam * t) ** 2
             num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
             return lam_p, num / denom
-
     else:
         raise SpecificationError(f"unknown constraint family {family!r}")
+    return rhs
 
-    if family in ("NR", "BR"):
-        y0 = (y0, float(initial[1]))
-        constants["lambda0_prime"] = y0[1]
-        path, slope = _rk4_path(rhs, y0, grid, cap=cap)
-        lam, lam_p, lam_pp = path[:, 0], path[:, 1], slope[:, 1]
-    else:
-        lam, lam_p = _rk4_path(rhs, y0, grid, cap=cap)
-        lam_pp = diff1(lam_p, uniform_spacing(grid))
+
+def _rk4_solution(grid, lam, lam_p, constants: dict, lam_pp=None) -> LambdaSolution:
+    """An RK4 solution; lambda'' left None (first order) is diff1 of lambda'."""
+    lam_pp = diff1(lam_p, uniform_spacing(grid)) if lam_pp is None else lam_pp
     return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4", constants)
+
+
+def solve_riccati(kappa, tau, lambda0: float, grid: np.ndarray) -> LambdaSolution:
+    """RK4 integration of the binormal-offset Riccati equation.
+
+    lambda' = (tau kappa / 2) lambda^2 - (tau'/(2 tau)) lambda + kappa/(2 tau),
+    the rearranged vanishing of the binormal cross-product coefficient.
+    """
+    grid = np.asarray(grid, dtype=float)
+    rhs = _rhs("riccati", kappa, tau)
+    kappas, taus, _, tps = _coefficient_arrays(grid, kappa, tau)
+    if float(np.min(np.abs(taus))) <= TORSION_FLOOR:
+        raise TorsionDegenerateError(
+            f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined"
+        )
+    lam, _ = _rk4_path(rhs, float(lambda0), grid)
+    # lambda' stays an array expression rather than the RK4 slope: numpy's
+    # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
+    A, B, C = _riccati(kappas, taus, tps)
+    return _rk4_solution(grid, lam, A * lam**2 + B * lam + C, {"lambda0": float(lambda0)})
+
+
+def riccati_linearize(
+    lambda_particular: LambdaSolution, kappa, tau, grid: np.ndarray,
+    mu0: float | None = None, lambda0: float | None = None,
+) -> LambdaSolution:
+    """General Riccati solution through a known particular solution.
+
+    lambda = lambda_1 + 1/mu turns lambda' = A lambda^2 + B lambda + C
+    (``_riccati``) into mu' = (2 lambda_1 (-A) - B) mu - A, solved with the
+    integrating-factor routine; lambda_1 must zero BO's FAMILIES coefficient
+    to 1e-6. The returned trajectory must agree with direct RK4 from the same
+    initial value away from mu = 0.
+    """
+    from .association import FAMILIES, xyz_coefficients
+
+    grid = np.asarray(grid, dtype=float)
+    lambda_particular.require_grid(grid)
+    k, t, kp, tp = _coefficient_arrays(grid, kappa, tau)
+    if float(np.min(np.abs(t))) <= TORSION_FLOOR:
+        raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
+
+    z = FAMILIES["BO"].coefficient[1]  # Z does not read lambda''
+    part_res = offset_residual(lambda_particular, lambda lam, lam_p, _: z(
+        *xyz_coefficients(lam, lam_p, 0.0, k, t, kp, tp), lam, k, t), 1)
+    if float(np.max(part_res)) > 1e-6:
+        raise SpecificationError(
+            f"particular solution residual {np.max(part_res):.3e} exceeds 1e-6")
+
+    lam1 = lambda_particular.lam
+    if mu0 is None:
+        if lambda0 is None:
+            raise SpecificationError("provide mu0 or lambda0")
+        gap = float(lambda0) - float(lam1[0])
+        if abs(gap) < 1e-12:
+            raise SpecificationError(
+                "initial value coincides with the particular solution (1/mu = 0 limit)"
+            )
+        mu0 = 1.0 / gap
+
+    A, B, _ = _riccati(k, t, tp)
+    mu, mu_p = solve_linear_first_order(2.0 * lam1 * (-A) - B, -A, float(mu0), grid)
+    if float(np.min(np.abs(mu))) < 1e-12 or np.any(np.sign(mu) != np.sign(mu[0])):
+        i = int(np.argmin(np.abs(mu)))
+        raise PoleError(f"mu crosses zero near s={grid[i]:.6g}; general solution has a pole there")
+    lam = lam1 + 1.0 / mu
+    lam_p = lambda_particular.lam_prime - mu_p / mu**2
+    lam_pp = diff1(lam_p, uniform_spacing(grid))
+    return LambdaSolution(grid, lam, lam_p, lam_pp, "integrating-factor", {"mu0": float(mu0)})
+
+
+def solve_constraint_ode(family: str, kappa, tau, initial: tuple[float, float], grid: np.ndarray,
+                         ratio: float | None = None) -> LambdaSolution:
+    """Integrate the implicit constraint ODE of an associated-curve family.
+
+    family: "NO" (first order, cross-coefficient along the normal = 0),
+    "NR"/"BR" (second order, affine in lambda''), "BO" (first order,
+    lambda' = ratio*sqrt(1 + lambda^2 tau^2)). The "BO" IVP is not BO's
+    constraint: with ratio = a/b it keeps <B, T*> = a/sqrt(a^2 + b^2), not
+    <B, B*> = 0; BO's own solver is ``solve_riccati``. A family's constant
+    branch is ``lambda_constant(constant_admissible_lambda(...), grid)``.
+    """
+    if family == "riccati":  # a kernel of _rhs, but solve_riccati's equation
+        raise SpecificationError(f"unknown constraint family {family!r}")
+    grid = np.asarray(grid, dtype=float)
+    rhs = _rhs(family, kappa, tau, ratio)
+    constants = {"lambda0": float(initial[0])}
+    if family == "BO":
+        constants["ratio"] = float(ratio)
+    if family in ("NR", "BR"):
+        constants["lambda0_prime"] = float(initial[1])
+        path, slope = _rk4_path(rhs, (constants["lambda0"], constants["lambda0_prime"]), grid)
+        return _rk4_solution(grid, path[:, 0], path[:, 1], constants, slope[:, 1])
+    return _rk4_solution(grid, *_rk4_path(rhs, constants["lambda0"], grid), constants)
 
 
 def constraint_residual(

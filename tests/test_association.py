@@ -81,6 +81,26 @@ def test_spec_rejects_nonfinite_coefficients(code, coeffs):
         AssociationSpec(code[0], code[1], coeffs)
 
 
+def test_ratio_of_a_zero_second_coefficient():
+    with pytest.raises(SpecificationError) as err:
+        AssociationSpec("N", "P", (1.0, 0.0)).ratio()
+    assert str(err.value) == "ratio undefined: second coefficient is zero"
+
+
+@pytest.mark.parametrize("call, frames, message", [
+    (lambda base, lam: construct_mate(base, "X", lam), True,
+     "offset vector must be one of ('T', 'N', 'B')"),
+    (lambda base, lam: construct_mate(base, "N", lam), False, "base curve must carry frames"),
+    (lambda base, lam: associate(base, AssociationSpec("N", "P", (1.0, 1.0)), lam), False,
+     "base curve must carry frames"),
+], ids=["construct vector X", "construct without frames", "associate without frames"])
+def test_mate_specification_errors(call, frames, message, helix_base, grid_0_2):
+    base = helix_base if frames else dataclasses.replace(helix_base, frames=None)
+    with pytest.raises(SpecificationError) as err:
+        call(base, lambda_constant(0.5, grid_0_2))
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # plane_unit_vector
 

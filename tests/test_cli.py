@@ -224,8 +224,15 @@ SAMPLED_HELIX = json.dumps({"kind": "samples", "points": [
      "this solver needs a named analytic curve (constant kappa, tau)"),
     (["verify", "--curve", HELIX, "--family", "TP", "--grid", "0:1.5:9", "--mate", "{mate}"], 65,
      "mate file grid does not match --grid"),
+    (["solve-lambda", "--curve", '{"kind":"circle","r":1.0}', "--family", "TO", "--coeffs", "0,1"],
+     64, "cannot derive c1 from c0: ratio*kappa vanishes"),
+    (["frenet", "--curve", '{"kind":"samples","points":[[0,0,0,0],[1,NaN,0,0],[2,2,0,0]]}'], 64,
+     "samples must be finite"),
+    (["frenet", "--curve", '{"kind":"samples","points":[[0,0,0,0]]}'], 64,
+     "samples need at least 2 rows of (s, x, y, z)"),
 ], ids=["grid min=max", "grid n=6", "coeffs not a number", "three coeffs", "unknown family",
-        "tol without =", "samples curve for BO", "mate on another grid"])
+        "tol without =", "samples curve for BO", "mate on another grid", "TO with a = 0",
+        "samples with NaN", "samples of one row"])
 def test_cli_error_branches(argv, code, message, tmp_path, capsys):
     # The --mate case reads a TP mate written on [0, 1] with the same 9 rows.
     assert main(["associate", "--curve", HELIX, "--family", "TP", "--grid", "0:1:9",
@@ -275,6 +282,32 @@ def test_each_family_reads_only_its_start_options(family, tmp_path, capsys):
             assert code == 64, flag
             assert f"{flag} is not read for family {family}" in capsys.readouterr().err
             assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family, flag", [("TP", "--c0"), ("TO", "--c0"), ("TR", "--c1"),
+                                          ("NO", "--c1"), ("NO", "--c2"), ("NP", "--lambda0"),
+                                          ("BO", "--lambda0"), ("BR", "--lambda0-prime")])
+def test_nonfinite_start_option_exit_64(family, flag, value, tmp_path, capsys):
+    # Rejected before sampling, naming the option: not a lambda.csv of NaN
+    # (exit 0), an RK4 escape at the first step (exit 65), or a mate that
+    # verify finds non-finite (exit 65).
+    assert _solve_lambda(family, tmp_path, f"{flag}={value}") == 64
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--curve", HELIX, "--family", "TP", "--c0=nan"],
+    ["example", "1", "--c0=-inf"],
+    ["example", "2", "--c0=nan"],
+])
+def test_nonfinite_start_option_exit_64_in_verify_and_example(argv, tmp_path, capsys):
+    # example 1 moves --c0 into --c1, after the check, so the message names --c0.
+    assert main(argv + ["--grid", "0:3:201", "--out", str(tmp_path)]) == 64
+    flag, value = argv[-1].split("=")
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("family", ["TO", "TR"])

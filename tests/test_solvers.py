@@ -19,6 +19,8 @@ from curvemates.solvers import (
     LambdaSolution,
     _as_grid_array,
     _coefficient_arrays,
+    _coefficients,
+    _rhs,
     constant_admissible_lambda,
     constraint_residual,
     lambda_constant,
@@ -406,25 +408,47 @@ def test_constraint_bo_first_order():
     assert grown.lam[-1] > 1.0  # sinh-type growth
 
 
-@pytest.mark.parametrize("cap", [math.inf, None])
-@pytest.mark.parametrize("solve, grid, near", [
-    (lambda g, cap: solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, g, cap=cap),
-     np.linspace(0.0, 5.0, 5001), math.pi * math.sqrt(2.0)),
-    (lambda g, cap: solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), g,
-                                         ratio=1.0, cap=cap),
-     np.linspace(0.0, 3000.0, 3001), None),
-    (lambda g, cap: solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g, cap=cap),
-     np.linspace(0.0, 10.0, 2001), None),
-], ids=["riccati", "BO", "BR"])
-def test_rk4_overflow_is_finite_escape(solve, grid, near, cap):
-    # Without a finite cap the trajectory runs until a float overflows; that
-    # must still end in a located FiniteEscapeError, never a bare OverflowError
-    # or non-finite samples.
+@pytest.mark.parametrize("solve, grid, escape_s", [
+    (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, g), np.linspace(0.0, 5.0, 5001), 4.444),
+    (lambda g: solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), g, ratio=1.0),
+     np.linspace(0.0, 3000.0, 3001), 21.0),
+    (lambda g: solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g),
+     np.linspace(0.0, 10.0, 2001), 4.215),
+    (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 1e300, g), np.linspace(0.0, 1.0, 11), 0.1),
+], ids=["riccati", "BO", "BR", "riccati-stage-overflow"])
+def test_rk4_overflow_is_finite_escape(solve, grid, escape_s):
+    # The step that leaves |y| <= BLOWUP_CAP = 1e6, or whose float arithmetic
+    # overflows (1e300 ** 2 raises OverflowError), ends in a FiniteEscapeError
+    # located at its end point, never a bare OverflowError or non-finite
+    # samples. The Riccati trajectory from 0 escapes just past its pole at
+    # s = pi sqrt(2) = 4.4429.
     with pytest.raises(FiniteEscapeError) as err:
-        solve(grid, cap)
-    assert grid[0] < err.value.s <= grid[-1]
-    if near is not None:
-        assert err.value.s == pytest.approx(near, abs=0.05)
+        solve(grid)
+    assert err.value.s == escape_s
+    assert str(err.value) == f"trajectory escaped |y| > 1e+06 near s={escape_s:g}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), GRID),
+     "BO constraint needs ratio = a/b"),
+    (lambda: solve_constraint_ode("riccati", INV_SQRT2, INV_SQRT2, (0.0, 0.0), GRID),
+     "unknown constraint family 'riccati'"),
+    (lambda: constraint_residual(lambda_constant(0.0, GRID), "XY", INV_SQRT2, INV_SQRT2),
+     "unknown constraint family 'XY'"),
+    (lambda: riccati_linearize(solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, GRID),
+                               INV_SQRT2, INV_SQRT2, GRID),
+     "provide mu0 or lambda0"),
+    (lambda: lambda_exponential_pair(1.0, 0.0, INV_SQRT2, 0.1, 0.2, GRID), "b must be nonzero"),
+    (lambda: constant_admissible_lambda("NR", 0.0, INV_SQRT2), "kappa must be positive"),
+    (lambda: constant_admissible_lambda("TP", INV_SQRT2, INV_SQRT2),
+     "no constant branch catalogued for family TP"),
+], ids=["BO without ratio", "riccati is not a constraint family", "residual of XY",
+        "linearize without a start", "exponential pair b=0", "NR constant kappa=0",
+        "TP constant"])
+def test_solver_specification_errors(call, message):
+    with pytest.raises(SpecificationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_constraint_unknown_family():
@@ -445,6 +469,43 @@ def test_rk4_solvers_reject_sampled_coefficients(solve, sampled):
     arrays = {"kappa": INV_SQRT2, "tau": INV_SQRT2, sampled: np.full(GRID.shape, INV_SQRT2)}
     with pytest.raises(SpecificationError, match="constants or callables"):
         solve(arrays["kappa"], arrays["tau"])
+
+
+# ---------------------------------------------------------------------------
+# each hand-written RK4 kernel against its family's coefficient in FAMILIES
+#
+# A family's coefficient g is affine in the derivative that its kernel returns
+# (lambda' for NO and BO's Riccati, lambda'' for NR and BR), so the value that
+# zeroes it is -g(0) / (g(1) - g(0)). The "BO" ratio IVP of _rhs keeps
+# <B, T*> fixed, not a FAMILIES coefficient, so it has no case here.
+
+
+@pytest.mark.parametrize("code, kernel", [
+    ("NO", "NO"), ("NR", "NR"), ("BR", "BR"), ("BO", "riccati"),
+])
+def test_rk4_kernel_zeroes_its_family_coefficient(code, kernel):
+    entry = FAMILIES[code]
+    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
+    rng = np.random.default_rng(20211)
+    for _ in range(2000):
+        # s, kappa(s), and the slopes of the linear kappa and tau
+        s, k0, dk, dt = (float(v) for v in rng.uniform((0, 0.2, -1, -1), (3, 2, 1, 1)))
+        t0 = float(rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 2.0))
+        lam, lam_p = (float(v) for v in rng.uniform(-2.0, 2.0, 2))
+        kappa = lambda x: k0 + dk * (x - s)  # noqa: E731
+        tau = lambda x: t0 + dt * (x - s)  # noqa: E731
+        k, t, kp, tp = _coefficients(kappa, tau)(s)
+        rhs = _rhs(kernel, kappa, tau)
+        if code in ("NR", "BR"):
+            got = rhs(s, (lam, lam_p))[1]
+            g = lambda top: entry.coefficient[1](  # noqa: E731
+                *cross(lam, lam_p, top, k, t, kp, tp), lam, k, t)
+        else:
+            got = rhs(s, lam)
+            g = lambda top: entry.coefficient[1](  # noqa: E731
+                *cross(lam, top, 0.0, k, t, kp, tp), lam, k, t)
+        derived = -g(0.0) / (g(1.0) - g(0.0))
+        assert abs(got - derived) <= 1e-12 * max(1.0, abs(derived)), (s, k, t, kp, tp, lam, lam_p)
 
 
 # ---------------------------------------------------------------------------
