@@ -15,6 +15,7 @@ from curvemates.errors import (
 )
 from curvemates.association import FAMILIES, klm_coefficients, xyz_coefficients
 from curvemates.numdiff import diff1, diff1_o4
+from curvemates import solvers
 from curvemates.solvers import (
     LambdaSolution,
     _as_grid_array,
@@ -408,24 +409,31 @@ def test_constraint_bo_first_order():
     assert grown.lam[-1] > 1.0  # sinh-type growth
 
 
-@pytest.mark.parametrize("solve, grid, escape_s", [
-    (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, g), np.linspace(0.0, 5.0, 5001), 4.444),
+@pytest.mark.parametrize("cap", [math.inf, None])
+@pytest.mark.parametrize("solve, grid, escapes", [
+    (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, g), np.linspace(0.0, 5.0, 5001),
+     {None: 4.444, math.inf: 4.446}),
     (lambda g: solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), g, ratio=1.0),
-     np.linspace(0.0, 3000.0, 3001), 21.0),
+     np.linspace(0.0, 3000.0, 3001), {None: 21.0, math.inf: 504.0}),
     (lambda g: solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g),
-     np.linspace(0.0, 10.0, 2001), 4.215),
-    (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 1e300, g), np.linspace(0.0, 1.0, 11), 0.1),
+     np.linspace(0.0, 10.0, 2001), {None: 4.215, math.inf: 4.25}),
+    (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 1e300, g), np.linspace(0.0, 1.0, 11),
+     {None: 0.1, math.inf: 0.1}),
 ], ids=["riccati", "BO", "BR", "riccati-stage-overflow"])
-def test_rk4_overflow_is_finite_escape(solve, grid, escape_s):
-    # The step that leaves |y| <= BLOWUP_CAP = 1e6, or whose float arithmetic
+def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
+    # The step that leaves |y| <= BLOWUP_CAP, or whose float arithmetic
     # overflows (1e300 ** 2 raises OverflowError), ends in a FiniteEscapeError
     # located at its end point, never a bare OverflowError or non-finite
-    # samples. The Riccati trajectory from 0 escapes just past its pole at
-    # s = pi sqrt(2) = 4.4429.
+    # samples. cap None keeps the shipped BLOWUP_CAP = 1e6; cap inf lifts it,
+    # so every trajectory runs on until a float overflows. The Riccati
+    # trajectory from 0 escapes just past its pole at s = pi sqrt(2) = 4.4429.
+    if cap is not None:
+        monkeypatch.setattr(solvers, "BLOWUP_CAP", cap)
+    limit = solvers.BLOWUP_CAP if cap is None else cap
     with pytest.raises(FiniteEscapeError) as err:
         solve(grid)
-    assert err.value.s == escape_s
-    assert str(err.value) == f"trajectory escaped |y| > 1e+06 near s={escape_s:g}"
+    assert err.value.s == escapes[cap]
+    assert str(err.value) == f"trajectory escaped |y| > {limit:g} near s={escapes[cap]:g}"
 
 
 @pytest.mark.parametrize("call, message", [
