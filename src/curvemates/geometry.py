@@ -447,5 +447,6 @@ def reparametrize_arclength(
         bad = float(s_grid[1 + np.argmax(dev)])
         raise RegularityError(f"unit-speed residual {dev.max():.3e} exceeds tolerance after"
                               f" reparametrization at s={bad:.6g}", s=bad)
+    _require_valid(frames.valid, KAPPA_FLOOR_DEFAULT, s_grid)
     return SampledCurve(grid=s_grid, positions=pos,
                         frames=with_arclength_derivatives(frames, h))

@@ -8,17 +8,15 @@ length. ``diff1_o4`` is the fourth-order first derivative of
 tolerances; that rule trims its second-order edge rows. ``norm3`` and
 ``cross3`` are the row norm and row cross product of (n, 3) arrays.
 
-``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows
-on the usable CPUs, each block writing its own rows of the result, with the
-bits of one call on all rows.
+``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows on
+the usable CPUs, into arrays sized by a 7-row probe, with one call's bits.
 """
 from __future__ import annotations
 
 import contextvars
 import os
 import threading
-from contextlib import suppress
-from concurrent.futures import FIRST_COMPLETED, Future, InvalidStateError, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -190,14 +188,12 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _run_block(fn, n, halo, a, b, err, shapes, outs):
+def _run_block(fn, n, halo, a, b, err, outs):
     lo, hi = max(a - halo, 0), min(b + halo, n)
     # numpy 2 keeps errstate in the copied context; numpy 1 keeps it per thread.
     with np.errstate(**err):
         parts = fn(lo, hi)
-    with suppress(InvalidStateError):  # raised when another block published first
-        shapes.set_result([(part.shape[1:], part.dtype) for part in parts])
-    for out, part in zip(outs.result(), parts):
+    for out, part in zip(outs, parts):
         out[a:b] = part[a - lo:b - lo]
 
 
@@ -208,36 +204,34 @@ def rowmap(
 
     ``fn(lo, hi)`` returns arrays whose first axis holds rows ``lo..hi``, and
     each of its rows may depend on the rows within ``halo`` of it. Rows
-    ``0..n`` go in the blocks of :func:`_blocks`. Each block gets ``halo``
-    extra rows on each side (fewer at the ends of the grid), which are
-    trimmed before the block's own thread writes its rows into arrays of n
-    rows, so the result has the bits of ``fn(0, n)`` for any row-local
-    ``fn``. The caller, not a worker, makes those arrays (``np.empty``) from
-    the shapes and dtypes that the first finished block publishes: glibc
-    keeps memory in the arena of the thread that allocated it, and arrays
-    made by a worker raised ``oracle-large``'s peak RSS from 201 to 283 MB.
-    Blocks run on a shared thread pool, one worker per usable CPU, each in a
-    copy of the caller's ``contextvars`` context and ``np.errstate``. With
-    one block or one usable CPU, and inside a block, ``fn(0, n)`` runs
-    inline and no thread is started. When blocks raise, the exception of the
-    first failing block in row order propagates once every running block
-    has stopped.
+    ``0..n`` go in the blocks of :func:`_blocks`, each with ``halo`` extra
+    rows on each side (fewer at the grid's ends), trimmed before the block's
+    own thread writes its rows into arrays of n rows: the result has the bits
+    of ``fn(0, n)`` for any row-local ``fn``. The caller makes those arrays
+    with ``np.empty``, from the shapes and dtypes of a probe ``fn(0, 7)`` that
+    it runs as a block would and discards (its last rows are one-sided):
+    glibc keeps memory in the arena of the thread that allocated it, and
+    arrays made by a worker raised ``oracle-large``'s peak RSS from 201 to
+    283 MB. Blocks run on a shared thread pool, one worker per usable CPU,
+    each in a copy of the caller's ``contextvars`` context and ``np.errstate``.
+    With one block or one usable CPU, and inside a block or the probe,
+    ``fn(0, n)`` runs inline and no thread is started. A failing probe raises
+    before any block is submitted; else, once every block has stopped, the
+    first failing block in row order does.
     """
     blocks = _blocks(n)
     if len(blocks) < 2 or getattr(_WORKER, "active", False) or _usable_cpus() < 2:
         return tuple(fn(0, n))
-    pool, err, shapes, outs = _pool(), np.geterr(), Future(), Future()
-    futures = [pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b, err,
-                           shapes, outs) for a, b in blocks]
+    _WORKER.active = True  # a rowmap inside the probe runs inline, as in a block
     try:
-        # A block that returns publishes before it waits, so until then only failures finish.
-        while not shapes.done() and not all(future.done() for future in futures):
-            wait([shapes, *(f for f in futures if not f.done())], return_when=FIRST_COMPLETED)
-        if shapes.done():
-            outs.set_result(tuple(np.empty((n,) + shape, dtype) for shape, dtype in shapes.result()))
-        for future in futures:
-            future.result()
+        outs = tuple(np.empty((n,) + part.shape[1:], part.dtype)
+                     for part in fn(0, _MIN_BLOCK_ROWS))
     finally:
-        outs.cancel()  # once set, a no-op; else it releases the blocks that wait for it
-        wait([future for future in futures if not future.cancel()])
-    return outs.result()
+        _WORKER.active = False
+    pool, err = _pool(), np.geterr()
+    futures = [pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b, err,
+                           outs) for a, b in blocks]
+    wait(futures)
+    for future in futures:
+        future.result()
+    return outs

@@ -95,11 +95,13 @@ def _as_grid_array(value, grid: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _slope(value):
-    """The arc-length derivative of a coefficient: a central difference of
-    step 1e-5 for a callable, 0.0 for a constant or a sampled array."""
+def _slope(value, name: str):
+    """The arc-length derivative of coefficient ``name``: a central difference
+    of step 1e-5 for a callable, 0.0 for a constant; a sampled array raises."""
     if callable(value):
         return lambda s: (value(s + 1e-5) - value(s - 1e-5)) / (2.0 * 1e-5)
+    if np.ndim(value) != 0:
+        raise SpecificationError(f"sampled {name} needs {name}' given; it is not differenced")
     return 0.0
 
 
@@ -110,7 +112,7 @@ def _coefficients(kappa, tau) -> Callable[[float], tuple[float, float, float, fl
         raise SpecificationError(
             "RK4 solvers take kappa and tau as constants or callables of s, not sampled arrays"
         )
-    values = (kappa, tau, _slope(kappa), _slope(tau))
+    values = (kappa, tau, _slope(kappa, "kappa"), _slope(tau, "tau"))
     if not any(callable(v) for v in values):
         fixed = tuple(float(v) for v in values)
         return lambda s: fixed
@@ -121,8 +123,8 @@ def _coefficients(kappa, tau) -> Callable[[float], tuple[float, float, float, fl
 def _coefficient_arrays(grid, kappa, tau, kappa_prime=None, tau_prime=None):
     """kappa, tau, kappa' and tau' sampled on ``grid``; a derivative left None
     follows _slope."""
-    kp = _slope(kappa) if kappa_prime is None else kappa_prime
-    tp = _slope(tau) if tau_prime is None else tau_prime
+    kp = _slope(kappa, "kappa") if kappa_prime is None else kappa_prime
+    tp = _slope(tau, "tau") if tau_prime is None else tau_prime
     return tuple(_as_grid_array(v, grid) for v in (kappa, tau, kp, tp))
 
 
@@ -296,10 +298,10 @@ def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, np.
     and s_i + h. Returns ``(path, slope)``: the state and ``f`` at every grid
     point, with shape (n,) for a float state and (n, 2) for a pair.
 
-    After each step every component of the state must be finite and at most
-    BLOWUP_CAP in magnitude; otherwise the step raises FiniteEscapeError at
-    its end point. A stage whose float arithmetic overflows or divides by
-    zero (Python floats raise where numpy arrays give inf) is the same escape.
+    A start beyond BLOWUP_CAP is a SpecificationError at grid[0]. A step that
+    leaves |y| <= BLOWUP_CAP, or a stage whose float arithmetic overflows or
+    divides by zero (Python floats raise where numpy gives inf), is a
+    FiniteEscapeError at the step's end point.
     """
     grid = np.asarray(grid, dtype=float)
     h = uniform_spacing(grid)
@@ -329,6 +331,9 @@ def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, np.
         return FiniteEscapeError(f"trajectory escaped |y| > {limit:g} near s={s:.6g}", s=s)
 
     points = grid.tolist()
+    if not within(y0):
+        raise SpecificationError(f"start {y0!r} lies outside |y| <= BLOWUP_CAP = {limit:g}"
+                                 f" at s={points[0]:.6g}", s=points[0])
     y = y0
     path, slope = [y], []
     for s, s_next in zip(points, points[1:]):
@@ -442,8 +447,8 @@ def riccati_linearize(
     lambda = lambda_1 + 1/mu turns lambda' = A lambda^2 + B lambda + C
     (``_riccati``) into mu' = (2 lambda_1 (-A) - B) mu - A, solved with the
     integrating-factor routine; lambda_1 must zero BO's FAMILIES coefficient
-    to 1e-6. The returned trajectory must agree with direct RK4 from the same
-    initial value away from mu = 0.
+    to 1e-6. kappa and tau are constants or callables, as in RK4, and the
+    trajectory must agree with direct RK4 from the same start away from mu = 0.
     """
     from .association import FAMILIES, xyz_coefficients
 

@@ -253,6 +253,40 @@ def test_reparametrize_cusp_regularity_error():
     assert err.value.s == pytest.approx(0.0, abs=0.05)
 
 
+def test_reparametrize_refuses_a_straight_segment():
+    # Straight for t < 2: sample_curve and reparametrize_arclength refuse it
+    # with the same located message, not a base whose valid is False.
+    t = np.linspace(0.0, 4.0, 400)
+    curve = CurveSpec.from_samples(
+        np.column_stack([t, t, np.where(t < 2.0, 0.0, (t - 2.0) ** 3), 0 * t]))
+    message = "curvature below floor 1e-08 (straight or singular segment) at s=0.0"
+    with pytest.raises(CurvatureDegenerateError) as err:
+        sample_curve(curve, np.linspace(0.0, 4.0, 2001))
+    assert str(err.value) == message
+    with pytest.raises(CurvatureDegenerateError) as err:
+        reparametrize_arclength(curve, (0.0, 4.0), 2001)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CurveSpec(kind="x"), "unknown curve kind 'x'"),
+    (lambda: CurveSpec.from_samples([[0, 0, 0, 0], [1, 1, 0, 0]]).closed_form_curvature(),
+     "closed-form curvature only for named curves"),
+    (lambda: CurveSpec.from_samples([[0, 0, 0, 0], [1, 1, 0, 0]]).closed_form_torsion(),
+     "closed-form torsion only for named curves"),
+    (lambda: frenet_residuals(SampledCurve(grid=np.linspace(0.0, 1.0, 9),
+                                           positions=np.zeros((9, 3)))),
+     "frenet_residuals requires a curve with frames"),
+    (lambda: reparametrize_arclength(CurveSpec.circle(1.0), (1.0, 1.0), 9),
+     "domain must satisfy t0 < t1"),
+], ids=["unknown kind", "curvature of samples", "torsion of samples",
+        "residuals without frames", "empty domain"])
+def test_geometry_specification_errors(call, message):
+    with pytest.raises(SpecificationError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_reparametrize_needs_enough_points():
     with pytest.raises(SpecificationError):
         reparametrize_arclength(CurveSpec.circle(1.0), (0.0, 1.0), n=5)

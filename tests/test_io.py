@@ -9,9 +9,10 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from curvemates import AssociationSpec, CurveSpec, associate, sample_curve, verify_mate
+from curvemates import (AssociationSpec, CurveSpec, SampledCurve, associate, sample_curve,
+                        verify_mate)
 from curvemates import cli
-from curvemates.errors import InsufficientDataError, ParseError
+from curvemates.errors import InsufficientDataError, ParseError, SpecificationError
 from curvemates import io as cio
 from curvemates.geometry import curvature_derivatives
 from curvemates.numdiff import diff1, norm3, uniform_spacing
@@ -161,6 +162,13 @@ def test_sampled_curve_csv_arclength_derivatives_keep_their_bits(curve, helix_ba
     names = ("speed", "kappa_prime", "tau_prime", "kappa_second", "tau_second")
     for name, value in zip(names, want):
         assert np.array_equal(getattr(again.frames, name), value), name
+
+
+def test_sampled_curve_csv_needs_frames():
+    curve = SampledCurve(grid=np.linspace(0.0, 1.0, 9), positions=np.zeros((9, 3)))
+    with pytest.raises(SpecificationError) as err:
+        cio.sampled_curve_to_csv(curve)
+    assert str(err.value) == "CSV export requires a curve with frames"
 
 
 def test_sampled_curve_csv_needs_uniform_grid_of_4_rows(helix_base):

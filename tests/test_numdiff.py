@@ -20,7 +20,7 @@ from curvemates import (
     sample_curve,
     verify_mate,
 )
-from curvemates.errors import CurvatureDegenerateError
+from curvemates.errors import CurvatureDegenerateError, InsufficientDataError
 from curvemates.geometry import frenet_frames_sampled
 from curvemates.io import report_to_json
 from curvemates.numdiff import cross3, norm3
@@ -66,6 +66,21 @@ def test_row_kernels_bit_identical_to_numpy(rows):
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         assert _same_bits(norm3(a), np.linalg.norm(a, axis=-1))
         assert _same_bits(cross3(a, b), np.cross(a, b))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: numdiff.uniform_spacing(np.zeros(1)), "grid needs at least 2 points"),
+    (lambda: numdiff.diff2(np.zeros(3), 0.1), "second derivative needs at least 4 samples"),
+    (lambda: numdiff.diff3(np.zeros(6), 0.1), "third derivative needs at least 7 samples"),
+    (lambda: numdiff.diff1_o4(np.zeros(4), 0.1),
+     "fourth-order derivative needs at least 5 samples"),
+    (lambda: numdiff.cumulative_simpson(np.zeros(2), 0.1),
+     "Simpson quadrature needs at least 3 samples"),
+], ids=["spacing of 1 point", "diff2 of 3", "diff3 of 6", "diff1_o4 of 4", "Simpson of 2"])
+def test_too_few_samples(call, message):
+    with pytest.raises(InsufficientDataError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +135,9 @@ def test_rowmap_trims_halo_rows(n, halo):
     assert _same_bits(rows, want) and _same_bits(even, want % 2 == 0)
     assert _same_bits(pairs, np.stack([want, -want], axis=-1))
     if numdiff._usable_cpus() > 1:
-        assert sorted(calls) == [(max(a - halo, 0), min(b + halo, n))
-                                 for a, b in numdiff._blocks(n)]
+        # The 7-row probe that sizes the result, then the blocks in any order.
+        assert calls[:1] + sorted(calls[1:]) == [(0, 7)] + [
+            (max(a - halo, 0), min(b + halo, n)) for a, b in numdiff._blocks(n)]
     else:
         assert calls == [(0, n)]
 
@@ -227,9 +243,11 @@ def test_rowmap_raises_the_first_failing_block_in_row_order():
 
 
 def test_rowmap_all_blocks_raise_and_the_pool_serves_the_next_call():
-    # No block publishes its shapes, so the result arrays are never made; no
-    # worker may be left waiting for them, or the next call would hang.
+    # The probe passes and every block fails; the first failure in row order
+    # propagates, and the pool must be free again, or the next call would hang.
     def fail(lo, hi):
+        if hi == 7:  # the probe
+            return (np.zeros(hi - lo),)
         if lo == 0:
             time.sleep(0.05)  # so that later blocks fail first
         raise ValueError(f"rows from {lo}")
@@ -252,18 +270,39 @@ def test_rowmap_all_blocks_raise_and_the_pool_serves_the_next_call():
 
 
 def test_rowmap_inside_a_block_runs_inline():
-    inner_calls = []
+    outer_calls, inner_calls = [], []
 
     def inner(lo, hi):
         inner_calls.append((lo, hi))
         return (np.ones(hi - lo),)
 
     def outer(lo, hi):
+        outer_calls.append((lo, hi))
         return (numdiff.rowmap(inner, 2 * BLOCK)[0][:hi - lo],)
 
     numdiff.rowmap(outer, 2 * BLOCK)
     if numdiff._usable_cpus() > 1:
-        assert inner_calls == [(0, 2 * BLOCK)] * 2
+        # The probe and both blocks each run the inner rowmap inline, once.
+        assert outer_calls[:1] + sorted(outer_calls[1:]) == [
+            (0, 7), (0, BLOCK), (BLOCK, 2 * BLOCK)]
+        assert inner_calls == [(0, 2 * BLOCK)] * 3
+
+
+def test_rowmap_failing_probe_raises_before_any_block():
+    calls = []
+
+    def fn(lo, hi):
+        calls.append((lo, hi))
+        if lo < 7:
+            raise ValueError(f"rows {lo}..{hi}")
+        return (np.zeros(hi - lo),)
+
+    # On one CPU the one call is the inline fn(0, n).
+    first = (0, 7) if numdiff._usable_cpus() > 1 else (0, 3 * BLOCK)
+    with pytest.raises(ValueError) as err:
+        numdiff.rowmap(fn, 3 * BLOCK)
+    assert str(err.value) == "rows {}..{}".format(*first)
+    assert calls == [first]
 
 
 def test_rowmap_concurrent_callers_share_one_pool(monkeypatch):

@@ -418,7 +418,7 @@ def test_constraint_bo_first_order():
     (lambda g: solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g),
      np.linspace(0.0, 10.0, 2001), {None: 4.215, math.inf: 4.25}),
     (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 1e300, g), np.linspace(0.0, 1.0, 11),
-     {None: 0.1, math.inf: 0.1}),
+     {None: None, math.inf: 0.1}),
 ], ids=["riccati", "BO", "BR", "riccati-stage-overflow"])
 def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
     # The step that leaves |y| <= BLOWUP_CAP, or whose float arithmetic
@@ -427,9 +427,16 @@ def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
     # samples. cap None keeps the shipped BLOWUP_CAP = 1e6; cap inf lifts it,
     # so every trajectory runs on until a float overflows. The Riccati
     # trajectory from 0 escapes just past its pole at s = pi sqrt(2) = 4.4429.
+    # A start beyond the cap (escape None) is refused before the first step.
     if cap is not None:
         monkeypatch.setattr(solvers, "BLOWUP_CAP", cap)
     limit = solvers.BLOWUP_CAP if cap is None else cap
+    if escapes[cap] is None:
+        with pytest.raises(SpecificationError) as err:
+            solve(grid)
+        assert err.value.s == 0.0
+        assert str(err.value) == f"start 1e+300 lies outside |y| <= BLOWUP_CAP = {limit:g} at s=0"
+        return
     with pytest.raises(FiniteEscapeError) as err:
         solve(grid)
     assert err.value.s == escapes[cap]
@@ -457,6 +464,34 @@ def test_solver_specification_errors(call, message):
     with pytest.raises(SpecificationError) as err:
         call()
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("family", ["BO", "BR"])
+def test_sampled_coefficients_need_their_derivatives(family):
+    # Zeroing (or differencing) a sampled tau' misjudges a valid solution:
+    # the BO residual read 0.76 with tau' = 0 against 1.7e-9 with callables.
+    grid = np.linspace(0.0, 1.0, 2001)
+    tau = lambda s: 0.6 + 0.1 * np.cos(3.0 * s)
+    sol = (solve_riccati(0.7, tau, 0.3, grid) if family == "BO"
+           else solve_constraint_ode("BR", 0.7, tau, (0.5, 0.1), grid))
+    kappas, taus = np.full(grid.size, 0.7), tau(grid)
+    for kappa, t, name in ((kappas, tau, "kappa"), (0.7, taus, "tau")):
+        with pytest.raises(SpecificationError) as err:
+            constraint_residual(sol, family, kappa, t)
+        assert str(err.value) == f"sampled {name} needs {name}' given; it is not differenced"
+    slopes = (np.zeros(grid.size), -0.3 * np.sin(3.0 * grid))
+    assert np.max(constraint_residual(sol, family, kappas, taus, *slopes)) < 1e-6
+    if family == "BO":  # riccati_linearize takes constants and callables, as RK4 does
+        with pytest.raises(SpecificationError) as err:
+            riccati_linearize(sol, kappas, taus, grid, lambda0=0.5)
+        assert str(err.value) == "sampled kappa needs kappa' given; it is not differenced"
+        riccati_linearize(sol, 0.7, tau, grid, lambda0=0.5)
+
+
+def test_linear_rejects_a_misaligned_kappa():
+    with pytest.raises(AlignmentError) as err:
+        solve_linear(np.ones(GRID.size - 1), 1.0, 1.0, GRID)
+    assert str(err.value) == "sampled coefficient not aligned with grid"
 
 
 def test_constraint_unknown_family():
