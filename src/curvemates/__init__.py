@@ -13,7 +13,6 @@ from .association import (
     classify_special_case,
     construct_mate,
     mate_curvatures_closed,
-    plane_unit_vector,
 )
 from .errors import CurveMatesError
 from .geometry import (

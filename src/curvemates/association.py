@@ -15,11 +15,12 @@ D(a, b, c) = (a' - kappa b, b' + kappa a - tau c, c' + tau b), with the
 Leibniz rule for products. The mate's tangent is the normalized first
 derivative, its binormal the normalized cross product of the first two
 derivatives, and N* = B* x T*; predicted frames and curvatures below are
-evaluated on the whole grid from those exact component vectors.
+evaluated on the whole grid from those exact component vectors. The same
+rule states each family's condition <V, n*> = 0 (``plane_condition``).
 
 FAMILIES holds what distinguishes the nine families: the coefficient and
 base-curve prerequisites, which verification checks gate the verdict, the
-cross-product coefficient constraint, and the catalogued printed curvature
+report key of the coefficient check, and the catalogued printed curvature
 formulas, kept verbatim for the formula audit in :mod:`curvemates.verify`.
 """
 from __future__ import annotations
@@ -68,14 +69,6 @@ class AssociationSpec:
         if self.coeffs[1] == 0.0:
             raise SpecificationError("ratio undefined: second coefficient is zero")
         return self.coeffs[0] / self.coeffs[1]
-
-
-def plane_unit_vector(frames: FrameData, spec: AssociationSpec) -> np.ndarray:
-    """Unit combinations of the mate's frame spanning the selected plane, per row."""
-    p, q = spec.coeffs
-    first, second = {"O": (frames.T, frames.N), "P": (frames.N, frames.B),
-                     "R": (frames.T, frames.B)}[spec.plane]
-    return (p * first + q * second) / math.hypot(p, q)
 
 
 def construct_mate(
@@ -142,24 +135,42 @@ def _frenet_derivative(v, kappa, tau):
             tuple(c[i + 1] + tb[i] for i in range(m)))
 
 
-def _mate_derivatives(vector, lam, kappa, tau):
-    """alpha*', alpha*' x alpha*'' and alpha*''' in the base frame basis, (n, 3)
-    each, from the jets lam = (lambda, ..., lambda'''), kappa = (kappa, kappa',
-    kappa'') and tau = (tau, tau', tau''). alpha*' is the module docstring's
-    line for the offset vector, its components as jets of order 2 (0.0 where
-    one vanishes); the Frenet-Serret derivative gives the rest."""
+def _velocity(vector, lam, kappa, tau):
+    """alpha*', the module docstring's line for V, as jets of its base-frame
+    components as long as kappa's (0.0 where one vanishes); lam is one longer."""
+    m = len(kappa)
     if vector == "T":
-        d1 = ((1.0 + lam[1], lam[2], lam[3]), _leibniz(lam, kappa, 3), (0.0, 0.0, 0.0))
-    elif vector == "N":
-        lk = _leibniz(lam, kappa, 3)
-        d1 = ((1.0 - lk[0], -lk[1], -lk[2]), lam[1:], _leibniz(lam, tau, 3))
-    else:
-        lt = _leibniz(lam, tau, 3)
-        d1 = ((1.0, 0.0, 0.0), (-lt[0], -lt[1], -lt[2]), lam[1:])
+        return ((1.0 + lam[1], *lam[2:]), _leibniz(lam, kappa, m), (0.0,) * m)
+    if vector == "N":
+        lk = _leibniz(lam, kappa, m)
+        return ((1.0 - lk[0], *(-x for x in lk[1:])), lam[1:], _leibniz(lam, tau, m))
+    return ((1.0,) + (0.0,) * (m - 1), tuple(-x for x in _leibniz(lam, tau, m)), lam[1:])
+
+
+def _mate_derivatives(vector, lam, kappa, tau):
+    """alpha*', alpha*' x alpha*'' and alpha*''' in the base frame basis, (n, 3) each,
+    from the jets (lambda, ..., lambda'''), (kappa, kappa', kappa''), (tau, tau', tau'')."""
+    d1 = _velocity(vector, lam, kappa, tau)
     d2 = _frenet_derivative(d1, kappa, tau)
     u, v, d3 = ([c[0] for c in d] for d in (d1, d2, _frenet_derivative(d2, kappa, tau)))
     w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
     return tuple(np.stack(np.broadcast_arrays(*x), axis=-1) for x in (u, w, d3))
+
+
+def plane_condition(vector, plane, lam, kappa, tau):
+    """(raw, |w|) of a family's condition <V, n*> = 0 from the jets (lambda, lambda',
+    lambda''), (kappa, kappa') and (tau, tau'), arrays or floats: raw is V's component
+    of u = alpha*' if n* = T* (P), of w = u x alpha*'' if B* (O), of w x u if N* (R)."""
+    d1 = _velocity(vector, lam, kappa, tau)
+    u = [c[0] for c in d1]
+    v = [c[0] for c in _frenet_derivative(d1, kappa, tau)]
+    del d1  # the jets' derivative rows are not read again
+    w = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    del v
+    i, normal = VECTORS.index(vector), PLANE_NORMAL[plane]
+    j, k = (i + 1) % 3, (i + 2) % 3
+    raw = u[i] if normal == "T" else w[i] if normal == "B" else w[j] * u[k] - w[k] * u[j]
+    return raw, np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
 
 
 def _embed(components: np.ndarray, frames: FrameData) -> np.ndarray:
@@ -343,9 +354,7 @@ class Family:
 
     ``gates`` says which residual groups of the verification gate the
     verdict (True) and which are reported for audit only (False).
-    ``coefficient`` names the family's cross-product coefficient constraint
-    and computes its raw value from the cross-product components (K, L, M
-    for normal offsets, X, Y, Z for binormal ones), lambda, kappa and tau.
+    ``coefficient`` is the report key of the family's :func:`plane_condition` check.
     ``curvatures`` is the printed kappa*, tau* formula. ``nonzero`` names
     the second plane coefficient when the family needs it nonzero;
     ``planar_base`` and ``constant_offset`` are prerequisites of
@@ -357,7 +366,7 @@ class Family:
     title: str
     gates: dict
     curvatures: Callable
-    coefficient: tuple[str, Callable] | None = None
+    coefficient: str | None = None
     nonzero: str | None = None
     planar_base: bool = False
     constant_offset: bool = False
@@ -389,18 +398,17 @@ FAMILIES = {f.vector + f.plane: f for f in (
     Family("T", "R", "tangent/rectifying", _gates(False, True, False), _printed_tr,
            nonzero="f"),
     Family("N", "O", "normal/osculating", _gates(True, False, False), _printed_no,
-           coefficient=("L-coefficient", lambda K, L, M, lam, k, t: L)),
+           coefficient="L-coefficient"),
     Family("N", "P", "normal/normal", _gates(True, True, False), _printed_np,
            constant_offset=True),
     Family("N", "R", "normal/rectifying", _gates(True, False, False), _printed_nr,
-           coefficient=("NR-coefficient",
-                        lambda K, L, M, lam, k, t: M * (1.0 - lam * k) - K * lam * t)),
+           coefficient="NR-coefficient"),
     Family("B", "O", "binormal/osculating", _gates(True, False, False), _printed_bo,
-           coefficient=("Z-coefficient", lambda X, Y, Z, lam, k, t: Z)),
+           coefficient="Z-coefficient"),
     Family("B", "P", "binormal/normal", _gates(True, True, False), _printed_bp,
            constant_offset=True),
     Family("B", "R", "binormal/rectifying", _gates(True, False, False), _printed_br,
-           coefficient=("BR-coefficient", lambda X, Y, Z, lam, k, t: -X * lam * t - Y)),
+           coefficient="BR-coefficient"),
 )}
 
 

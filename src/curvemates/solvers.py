@@ -12,7 +12,7 @@ Closed forms are evaluated exactly; quadrature is cumulative composite
 Simpson; initial-value integration is classical fixed-step RK4, stepped in
 plain Python floats (a float state, or a pair for second-order ODEs) with
 no per-stage arrays, through the kernels of one factory, ``_rhs``, that a
-test checks against FAMILIES; leaving |y| <= BLOWUP_CAP = 1e6 is a located
+test checks against plane_condition; leaving |y| <= BLOWUP_CAP = 1e6 is a located
 FiniteEscapeError. BO's Riccati has one array form, ``_riccati``.
 ``offset_residual`` is the one independent residual rule for every offset
 equation: it differentiates the lambda samples with fourth-order
@@ -364,9 +364,9 @@ def _riccati(k, t, tp):
 def _rhs(family: str, kappa, tau, ratio: float | None = None):
     """The RK4 right-hand side f(s, y) of an offset ODE: BO's "riccati", "NO"
     solved for lambda', "NR" and "BR" for lambda'' with y = (lambda, lambda'),
-    and the "BO" ratio IVP, which has no FAMILIES constraint. Hand-written,
-    since a kernel derived from FAMILIES makes RK4 2-5x slower; a test checks
-    each against its family's coefficient."""
+    and the "BO" ratio IVP, which is no family's plane condition. Hand-written,
+    since a kernel derived from the condition made RK4 2-5x slower; a test
+    checks each against ``association.plane_condition``."""
     coefficients = _coefficients(kappa, tau)
     if family == "riccati":
         def rhs(s: float, lam: float) -> float:
@@ -446,11 +446,11 @@ def riccati_linearize(
 
     lambda = lambda_1 + 1/mu turns lambda' = A lambda^2 + B lambda + C
     (``_riccati``) into mu' = (2 lambda_1 (-A) - B) mu - A, solved with the
-    integrating-factor routine; lambda_1 must zero BO's FAMILIES coefficient
+    integrating-factor routine; lambda_1 must zero BO's plane condition, Z,
     to 1e-6. kappa and tau are constants or callables, as in RK4, and the
     trajectory must agree with direct RK4 from the same start away from mu = 0.
     """
-    from .association import FAMILIES, xyz_coefficients
+    from .association import plane_condition
 
     grid = np.asarray(grid, dtype=float)
     lambda_particular.require_grid(grid)
@@ -458,9 +458,8 @@ def riccati_linearize(
     if float(np.min(np.abs(t))) <= TORSION_FLOOR:
         raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
 
-    z = FAMILIES["BO"].coefficient[1]  # Z does not read lambda''
-    part_res = offset_residual(lambda_particular, lambda lam, lam_p, _: z(
-        *xyz_coefficients(lam, lam_p, 0.0, k, t, kp, tp), lam, k, t), 1)
+    part_res = offset_residual(lambda_particular, lambda lam, lam_p, _: plane_condition(
+        "B", "O", (lam, lam_p, 0.0), (k, kp), (t, tp))[0], 1)  # Z does not read lambda''
     if float(np.max(part_res)) > 1e-6:
         raise SpecificationError(
             f"particular solution residual {np.max(part_res):.3e} exceeds 1e-6")
@@ -516,25 +515,20 @@ def constraint_residual(
     sol: LambdaSolution, family: str, kappa, tau,
     kappa_prime=None, tau_prime=None,
 ) -> np.ndarray:
-    """A family's cross-product coefficient constraint along a solution, as
-    an order-2 offset_residual.
-
-    The raw constraint value is normalized by the cross-product magnitude so
-    the numbers are comparable across families and scales. kappa' and tau'
-    left None follow _slope, as in solve_constraint_ode.
-    """
-    from .association import FAMILIES, klm_coefficients, xyz_coefficients
+    """A family's coefficient check, ``association.plane_condition`` along a
+    solution as an order-2 offset_residual, normalized by |w| = |alpha*' x alpha*''|
+    so the numbers are comparable across families and scales. kappa' and tau'
+    left None follow _slope, as in solve_constraint_ode."""
+    from .association import FAMILIES, plane_condition
 
     entry = FAMILIES.get(family)
     if entry is None or entry.coefficient is None:
         raise SpecificationError(f"unknown constraint family {family!r}")
     k, t, kp, tp = _coefficient_arrays(sol.grid, kappa, tau, kappa_prime, tau_prime)
-    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
 
     def equation(lam, lam_p, lam_pp):
-        c1, c2, c3 = cross(lam, lam_p, lam_pp, k, t, kp, tp)
-        norm = np.sqrt(c1**2 + c2**2 + c3**2)
-        return entry.coefficient[1](c1, c2, c3, lam, k, t) / np.where(norm > 1e-12, norm, 1.0)
+        raw, norm = plane_condition(*family, (lam, lam_p, lam_pp), (k, kp), (t, tp))
+        return raw / np.where(norm > 1e-12, norm, 1.0)
 
     try:
         return offset_residual(sol, equation, 2)

@@ -4,7 +4,7 @@ The oracle recomputes the mate's Frenet apparatus from its positions alone
 (second-order stencils) and checks, per family:
 
   * the defining orthogonality (offset vector against the mate's plane
-    normal) and the matching cross-product coefficient constraint,
+    normal) and, for NO, NR, BO and BR, its coefficient check on lambda,
   * the distance identity |alpha* - alpha| = |lambda| (pure algebra),
   * closed-form frames against the numeric frames,
   * printed curvature formulas against numeric curvatures.
@@ -205,9 +205,10 @@ def check_association(
     only kappa, tau, ``valid``, ``direction_error`` and the dots the checks
     read, never the whole (n, 3) frames. The family's defining orthogonality
     (offset vector against the mate plane normal) is evaluated on the gated
-    interior. With ``lam_sol`` the distance identity and the coefficient
-    constraint are checked too; with ``predicted`` the closed-form frames
-    and printed curvature formulas are compared against the oracle.
+    interior, independently of the closed forms. With ``lam_sol`` the distance
+    identity and the coefficient check (``plane_condition``, which shares the
+    closed forms' jet rule) run too; with ``predicted`` the closed-form frames
+    and printed formulas are compared against the oracle.
     """
     tols = tolerances or Tolerances()
     if mate.n < 7:
@@ -252,8 +253,8 @@ def check_association(
 
     distance = None
     if lam_sol is not None:
-        if family.coefficient is not None:
-            coeff_key = family.coefficient[0]
+        coeff_key = family.coefficient
+        if coeff_key is not None:
             base.frames.require("kappa_prime", "tau_prime")
             res = constraint_residual(lam_sol, spec.code, base.frames.kappa,
                                       base.frames.tau, base.frames.kappa_prime,

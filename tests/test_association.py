@@ -14,12 +14,12 @@ from curvemates import (
     classify_special_case,
     construct_mate,
     mate_curvatures_closed,
-    plane_unit_vector,
     sample_curve,
 )
 from curvemates.association import (
     _mate_derivatives,
     klm_coefficients,
+    plane_condition,
     predicted_curvature_arrays,
     predicted_frames_grid,
     xyz_coefficients,
@@ -99,25 +99,6 @@ def test_mate_specification_errors(call, frames, message, helix_base, grid_0_2):
     with pytest.raises(SpecificationError) as err:
         call(base, lambda_constant(0.5, grid_0_2))
     assert str(err.value) == message
-
-
-# ---------------------------------------------------------------------------
-# plane_unit_vector
-
-
-def test_plane_unit_vector_osculating_symmetric():
-    v = plane_unit_vector(identity_frames(), AssociationSpec("T", "O", (1.0, 1.0)))
-    np.testing.assert_allclose(v, [[INV_SQRT2, INV_SQRT2, 0.0]], atol=1e-15)
-
-
-def test_plane_unit_vector_normal_plane_example():
-    v = plane_unit_vector(identity_frames(), AssociationSpec("T", "P", (-INV_SQRT2, INV_SQRT2)))
-    np.testing.assert_allclose(v, [[0.0, -INV_SQRT2, INV_SQRT2]], atol=1e-15)
-
-
-def test_plane_unit_vector_degenerate_axis():
-    v = plane_unit_vector(identity_frames(), AssociationSpec("N", "R", (1.0, 0.0)))
-    np.testing.assert_allclose(v, [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +478,52 @@ def test_frenet_jet_rule_matches_hand_written_components(vector):
     for got, want, size in ((w, want_w, sizes[1]), (d3, want_d3, sizes[2])):
         size = np.vectorize(lambda x: _Terms.of(x).size, otypes=[float])(size)
         assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+# ---------------------------------------------------------------------------
+# plane_condition against the four coefficient lambdas that FAMILIES held
+# before it, kept verbatim below as the reference, and its exact reductions.
+
+_COEFFICIENT_LAMBDAS = {
+    "NO": (klm_coefficients, lambda K, L, M, lam, k, t: L),
+    "NR": (klm_coefficients, lambda K, L, M, lam, k, t: M * (1.0 - lam * k) - K * lam * t),
+    "BO": (xyz_coefficients, lambda X, Y, Z, lam, k, t: Z),
+    "BR": (xyz_coefficients, lambda X, Y, Z, lam, k, t: -X * lam * t - Y),
+}
+
+
+def _plane_condition_draws(n=2000):
+    """Seeded jets (lam, kappa, tau) of n rows: kappa in [0.2, 2], |tau| <= 2,
+    lambda, lambda' and lambda'' in [-2, 2], kappa' and tau' in [-1, 1]."""
+    rng = np.random.default_rng(20212)
+    kappa, tau = rng.uniform(0.2, 2.0, n), rng.uniform(-2.0, 2.0, n)
+    lam = tuple(rng.uniform(-2.0, 2.0, (3, n)))
+    kappa_p, tau_p = rng.uniform(-1.0, 1.0, (2, n))
+    return lam, (kappa, kappa_p), (tau, tau_p)
+
+
+@pytest.mark.parametrize("code", list(_COEFFICIENT_LAMBDAS))
+def test_plane_condition_matches_the_coefficient_lambdas(code):
+    lam, kappa, tau = _plane_condition_draws()
+    cross, coefficient = _COEFFICIENT_LAMBDAS[code]
+    components = cross(*lam, kappa[0], tau[0], kappa[1], tau[1])
+    want = coefficient(*components, lam[0], kappa[0], tau[0])
+    want_norm = np.sqrt(sum(c**2 for c in components))
+    raw, norm = plane_condition(code[0], code[1], lam, kappa, tau)
+    assert np.all(np.abs(raw - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.abs(norm - want_norm) <= 1e-13 * np.maximum(1.0, want_norm))
+
+
+def test_plane_condition_exact_reductions():
+    # <T, T*>, <N, T*> and <B, T*> are components of alpha*' itself; <T, B*> is
+    # w's T component lambda kappa * lambda kappa tau - 0 * v_N.
+    lam, kappa, tau = _plane_condition_draws()
+    raw = {code: plane_condition(code[0], code[1], lam, kappa, tau)[0]
+           for code in ("TP", "NP", "BP", "TO")}
+    assert np.array_equal(raw["TP"], 1.0 + lam[1])
+    assert np.array_equal(raw["NP"], lam[1]) and np.array_equal(raw["BP"], lam[1])
+    want = kappa[0] ** 2 * lam[0] ** 2 * tau[0]
+    assert np.all(np.abs(raw["TO"] - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -524,6 +524,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# Example 3 exits 2, so a __main__ that dropped main()'s exit code would fail.
+@pytest.mark.parametrize("index", ["1", "3"])
+def test_python_m_curvemates_is_the_cli(index, tmp_path):
+    src = os.path.dirname(os.path.dirname(curvemates.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-m", "curvemates", "example", index,
+                            "--out", str(tmp_path / "m")], env=env, capture_output=True)
+    assert child.returncode == main(["example", index, "--out", str(tmp_path / "main")])
+    assert (tmp_path / "m" / "mate.csv").read_bytes() == \
+        (tmp_path / "main" / "mate.csv").read_bytes()
+
+
 def test_cli_deterministic_outputs(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (a, b):

@@ -10,7 +10,6 @@ from curvemates import (
     FrameData,
     classify_special_case,
     construct_mate,
-    plane_unit_vector,
     sample_curve,
 )
 from curvemates.association import klm_coefficients, xyz_coefficients
@@ -57,23 +56,6 @@ def test_xyz_equals_cross_product(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p
                   lam_pp - lam * tau**2])
     X, Y, Z = xyz_coefficients(lam, lam_p, lam_pp, kappa, tau, kappa_p, tau_p)
     np.testing.assert_allclose([X, Y, Z], np.cross(u, v), rtol=1e-10, atol=1e-10)
-
-
-@given(axis_angle=angle, spin=angle, p=finite, q=finite,
-       plane=st.sampled_from(["O", "P", "R"]))
-@settings(max_examples=150, deadline=None)
-def test_plane_unit_vector_unit_and_in_plane(axis_angle, spin, p, q, plane):
-    if math.hypot(p, q) < 1e-3:
-        return
-    frame = random_frame(axis_angle, spin)
-    vector = {"O": "N", "P": "N", "R": "T"}[plane]
-    if plane in ("O", "R") and vector == "T" and q == 0.0:
-        return
-    spec = AssociationSpec(vector=vector, plane=plane, coeffs=(p, q))
-    v = plane_unit_vector(frame, spec)[0]
-    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-    normal = {"O": frame.B, "P": frame.T, "R": frame.N}[plane][0]
-    assert abs(float(np.dot(v, normal))) < 1e-12
 
 
 @given(values=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=9, max_size=9),

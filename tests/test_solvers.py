@@ -13,7 +13,7 @@ from curvemates.errors import (
     SpecificationError,
     TorsionDegenerateError,
 )
-from curvemates.association import FAMILIES, klm_coefficients, xyz_coefficients
+from curvemates.association import FAMILIES, plane_condition
 from curvemates.numdiff import diff1, diff1_o4
 from curvemates import solvers
 from curvemates.solvers import (
@@ -190,10 +190,9 @@ def test_exponential_pair_solves_squared_constraint():
 
 
 # Each shipped closed form on a circular helix (kappa, tau), read against its
-# family's raw cross-product coefficient on its exact lambda, lambda' and
-# lambda''. The raw value, not the normalized one: on the axis mates (NO at
-# a = b, NR's constant branch) (K, L, M) is itself round-off, so a ratio
-# means nothing there.
+# family's raw plane condition on its exact lambda, lambda' and lambda''. The
+# raw value, not the normalized one: on the axis mates (NO at a = b, NR's
+# constant branch) |w| is itself round-off, so a ratio means nothing there.
 @pytest.mark.parametrize("code, kappa, tau, closed_form", [
     pytest.param("NO", INV_SQRT2, INV_SQRT2, lambda g: lambda_half_curvature(INV_SQRT2, g),
                  id="NO-half-curvature"),
@@ -207,19 +206,18 @@ def test_exponential_pair_solves_squared_constraint():
     pytest.param("NO", 0.8, 0.6, lambda g: lambda_helix_hyperbolic(1.0, 1.0, 0.8, 0.6, 0.3, 0.1, g),
                  id="NO-hyperbolic-helix", marks=pytest.mark.xfail(
                      strict=True, reason="on a helix L = -2 tau lambda', and the hyperbolic "
-                     "form has lambda' != 0: |L|/|(K, L, M)| reaches 0.894")),
+                     "form has lambda' != 0: |L| reaches 1.79, |L|/|w| 0.894")),
     pytest.param("BO", INV_SQRT2, INV_SQRT2, lambda g: lambda_exponential_pair(
         1.0, 1.0, INV_SQRT2, 0.5, -1.0, g), id="BO-exponential-pair", marks=pytest.mark.xfail(
             strict=True, reason="the pair solves lambda'^2 = (a/b)^2 (1 + lambda^2 tau^2), "
-            "not BO's Z = 0: |Z|/|(X, Y, Z)| reaches 0.71")),
+            "not BO's Z = 0: |Z| and |Z|/|w| reach 0.71")),
 ])
 def test_closed_form_satisfies_its_family_constraint(code, kappa, tau, closed_form):
     sol = closed_form(GRID)
     k, t, zero = np.full(GRID.shape, kappa), np.full(GRID.shape, tau), np.zeros(GRID.shape)
-    entry = FAMILIES[code]
-    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
-    components = cross(sol.lam, sol.lam_prime, sol.lam_double_prime, k, t, zero, zero)
-    assert np.max(np.abs(entry.coefficient[1](*components, sol.lam, k, t))) <= 1e-12
+    raw, _ = plane_condition(code[0], code[1], (sol.lam, sol.lam_prime, sol.lam_double_prime),
+                             (k, zero), (t, zero))
+    assert np.max(np.abs(raw)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +448,8 @@ def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
      "unknown constraint family 'riccati'"),
     (lambda: constraint_residual(lambda_constant(0.0, GRID), "XY", INV_SQRT2, INV_SQRT2),
      "unknown constraint family 'XY'"),
+    (lambda: constraint_residual(lambda_constant(0.0, GRID), "TP", INV_SQRT2, INV_SQRT2),
+     "unknown constraint family 'TP'"),
     (lambda: riccati_linearize(solve_riccati(INV_SQRT2, INV_SQRT2, 0.0, GRID),
                                INV_SQRT2, INV_SQRT2, GRID),
      "provide mu0 or lambda0"),
@@ -458,6 +458,7 @@ def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
     (lambda: constant_admissible_lambda("TP", INV_SQRT2, INV_SQRT2),
      "no constant branch catalogued for family TP"),
 ], ids=["BO without ratio", "riccati is not a constraint family", "residual of XY",
+        "residual of TP, which has no coefficient check",
         "linearize without a start", "exponential pair b=0", "NR constant kappa=0",
         "TP constant"])
 def test_solver_specification_errors(call, message):
@@ -515,20 +516,18 @@ def test_rk4_solvers_reject_sampled_coefficients(solve, sampled):
 
 
 # ---------------------------------------------------------------------------
-# each hand-written RK4 kernel against its family's coefficient in FAMILIES
+# each hand-written RK4 kernel against its family's plane condition
 #
-# A family's coefficient g is affine in the derivative that its kernel returns
-# (lambda' for NO and BO's Riccati, lambda'' for NR and BR), so the value that
-# zeroes it is -g(0) / (g(1) - g(0)). The "BO" ratio IVP of _rhs keeps
-# <B, T*> fixed, not a FAMILIES coefficient, so it has no case here.
+# A family's raw plane condition g is affine in the derivative that its kernel
+# returns (lambda' for NO and BO's Riccati, lambda'' for NR and BR), so the
+# value that zeroes it is -g(0) / (g(1) - g(0)). The "BO" ratio IVP of _rhs
+# keeps <B, T*> fixed, not a plane condition, so it has no case here.
 
 
 @pytest.mark.parametrize("code, kernel", [
     ("NO", "NO"), ("NR", "NR"), ("BR", "BR"), ("BO", "riccati"),
 ])
 def test_rk4_kernel_zeroes_its_family_coefficient(code, kernel):
-    entry = FAMILIES[code]
-    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
     rng = np.random.default_rng(20211)
     for _ in range(2000):
         # s, kappa(s), and the slopes of the linear kappa and tau
@@ -541,12 +540,12 @@ def test_rk4_kernel_zeroes_its_family_coefficient(code, kernel):
         rhs = _rhs(kernel, kappa, tau)
         if code in ("NR", "BR"):
             got = rhs(s, (lam, lam_p))[1]
-            g = lambda top: entry.coefficient[1](  # noqa: E731
-                *cross(lam, lam_p, top, k, t, kp, tp), lam, k, t)
+            g = lambda top: plane_condition(  # noqa: E731
+                code[0], code[1], (lam, lam_p, top), (k, kp), (t, tp))[0]
         else:
             got = rhs(s, lam)
-            g = lambda top: entry.coefficient[1](  # noqa: E731
-                *cross(lam, top, 0.0, k, t, kp, tp), lam, k, t)
+            g = lambda top: plane_condition(  # noqa: E731
+                code[0], code[1], (lam, top, 0.0), (k, kp), (t, tp))[0]
         derived = -g(0.0) / (g(1.0) - g(0.0))
         assert abs(got - derived) <= 1e-12 * max(1.0, abs(derived)), (s, k, t, kp, tp, lam, lam_p)
 
@@ -742,12 +741,13 @@ def _ref_constraint(
     sol: LambdaSolution, family: str, kappa, tau,
     kappa_prime=None, tau_prime=None,
 ) -> np.ndarray:
-    """Normalized defining-constraint residual along a solution.
+    """Normalized plane-condition residual along a solution.
 
     Uses fourth-order differences of lambda for lambda' and lambda''. The
-    raw constraint value is normalized by the cross-product magnitude so the
-    numbers are comparable across families and scales. kappa' and tau' left
-    None follow _slope, as in solve_constraint_ode.
+    raw value is normalized by |w| = |alpha*' x alpha*''|, both taken from
+    plane_condition, so the numbers are comparable across families and
+    scales. kappa' and tau' left None follow _slope, as in
+    solve_constraint_ode.
     """
     entry = FAMILIES.get(family)
     if entry is None or entry.coefficient is None:
@@ -758,10 +758,8 @@ def _ref_constraint(
     lam_p = diff1_o4(lam, h)
     lam_pp = diff1_o4(lam_p, h)
 
-    cross = klm_coefficients if entry.vector == "N" else xyz_coefficients
-    c1, c2, c3 = cross(lam, lam_p, lam_pp, k, t, kp, tp)
-    norm = np.sqrt(c1**2 + c2**2 + c3**2)
-    raw = entry.coefficient[1](c1, c2, c3, lam, k, t)
+    raw, norm = plane_condition(entry.vector, entry.plane, (lam, lam_p, lam_pp),
+                                (k, kp), (t, tp))
     scale = np.where(norm > 1e-12, norm, 1.0)
     return (np.abs(raw) / scale)[4:-4]
 

@@ -516,7 +516,7 @@ def test_gating_table_shape():
         "NO": (True, False, False), "NP": (True, True, False), "NR": (True, False, False),
         "BO": (True, False, False), "BP": (True, True, False), "BR": (True, False, False),
     }
-    coefficients = {code: f.coefficient[0] for code, f in FAMILIES.items() if f.coefficient}
+    coefficients = {code: f.coefficient for code, f in FAMILIES.items() if f.coefficient}
     assert coefficients == {"NO": "L-coefficient", "NR": "NR-coefficient",
                             "BO": "Z-coefficient", "BR": "BR-coefficient"}
 
