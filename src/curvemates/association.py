@@ -125,14 +125,18 @@ def _leibniz(x, y, m):
 def _frenet_derivative(v, kappa, tau):
     """D(a, b, c) = (a' - kappa b, b' + kappa a - tau c, c' + tau b): the
     derivative of a T + b N + c B along the unit-speed base, on jets of its
-    components; each result jet is one order shorter."""
+    components; each result jet is one order shorter. Each component is formed
+    right after its own Leibniz products, which are freed before the next ones."""
     a, b, c = v
     m = len(a) - 1
-    kb, ka, tc, tb = (_leibniz(kappa, b, m), _leibniz(kappa, a, m),
-                      _leibniz(tau, c, m), _leibniz(tau, b, m))
-    return (tuple(a[i + 1] - kb[i] for i in range(m)),
-            tuple(b[i + 1] + ka[i] - tc[i] for i in range(m)),
-            tuple(c[i + 1] + tb[i] for i in range(m)))
+    kb = _leibniz(kappa, b, m)
+    da = tuple(a[i + 1] - kb[i] for i in range(m))
+    del kb
+    ka, tc = _leibniz(kappa, a, m), _leibniz(tau, c, m)
+    db = tuple(b[i + 1] + ka[i] - tc[i] for i in range(m))
+    del ka, tc
+    tb = _leibniz(tau, b, m)
+    return da, db, tuple(c[i + 1] + tb[i] for i in range(m))
 
 
 def _velocity(vector, lam, kappa, tau):

@@ -9,15 +9,16 @@ The scalar offset lambda(s) obeys, depending on the family:
   * implicit first/second-order constraint ODEs (remaining families).
 
 Closed forms are evaluated exactly; quadrature is cumulative composite
-Simpson; initial-value integration is classical fixed-step RK4, stepped in
-plain Python floats (a float state, or a pair for second-order ODEs) with
-no per-stage arrays, through the kernels of one factory, ``_rhs``, that a
-test checks against plane_condition; leaving |y| <= BLOWUP_CAP = 1e6 is a located
-FiniteEscapeError. BO's Riccati has one array form, ``_riccati``.
+Simpson; initial-value integration is classical fixed-step RK4 in Python
+floats, one loop per order with no per-stage tuples, over the float kernels
+of one factory, ``_rhs``, that a test checks against plane_condition:
+lambda' = f(s, lambda) for BO's Riccati, NO and the BO ratio IVP, lambda'' =
+f(s, lambda, lambda') for NR and BR. Leaving |y| <= BLOWUP_CAP = 1e6 is a
+located FiniteEscapeError. BO's Riccati has one array form, ``_riccati``.
 ``offset_residual`` is the one independent residual rule for every offset
-equation: it differentiates the lambda samples with fourth-order
-differences, never recycling derivatives from the defining equation, and
-trims the rows where those stencils are not fourth order.
+equation: it differentiates the lambda samples with fourth-order differences,
+never recycling derivatives from the defining equation, and trims the rows
+where those stencils are not fourth order.
 """
 from __future__ import annotations
 
@@ -99,7 +100,7 @@ def _slope(value, name: str):
     """The arc-length derivative of coefficient ``name``: a central difference
     of step 1e-5 for a callable, 0.0 for a constant; a sampled array raises."""
     if callable(value):
-        return lambda s: (value(s + 1e-5) - value(s - 1e-5)) / (2.0 * 1e-5)
+        return lambda s: float((value(s + 1e-5) - value(s - 1e-5)) / (2.0 * 1e-5))
     if np.ndim(value) != 0:
         raise SpecificationError(f"sampled {name} needs {name}' given; it is not differenced")
     return 0.0
@@ -117,7 +118,7 @@ def _coefficients(kappa, tau) -> Callable[[float], tuple[float, float, float, fl
         fixed = tuple(float(v) for v in values)
         return lambda s: fixed
     k, t, kp, tp = (v if callable(v) else (lambda s, c=float(v): c) for v in values)
-    return lambda s: (k(s), t(s), kp(s), tp(s))
+    return lambda s: (float(k(s)), float(t(s)), float(kp(s)), float(tp(s)))
 
 
 def _coefficient_arrays(grid, kappa, tau, kappa_prime=None, tau_prime=None):
@@ -290,70 +291,72 @@ def lambda_exponential_pair(
                           constants={"a": a, "b": b, "tau": tau, "c1": c1, "c2": c2})
 
 
-def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, ...]:
     """Classical RK4 over a uniform grid, stepped in plain Python floats.
 
-    The state ``y0`` is a float or, for a second-order ODE, a pair of floats,
-    and ``f(s, y)`` returns the same kind. The stages sit at s_i, s_i + h/2
-    and s_i + h. Returns ``(path, slope)``: the state and ``f`` at every grid
-    point, with shape (n,) for a float state and (n, 2) for a pair.
+    A float ``y0`` starts lambda' = f(s, lambda); a pair (lambda, b = lambda') starts
+    lambda'' = f(s, lambda, b), whose lambda stage slopes are the b stage values b,
+    b + (h/2) g1, b + (h/2) g2 and b + h g3 (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.14). One loop per order, stages at s_i, s_i + h/2 and s_i + h. Returns (lambda,
+    lambda') or (lambda, lambda', lambda'') at every grid point, the last column ``f``.
 
-    A start beyond BLOWUP_CAP is a SpecificationError at grid[0]. A step that
-    leaves |y| <= BLOWUP_CAP, or a stage whose float arithmetic overflows or
-    divides by zero (Python floats raise where numpy gives inf), is a
-    FiniteEscapeError at the step's end point.
+    A start beyond BLOWUP_CAP is a SpecificationError at grid[0]. A step that leaves
+    |y| <= BLOWUP_CAP, or a stage whose float arithmetic overflows or divides by zero
+    (Python floats raise where numpy gives inf), is a FiniteEscapeError at its end point.
     """
     grid = np.asarray(grid, dtype=float)
     h = uniform_spacing(grid)
     half, sixth = 0.5 * h, h / 6.0
     limit = BLOWUP_CAP
-    if isinstance(y0, tuple):
-        def axpy(y, c, k):
-            return (y[0] + c * k[0], y[1] + c * k[1])
-
-        def combine(y, k1, k2, k3, k4):
-            return (y[0] + sixth * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-                    y[1] + sixth * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
-
-        def within(y):
-            return abs(y[0]) <= limit and abs(y[1]) <= limit
-    else:
-        def axpy(y, c, k):
-            return y + c * k
-
-        def combine(y, k1, k2, k3, k4):
-            return y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        def within(y):
-            return abs(y) <= limit
 
     def escape(s):
         return FiniteEscapeError(f"trajectory escaped |y| > {limit:g} near s={s:.6g}", s=s)
 
     points = grid.tolist()
-    if not within(y0):
+    second = isinstance(y0, tuple)
+    lam, b = y0 if second else (y0, 0.0)
+    if not (abs(lam) <= limit and abs(b) <= limit):
         raise SpecificationError(f"start {y0!r} lies outside |y| <= BLOWUP_CAP = {limit:g}"
                                  f" at s={points[0]:.6g}", s=points[0])
-    y = y0
-    path, slope = [y], []
-    for s, s_next in zip(points, points[1:]):
-        try:
-            k1 = f(s, y)
-            k2 = f(s + half, axpy(y, half, k1))
-            k3 = f(s + half, axpy(y, half, k2))
-            k4 = f(s + h, axpy(y, h, k3))
-            y = combine(y, k1, k2, k3, k4)
-        except (OverflowError, ZeroDivisionError) as err:
-            raise escape(s_next) from err
-        if not within(y):
-            raise escape(s_next)
-        path.append(y)
-        slope.append(k1)
+    path, path_p, top = [lam], [b], []
+    if second:
+        for s, s_next in zip(points, points[1:]):
+            try:
+                g1 = f(s, lam, b)
+                b2 = b + half * g1
+                g2 = f(s + half, lam + half * b, b2)
+                b3 = b + half * g2
+                g3 = f(s + half, lam + half * b2, b3)
+                b4 = b + h * g3
+                g4 = f(s + h, lam + h * b3, b4)
+                lam = lam + sixth * (b + 2.0 * b2 + 2.0 * b3 + b4)
+                b = b + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
+            except (OverflowError, ZeroDivisionError) as err:
+                raise escape(s_next) from err
+            if not (abs(lam) <= limit and abs(b) <= limit):
+                raise escape(s_next)
+            path.append(lam)
+            path_p.append(b)
+            top.append(g1)
+    else:
+        for s, s_next in zip(points, points[1:]):
+            try:
+                k1 = f(s, lam)
+                k2 = f(s + half, lam + half * k1)
+                k3 = f(s + half, lam + half * k2)
+                k4 = f(s + h, lam + h * k3)
+                lam = lam + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            except (OverflowError, ZeroDivisionError) as err:
+                raise escape(s_next) from err
+            if not abs(lam) <= limit:
+                raise escape(s_next)
+            path.append(lam)
+            top.append(k1)
     try:
-        slope.append(f(points[-1], y))
+        top.append(f(points[-1], lam, b) if second else f(points[-1], lam))
     except (OverflowError, ZeroDivisionError) as err:
         raise escape(points[-1]) from err
-    return np.array(path), np.array(slope)
+    return tuple(np.array(column) for column in ((path, path_p, top) if second else (path, top)))
 
 
 def _riccati(k, t, tp):
@@ -362,11 +365,10 @@ def _riccati(k, t, tp):
 
 
 def _rhs(family: str, kappa, tau, ratio: float | None = None):
-    """The RK4 right-hand side f(s, y) of an offset ODE: BO's "riccati", "NO"
-    solved for lambda', "NR" and "BR" for lambda'' with y = (lambda, lambda'),
-    and the "BO" ratio IVP, which is no family's plane condition. Hand-written,
-    since a kernel derived from the condition made RK4 2-5x slower; a test
-    checks each against ``association.plane_condition``."""
+    """The RK4 kernel of an offset ODE: BO's "riccati" and "NO" give lambda',
+    "NR" and "BR" lambda'' = f(s, lambda, lambda'), and the "BO" ratio IVP is
+    no family's plane condition. Hand-written, since a kernel derived from the
+    condition made RK4 2-5x slower; a test checks each against plane_condition."""
     coefficients = _coefficients(kappa, tau)
     if family == "riccati":
         def rhs(s: float, lam: float) -> float:
@@ -387,8 +389,7 @@ def _rhs(family: str, kappa, tau, ratio: float | None = None):
             t = coefficients(s)[1]
             return ratio * math.sqrt(1.0 + (lam * t) ** 2)
     elif family == "NR":
-        def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-            lam, lam_p = y
+        def rhs(s: float, lam: float, lam_p: float) -> float:
             k, t, kp, tp = coefficients(s)
             coeff = (1.0 - lam * k) ** 2 + (lam * t) ** 2
             if abs(coeff) < 1e-10:
@@ -399,20 +400,19 @@ def _rhs(family: str, kappa, tau, ratio: float | None = None):
             k0 = lam_p * (lam * tp + 2.0 * lam_p * t) - lam * t * d
             m0 = (1.0 - lam * k) * d - lam_p * (-lam * kp - 2.0 * lam_p * k)
             rest = m0 * (1.0 - lam * k) - k0 * lam * t
-            return lam_p, -rest / coeff
+            return -rest / coeff
     elif family == "BR":
-        def rhs(s: float, y: tuple[float, float]) -> tuple[float, float]:
-            lam, lam_p = y
+        def rhs(s: float, lam: float, lam_p: float) -> float:
             _, t, _, tp = coefficients(s)
             denom = 1.0 + (lam * t) ** 2
             num = lam * t * (lam * lam * t**3 + t + lam * tp * lam_p + 2.0 * t * lam_p**2)
-            return lam_p, num / denom
+            return num / denom
     else:
         raise SpecificationError(f"unknown constraint family {family!r}")
     return rhs
 
 
-def _rk4_solution(grid, lam, lam_p, constants: dict, lam_pp=None) -> LambdaSolution:
+def _rk4_solution(grid, constants: dict, lam, lam_p, lam_pp=None) -> LambdaSolution:
     """An RK4 solution; lambda'' left None (first order) is diff1 of lambda'."""
     lam_pp = diff1(lam_p, uniform_spacing(grid)) if lam_pp is None else lam_pp
     return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4", constants)
@@ -435,7 +435,7 @@ def solve_riccati(kappa, tau, lambda0: float, grid: np.ndarray) -> LambdaSolutio
     # lambda' stays an array expression rather than the RK4 slope: numpy's
     # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
     A, B, C = _riccati(kappas, taus, tps)
-    return _rk4_solution(grid, lam, A * lam**2 + B * lam + C, {"lambda0": float(lambda0)})
+    return _rk4_solution(grid, {"lambda0": float(lambda0)}, lam, A * lam**2 + B * lam + C)
 
 
 def riccati_linearize(
@@ -504,11 +504,11 @@ def solve_constraint_ode(family: str, kappa, tau, initial: tuple[float, float], 
     constants = {"lambda0": float(initial[0])}
     if family == "BO":
         constants["ratio"] = float(ratio)
+    y0 = constants["lambda0"]
     if family in ("NR", "BR"):
         constants["lambda0_prime"] = float(initial[1])
-        path, slope = _rk4_path(rhs, (constants["lambda0"], constants["lambda0_prime"]), grid)
-        return _rk4_solution(grid, path[:, 0], path[:, 1], constants, slope[:, 1])
-    return _rk4_solution(grid, *_rk4_path(rhs, constants["lambda0"], grid), constants)
+        y0 = (y0, constants["lambda0_prime"])
+    return _rk4_solution(grid, constants, *_rk4_path(rhs, y0, grid))
 
 
 def constraint_residual(

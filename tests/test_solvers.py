@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +268,19 @@ def test_riccati_torsion_vanishing_at_half_step_escapes():
     assert err.value.s == float(GRID[1001])
 
 
+def test_numpy_scalar_torsion_vanishing_at_half_step_escapes_without_warnings():
+    # A callable returning numpy scalars steps in Python floats all the same:
+    # the midpoint division by zero raises, rather than warning and carrying
+    # inf to the step's end, so the escape is the float one, located alike.
+    h = float(GRID[1] - GRID[0])
+    s0 = float(GRID[1000]) + 0.5 * h
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FiniteEscapeError) as err:
+            solve_riccati(0.7, lambda s: np.float64(s) - s0, 0.3, GRID)
+    assert err.value.s == float(GRID[1001])
+
+
 def test_riccati_torsion_floor():
     with pytest.raises(TorsionDegenerateError):
         solve_riccati(1.0, 0.0, 0.0, GRID)
@@ -415,9 +430,11 @@ def test_constraint_bo_first_order():
      np.linspace(0.0, 3000.0, 3001), {None: 21.0, math.inf: 504.0}),
     (lambda g: solve_constraint_ode("BR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g),
      np.linspace(0.0, 10.0, 2001), {None: 4.215, math.inf: 4.25}),
+    (lambda g: solve_constraint_ode("NR", INV_SQRT2, INV_SQRT2, (0.3, 0.0), g),
+     np.linspace(0.0, 3.0, 3001), {None: 2.158, math.inf: 2.166}),
     (lambda g: solve_riccati(INV_SQRT2, INV_SQRT2, 1e300, g), np.linspace(0.0, 1.0, 11),
      {None: None, math.inf: 0.1}),
-], ids=["riccati", "BO", "BR", "riccati-stage-overflow"])
+], ids=["riccati", "BO", "BR", "NR", "riccati-stage-overflow"])
 def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
     # The step that leaves |y| <= BLOWUP_CAP, or whose float arithmetic
     # overflows (1e300 ** 2 raises OverflowError), ends in a FiniteEscapeError
@@ -489,6 +506,25 @@ def test_sampled_coefficients_need_their_derivatives(family):
         riccati_linearize(sol, 0.7, tau, grid, lambda0=0.5)
 
 
+@pytest.mark.parametrize("family", ["NO", "NR", "BO", "BR"])
+def test_constraint_residual_peak_memory(family):
+    # The plane condition's Frenet derivative forms each component right
+    # after its own Leibniz products; forming all products first held
+    # 13 x 8n bytes at the peak for NO and NR, against 11 x 8n now (plus a few
+    # KiB of Python objects, which the 64 KiB margin covers).
+    n = 200_001
+    grid = np.linspace(0.0, 3.0, n)
+    sol = lambda_helix_hyperbolic(1.0, 1.0, INV_SQRT2, INV_SQRT2, 0.1, 0.2, grid)
+    sampled, zeros = np.full(n, INV_SQRT2), np.zeros(n)
+    tracemalloc.start()
+    try:
+        constraint_residual(sol, family, sampled, sampled, zeros, zeros)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * n + 2**16
+
+
 def test_linear_rejects_a_misaligned_kappa():
     with pytest.raises(AlignmentError) as err:
         solve_linear(np.ones(GRID.size - 1), 1.0, 1.0, GRID)
@@ -539,7 +575,7 @@ def test_rk4_kernel_zeroes_its_family_coefficient(code, kernel):
         k, t, kp, tp = _coefficients(kappa, tau)(s)
         rhs = _rhs(kernel, kappa, tau)
         if code in ("NR", "BR"):
-            got = rhs(s, (lam, lam_p))[1]
+            got = rhs(s, lam, lam_p)
             g = lambda top: plane_condition(  # noqa: E731
                 code[0], code[1], (lam, lam_p, top), (k, kp), (t, tp))[0]
         else:
@@ -669,6 +705,41 @@ def _ref_solve(family, kappa, tau, lam0, grid, ratio=None):
     lam, lam_p = path[:, 0], path[:, 1]
     lam_pp = np.array([second_derivative(s, a, b) for s, a, b in zip(grid, lam, lam_p)])
     return lam, lam_p, lam_pp
+
+
+@pytest.mark.parametrize("family, grid", [
+    ("BR", np.linspace(0.0, 10.0, 2001)), ("NR", np.linspace(0.0, 3.0, 3001)),
+])
+def test_second_order_escape_matches_numpy_stage_reference(family, grid):
+    # The second-order loop checks |lambda| and |lambda'| after every step,
+    # as the reference checks its (n, 2) state, so both stop at one grid point.
+    with pytest.raises(FiniteEscapeError) as ref:
+        _ref_solve(family, INV_SQRT2, INV_SQRT2, 0.3, grid)
+    with pytest.raises(FiniteEscapeError) as err:
+        solve_constraint_ode(family, INV_SQRT2, INV_SQRT2, (0.3, 0.0), grid)
+    assert err.value.s == ref.value.s
+
+
+@pytest.mark.parametrize("family", ["riccati", "NO", "BO", "BR", "NR"])
+def test_rk4_numpy_scalar_coefficients_step_in_floats(family):
+    # Callables that return numpy scalars give the coefficients as Python
+    # floats, so every RK4 stage is float arithmetic with the same bits.
+    grid = np.linspace(0.0, 1.0, 2001)
+    kappa_np = lambda s: 0.7 + 0.1 * np.sin(s)  # noqa: E731
+    tau_np = lambda s: 0.6 + 0.1 * np.cos(3.0 * s)  # noqa: E731
+    kappa, tau = (lambda s: float(kappa_np(s))), (lambda s: float(tau_np(s)))
+    assert type(tau_np(0.5)) is np.float64
+    assert all(type(v) is float for v in _coefficients(kappa_np, tau_np)(0.5))
+
+    def solve(k, t):
+        if family == "riccati":
+            return solve_riccati(k, t, 0.3, grid)
+        return solve_constraint_ode(family, k, t, (0.3, 0.0), grid,
+                                    ratio=0.7 if family == "BO" else None)
+
+    want, got = solve(kappa, tau), solve(kappa_np, tau_np)
+    for name in ("lam", "lam_prime", "lam_double_prime"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @pytest.mark.parametrize("coefficients", ["constant", "callable", "mixed"])
