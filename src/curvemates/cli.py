@@ -167,7 +167,7 @@ def _tolerances(args) -> Tolerances:
 def _named_constants(curve: CurveSpec) -> tuple[float, float]:
     if not curve.is_analytic:
         raise UsageError("this solver needs a named analytic curve (constant kappa, tau)")
-    return curve.closed_form_curvature(), curve.closed_form_torsion()
+    return curve.closed_form_curvatures()
 
 
 # The start options that each family's default solve reads; TO and TR read --c0 or

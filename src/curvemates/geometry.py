@@ -113,20 +113,13 @@ class CurveSpec:
 
         return CubicSpline(self.points[:, 0], self.points[:, 1:4], axis=0)
 
-    def closed_form_curvature(self) -> float:
-        """kappa of the named family (circle: 1/r; helix: a/(a^2+b^2))."""
+    def closed_form_curvatures(self) -> tuple[float, float]:
+        """(kappa, tau) of the named family: circle (1/r, 0); helix (a, b)/(a^2+b^2)."""
         if self.kind == "circle":
-            return 1.0 / self.r
+            return 1.0 / self.r, 0.0
         if self.kind == "helix":
-            return self.a / (self.a**2 + self.b**2)
-        raise SpecificationError("closed-form curvature only for named curves")
-
-    def closed_form_torsion(self) -> float:
-        if self.kind == "circle":
-            return 0.0
-        if self.kind == "helix":
-            return self.b / (self.a**2 + self.b**2)
-        raise SpecificationError("closed-form torsion only for named curves")
+            return self.a / (self.a**2 + self.b**2), self.b / (self.a**2 + self.b**2)
+        raise SpecificationError("closed-form curvature and torsion only for named curves")
 
     def _analytic_derivs(self, s: np.ndarray) -> list[np.ndarray]:
         s = np.asarray(s, dtype=float)

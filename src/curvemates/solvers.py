@@ -47,23 +47,26 @@ _EXP_LIMIT = 700.0  # log of the largest double
 
 @dataclass(frozen=True)
 class LambdaSolution:
-    """Offset function samples with first and second derivatives."""
+    """Offset function samples with first and second derivatives; a lambda''
+    passed as None is diff1 of lambda', as lam_third is diff1 of lambda''."""
 
     grid: np.ndarray
     lam: np.ndarray
     lam_prime: np.ndarray
-    lam_double_prime: np.ndarray
+    lam_double_prime: np.ndarray | None
     provenance: str
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
+        object.__setattr__(self, "grid", np.asarray(self.grid, dtype=float))
         for name in ("lam", "lam_prime", "lam_double_prime"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != g.shape:
+            value = getattr(self, name)
+            if value is None and name == "lam_double_prime":
+                value = diff1(self.lam_prime, self.spacing())
+            arr = np.asarray(value, dtype=float)
+            if arr.shape != self.grid.shape:
                 raise AlignmentError(f"{name} not aligned with grid")
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "grid", g)
 
     def spacing(self) -> float:
         return uniform_spacing(self.grid)
@@ -359,9 +362,14 @@ def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, ...
     return tuple(np.array(column) for column in ((path, path_p, top) if second else (path, top)))
 
 
-def _riccati(k, t, tp):
-    """(A, B, C) of BO's Riccati equation lambda' = A lambda^2 + B lambda + C."""
-    return t * k / 2.0, -tp / (2.0 * t), k / (2.0 * t)
+def _riccati(grid, kappa, tau):
+    """(A, B, C) of BO's Riccati equation lambda' = A lambda^2 + B lambda + C on
+    ``grid``, and the (kappa, kappa') and (tau, tau') arrays they come from."""
+    k, t, kp, tp = _coefficient_arrays(grid, kappa, tau)
+    if float(np.min(np.abs(t))) <= TORSION_FLOOR:
+        raise TorsionDegenerateError(
+            f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined")
+    return (t * k / 2.0, -tp / (2.0 * t), k / (2.0 * t)), (k, kp), (t, tp)
 
 
 def _rhs(family: str, kappa, tau, ratio: float | None = None):
@@ -412,12 +420,6 @@ def _rhs(family: str, kappa, tau, ratio: float | None = None):
     return rhs
 
 
-def _rk4_solution(grid, constants: dict, lam, lam_p, lam_pp=None) -> LambdaSolution:
-    """An RK4 solution; lambda'' left None (first order) is diff1 of lambda'."""
-    lam_pp = diff1(lam_p, uniform_spacing(grid)) if lam_pp is None else lam_pp
-    return LambdaSolution(grid, lam, lam_p, lam_pp, "rk4", constants)
-
-
 def solve_riccati(kappa, tau, lambda0: float, grid: np.ndarray) -> LambdaSolution:
     """RK4 integration of the binormal-offset Riccati equation.
 
@@ -426,16 +428,12 @@ def solve_riccati(kappa, tau, lambda0: float, grid: np.ndarray) -> LambdaSolutio
     """
     grid = np.asarray(grid, dtype=float)
     rhs = _rhs("riccati", kappa, tau)
-    kappas, taus, _, tps = _coefficient_arrays(grid, kappa, tau)
-    if float(np.min(np.abs(taus))) <= TORSION_FLOOR:
-        raise TorsionDegenerateError(
-            f"|tau| falls below {TORSION_FLOOR:g} on the grid; Riccati form undefined"
-        )
+    (A, B, C), _, _ = _riccati(grid, kappa, tau)
     lam, _ = _rk4_path(rhs, float(lambda0), grid)
     # lambda' stays an array expression rather than the RK4 slope: numpy's
     # lam**2 is lam*lam, which differs from the float pow in rhs in the last bit.
-    A, B, C = _riccati(kappas, taus, tps)
-    return _rk4_solution(grid, {"lambda0": float(lambda0)}, lam, A * lam**2 + B * lam + C)
+    return LambdaSolution(grid, lam, A * lam**2 + B * lam + C, None, "rk4",
+                          {"lambda0": float(lambda0)})
 
 
 def riccati_linearize(
@@ -454,12 +452,10 @@ def riccati_linearize(
 
     grid = np.asarray(grid, dtype=float)
     lambda_particular.require_grid(grid)
-    k, t, kp, tp = _coefficient_arrays(grid, kappa, tau)
-    if float(np.min(np.abs(t))) <= TORSION_FLOOR:
-        raise TorsionDegenerateError("|tau| below floor; Riccati form undefined")
+    (A, B, _), kappa_jet, tau_jet = _riccati(grid, kappa, tau)
 
     part_res = offset_residual(lambda_particular, lambda lam, lam_p, _: plane_condition(
-        "B", "O", (lam, lam_p, 0.0), (k, kp), (t, tp))[0], 1)  # Z does not read lambda''
+        "B", "O", (lam, lam_p, 0.0), kappa_jet, tau_jet)[0], 1)  # Z does not read lambda''
     if float(np.max(part_res)) > 1e-6:
         raise SpecificationError(
             f"particular solution residual {np.max(part_res):.3e} exceeds 1e-6")
@@ -475,15 +471,13 @@ def riccati_linearize(
             )
         mu0 = 1.0 / gap
 
-    A, B, _ = _riccati(k, t, tp)
     mu, mu_p = solve_linear_first_order(2.0 * lam1 * (-A) - B, -A, float(mu0), grid)
     if float(np.min(np.abs(mu))) < 1e-12 or np.any(np.sign(mu) != np.sign(mu[0])):
         i = int(np.argmin(np.abs(mu)))
         raise PoleError(f"mu crosses zero near s={grid[i]:.6g}; general solution has a pole there")
     lam = lam1 + 1.0 / mu
     lam_p = lambda_particular.lam_prime - mu_p / mu**2
-    lam_pp = diff1(lam_p, uniform_spacing(grid))
-    return LambdaSolution(grid, lam, lam_p, lam_pp, "integrating-factor", {"mu0": float(mu0)})
+    return LambdaSolution(grid, lam, lam_p, None, "integrating-factor", {"mu0": float(mu0)})
 
 
 def solve_constraint_ode(family: str, kappa, tau, initial: tuple[float, float], grid: np.ndarray,
@@ -508,7 +502,8 @@ def solve_constraint_ode(family: str, kappa, tau, initial: tuple[float, float], 
     if family in ("NR", "BR"):
         constants["lambda0_prime"] = float(initial[1])
         y0 = (y0, constants["lambda0_prime"])
-    return _rk4_solution(grid, constants, *_rk4_path(rhs, y0, grid))
+    lam, lam_p, *lam_pp = _rk4_path(rhs, y0, grid)
+    return LambdaSolution(grid, lam, lam_p, lam_pp[0] if lam_pp else None, "rk4", constants)
 
 
 def constraint_residual(

@@ -147,12 +147,21 @@ def _gate_mask(grid: np.ndarray, numeric: FrameData, tol: Tolerances) -> tuple[n
 def check_distance(
     base: SampledCurve, mate: SampledCurve, lam_sol: LambdaSolution
 ) -> float:
-    """max | |alpha* - alpha| - |lambda| | over the aligned grids."""
+    """max | |alpha* - alpha| - |lambda| | / max(1, |alpha|, |lambda|) over the
+    aligned grids: the identity's round-off grows with the larger of |alpha|
+    and |lambda|, so rows beyond unit scale are judged relative to it."""
     if not same_grid(base.grid, mate.grid):
         raise SpecificationError("base and mate grids must coincide")
     lam_sol.require_grid(base.grid)
-    dist = norm3(mate.positions - base.positions)
-    return float(np.max(np.abs(dist - np.abs(lam_sol.lam))))
+    lam = np.abs(lam_sol.lam)
+    residual = norm3(mate.positions - base.positions)
+    residual -= lam
+    np.abs(residual, out=residual)
+    scale = norm3(base.positions)
+    np.maximum(scale, lam, out=scale)
+    np.maximum(scale, 1.0, out=scale)
+    residual /= scale
+    return float(np.max(residual))
 
 
 def _relative_deltas(ks_f, ts_f, ks_n, ts_n) -> tuple[float, float]:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,31 @@ def test_nonfinite_start_option_exit_64_in_verify_and_example(argv, tmp_path, ca
     flag, value = argv[-1].split("=")
     assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)!r}\n"
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("family, flag, value, s", [
+    ("NP", "--lambda0", "1e300", "0"), ("NO", "--c1", "1e300", "0.015"),
+    ("TR", "--c1", "1e300", "0"), ("NP", "--lambda0", "2e6", "0"),
+])
+def test_offset_beyond_the_rk4_cap_exit_65(family, flag, value, s, tmp_path, capsys):
+    # Refused by associate before any array work: no numpy warning and no report.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", "--curve", HELIX, "--family", family, flag, value,
+                     "--grid", "0:3:201", "--out", str(tmp_path)])
+    assert code == 65 and caught == []
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    # NO's hyperbolic lambda is c2 cosh + c1 sinh + kappa/(kappa^2 + tau^2), so 1.0 at s = 0.
+    value = f"{float(value)!r} " if family != "NO" else ""
+    assert err.startswith(f"error: lambda = {value}")
+    assert err.endswith(f" lies outside |lambda| <= BLOWUP_CAP = 1e+06 at s={s}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_offset_at_the_rk4_cap_is_not_refused(tmp_path):
+    assert main(["verify", "--curve", HELIX, "--family", "NP", "--lambda0", "1e6",
+                 "--grid", "0:3:201", "--out", str(tmp_path)]) != 65
 
 
 @pytest.mark.parametrize("family", ["TO", "TR"])

@@ -170,8 +170,9 @@ def test_frenet_straight_line_degenerate():
 def test_closed_form_curvatures_match_numeric():
     for spec in (CurveSpec.circle(2.0), CurveSpec.helix(0.8, 0.6), CurveSpec.helix(2.0, 0.0)):
         f = sample_curve(spec, np.array([0.9])).frames
-        assert f.kappa[0] == pytest.approx(spec.closed_form_curvature(), rel=1e-6)
-        assert f.tau[0] == pytest.approx(spec.closed_form_torsion(), abs=1e-6)
+        kappa, tau = spec.closed_form_curvatures()
+        assert f.kappa[0] == pytest.approx(kappa, rel=1e-6)
+        assert f.tau[0] == pytest.approx(tau, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +271,14 @@ def test_reparametrize_refuses_a_straight_segment():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: CurveSpec(kind="x"), "unknown curve kind 'x'"),
-    (lambda: CurveSpec.from_samples([[0, 0, 0, 0], [1, 1, 0, 0]]).closed_form_curvature(),
-     "closed-form curvature only for named curves"),
-    (lambda: CurveSpec.from_samples([[0, 0, 0, 0], [1, 1, 0, 0]]).closed_form_torsion(),
-     "closed-form torsion only for named curves"),
+    (lambda: CurveSpec.from_samples([[0, 0, 0, 0], [1, 1, 0, 0]]).closed_form_curvatures(),
+     "closed-form curvature and torsion only for named curves"),
     (lambda: frenet_residuals(SampledCurve(grid=np.linspace(0.0, 1.0, 9),
                                            positions=np.zeros((9, 3)))),
      "frenet_residuals requires a curve with frames"),
     (lambda: reparametrize_arclength(CurveSpec.circle(1.0), (1.0, 1.0), 9),
      "domain must satisfy t0 < t1"),
-], ids=["unknown kind", "curvature of samples", "torsion of samples",
-        "residuals without frames", "empty domain"])
+], ids=["unknown kind", "curvature of samples", "residuals without frames", "empty domain"])
 def test_geometry_specification_errors(call, message):
     with pytest.raises(SpecificationError) as err:
         call()

@@ -110,8 +110,9 @@ def test_helix_frames_orthonormal_and_curvatures(a, b):
     np.testing.assert_allclose(np.einsum("ij,ij->i", f.T, f.N), 0.0, atol=1e-9)
     np.testing.assert_allclose(np.einsum("ij,ij->i", f.T, f.B), 0.0, atol=1e-9)
     np.testing.assert_allclose(np.cross(f.T, f.N), f.B, atol=1e-9)
-    np.testing.assert_allclose(f.kappa, spec.closed_form_curvature(), rtol=1e-6)
-    np.testing.assert_allclose(f.tau, spec.closed_form_torsion(), rtol=1e-6, atol=1e-9)
+    kappa, tau = spec.closed_form_curvatures()
+    np.testing.assert_allclose(f.kappa, kappa, rtol=1e-6)
+    np.testing.assert_allclose(f.tau, tau, rtol=1e-6, atol=1e-9)
 
 
 @given(rows=st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=27, max_size=27),

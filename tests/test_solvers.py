@@ -213,6 +213,18 @@ def test_exponential_pair_solves_squared_constraint():
         1.0, 1.0, INV_SQRT2, 0.5, -1.0, g), id="BO-exponential-pair", marks=pytest.mark.xfail(
             strict=True, reason="the pair solves lambda'^2 = (a/b)^2 (1 + lambda^2 tau^2), "
             "not BO's Z = 0: |Z| and |Z|/|w| reach 0.71")),
+    pytest.param("TP", INV_SQRT2, INV_SQRT2, lambda g: lambda_involute(1.0, g),
+                 id="TP-involute"),
+    # On the unit circle tau = 0, so TO's B* stays the base B for every lambda.
+    pytest.param("TO", 1.0, 0.0, lambda g: solve_linear(1.0, 1.0, 1.5, g), id="TO-linear-circle"),
+    pytest.param("NP", INV_SQRT2, INV_SQRT2, lambda g: lambda_constant(1.0, g), id="NP-constant"),
+    pytest.param("BP", INV_SQRT2, INV_SQRT2, lambda g: lambda_constant(1.0, g), id="BP-constant"),
+    # Criterion 3b in algebraic form: example 3's offset, the steady lambda = 1/kappa.
+    pytest.param("TR", INV_SQRT2, INV_SQRT2,
+                 lambda g: solve_linear(INV_SQRT2, 1.0, math.sqrt(2.0), g),
+                 id="TR-linear-helix", marks=pytest.mark.xfail(
+                     strict=True, reason="1 + lambda' = (e/f) lambda kappa is not TR's plane "
+                     "condition on a helix: |raw| reaches 1.41, |raw|/|w| 0.816")),
 ])
 def test_closed_form_satisfies_its_family_constraint(code, kappa, tau, closed_form):
     sol = closed_form(GRID)
@@ -284,6 +296,16 @@ def test_numpy_scalar_torsion_vanishing_at_half_step_escapes_without_warnings():
 def test_riccati_torsion_floor():
     with pytest.raises(TorsionDegenerateError):
         solve_riccati(1.0, 0.0, 0.0, GRID)
+
+
+def test_riccati_solvers_share_one_torsion_floor():
+    particular = lambda_constant(0.0, GRID)
+    message = r"^\|tau\| falls below 1e-08 on the grid; Riccati form undefined$"
+    for tau in (0.0, -1e-8):
+        for solve in (lambda: solve_riccati(1.0, tau, 0.0, GRID),
+                      lambda: riccati_linearize(particular, 1.0, tau, GRID, mu0=1.0)):
+            with pytest.raises(TorsionDegenerateError, match=message):
+                solve()
 
 
 # ---------------------------------------------------------------------------

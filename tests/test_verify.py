@@ -321,6 +321,28 @@ def test_check_distance_constant_unit(circle_base, grid_0_2):
     np.testing.assert_allclose(dist, 1.0, atol=1e-9)
 
 
+# The CLI's default offsets of these families, beyond unit scale on the helix: an
+# absolute 1e-12 read 1.8e-12 to 3.9e-12 of round-off here as a failed identity.
+@pytest.mark.parametrize("code, lam, lo", [
+    ("NP", 1e4, 0.0), ("BP", 1e4, 0.0), ("TP", None, 1e4), ("BP", 1.0, 1e5),
+], ids=["NP lambda 1e4", "BP lambda 1e4", "TP at s 1e4", "BP at s 1e5"])
+def test_check_distance_is_relative_beyond_unit_scale(unit_helix_spec, code, lam, lo):
+    from curvemates import construct_mate
+
+    grid = np.linspace(lo, lo + 3.0, 2001)
+    base = sample_curve(unit_helix_spec, grid)
+    sol = lambda_involute(0.0, grid) if lam is None else lambda_constant(lam, grid)
+    assert check_distance(base, construct_mate(base, code[0], sol), sol) <= Tolerances().distance
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e4])
+def test_check_distance_fails_a_mate_moved_along_its_vector(unit_helix_spec, lam):
+    grid = np.linspace(0.0, 3.0, 2001)
+    base = sample_curve(unit_helix_spec, grid)
+    moved = SampledCurve(grid, base.positions + (lam + 1e-9 * lam) * base.frames.N)
+    assert check_distance(base, moved, lambda_constant(lam, grid)) > Tolerances().distance
+
+
 # ---------------------------------------------------------------------------
 # inputs that check_association and check_distance refuse
 
