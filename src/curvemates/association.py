@@ -34,7 +34,7 @@ import numpy as np
 from .errors import PlanarityError, SpecificationError
 from .geometry import FrameData, SampledCurve, frenet_from_cross
 from .numdiff import cross3, rowmap
-from .solvers import BLOWUP_CAP, LambdaSolution
+from .solvers import LambdaSolution
 
 VECTORS = ("T", "N", "B")
 # Which mate frame vector is normal to each plane.
@@ -497,11 +497,7 @@ def associate(
         raise SpecificationError("base curve must carry frames")
     base.frames.require("kappa_prime", "tau_prime", "kappa_second", "tau_second")
     lam_sol.require_grid(base.grid)
-    if not np.max(np.abs(lam_sol.lam)) <= BLOWUP_CAP:  # NaN is not within it either
-        i = int(np.argmin(np.abs(lam_sol.lam) <= BLOWUP_CAP))
-        s = float(base.grid[i])
-        raise SpecificationError(f"lambda = {float(lam_sol.lam[i])!r} lies outside |lambda| <="
-                                 f" BLOWUP_CAP = {BLOWUP_CAP:g} at s={s:.6g}", s=s)
+    lam_sol.require_bounded()
     if float(np.max(np.abs(base.frames.speed - 1.0))) > 1e-4:
         raise SpecificationError("base curve must be arc-length parametrized")
 

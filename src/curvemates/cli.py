@@ -234,7 +234,7 @@ def _solve_family_lambda(
 
 def cmd_frenet(args) -> int:
     base = sample_curve(_parse_curve(args.curve), _parse_grid(args.grid))
-    cio.write_files(args.out, {"base.csv": cio.sampled_curve_chunks(base)})
+    cio.write_files(args.out, {"base.csv": cio.sampled_curve_csv(base)})
     return 0
 
 
@@ -260,14 +260,15 @@ def _offset(args, curve: CurveSpec, base: SampledCurve, spec: AssociationSpec) -
 def cmd_solve_lambda(args) -> int:
     curve, base, spec = _inputs(args)
     sol = _solve_family_lambda(spec, curve, base, args)
-    cio.write_files(args.out, {"lambda.csv": cio.lambda_chunks(sol)})
+    sol.require_bounded()  # a lambda.csv that associate would refuse is not written
+    cio.write_files(args.out, {"lambda.csv": cio.lambda_csv(sol)})
     return 0
 
 
 def cmd_associate(args) -> int:
     curve, base, spec = _inputs(args)
     pred = associate(base, spec, _offset(args, curve, base, spec))
-    cio.write_files(args.out, {"mate.csv": cio.mate_chunks(pred)})
+    cio.write_files(args.out, {"mate.csv": cio.mate_csv(pred)})
     return 0
 
 
@@ -286,10 +287,10 @@ def cmd_verify(args) -> int:
     report = check_association(base, mate, spec, lam_sol=sol, predicted=pred,
                                tolerances=tols)
     if args.command == "example":
-        base_csv, mate_csv = cio.base_and_mate_chunks(pred)
-        files = {"base.csv": base_csv, "lambda.csv": cio.lambda_chunks(sol), "mate.csv": mate_csv}
+        files = {"base.csv": cio.sampled_curve_csv(base), "lambda.csv": cio.lambda_csv(sol),
+                 "mate.csv": cio.mate_csv(pred)}
         if args.emit_plot_script:
-            files["plot_mates.py"] = [_PLOT_SCRIPT]
+            files["plot_mates.py"] = _PLOT_SCRIPT
         cio.write_files(args.out, files)
     cio.atomic_write_text(os.path.join(args.out, "report.json"), cio.report_to_json(report))
     print(f"verdict: {report.verdict}")

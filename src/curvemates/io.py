@@ -2,25 +2,34 @@
 
 Floats are serialized with repr (shortest round-trip decimal form) so every
 file reloads bit-identically; writes go through a temp file plus rename.
-CSV text is made and read in blocks of ``_BLOCK_ROWS`` rows. Within a block
-each distinct float of a column (keyed by its bits, so -0.0 stays apart from
-0.0) is formatted once; repr depends only on the bits, so the bytes are the
-same as formatting every cell. When the base and mate CSV are written
-together, each base line is formatted once for both. numpy's text reader
-converts the data rows back, to the same bits as ``float``.
+A CSV is a :class:`Csv`: its head text and the float columns its rows print.
+Its rows are made in blocks of ``_BLOCK_ROWS``, and one block of every CSV
+of a write is formatted at once: each distinct column array (the same
+memory, as the base columns of ``base.csv`` and ``mate.csv`` or the s and
+lambda of ``lambda.csv`` and ``mate.csv``) once, and within it each distinct
+float (keyed by its bits, so -0.0 stays apart from 0.0) once; repr depends
+only on the bits, so the bytes are the same as formatting every cell.
+``write_files`` shares a write's blocks with one forked child when the
+host has a second CPU and no other thread is alive: the two take blocks
+from either end until none is left (see its docstring). numpy's text
+reader converts the data rows back, to the same bits as ``float``.
 """
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
-from collections.abc import Iterable, Iterator
-from contextlib import ExitStack
-from dataclasses import fields, is_dataclass
-from itertools import chain, islice, tee, zip_longest
+import signal
+import sys
+from collections.abc import Iterable
+from contextlib import ExitStack, suppress
+from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
+from . import numdiff
 from .association import PredictedMate
 from .errors import ParseError, SpecificationError
 from .geometry import CurveSpec, FrameData, SampledCurve, with_arclength_derivatives
@@ -35,61 +44,196 @@ _MATE_COLUMNS = _CURVE_COLUMNS + ["lambda", "xs", "ys", "zs",
                                   "Tsx", "Tsy", "Tsz", "Nsx", "Nsy", "Nsz",
                                   "Bsx", "Bsy", "Bsz", "kappa_star", "tau_star"]
 
-
-def write_files(directory: str, files: dict[str, Iterable[str]]) -> None:
-    """Write ``files`` (name: its text in chunks) in ``directory``, made if missing,
-    one chunk of each file per step, through a temp file each (with the mode
-    ``open(path, "w")`` gives); all are renamed into place after the last chunk,
-    and on an error the temp files are removed and existing files are left as
-    they were."""
-    os.makedirs(directory, exist_ok=True)
-    temps = [os.path.join(directory, f".tmp-{os.urandom(8).hex()}") for _ in files]
-    try:
-        with ExitStack() as stack:
-            handles = [stack.enter_context(open(tmp, "x", encoding="utf-8", newline="\n"))
-                       for tmp in temps]
-            for chunks in zip_longest(*files.values(), fillvalue=""):
-                for handle, chunk in zip(handles, chunks):
-                    handle.write(chunk)
-        for tmp, name in zip(temps, files):
-            os.replace(tmp, os.path.join(directory, name))
-    finally:
-        for tmp in temps:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write-temp-rename so partially written files are never observed."""
-    path = os.path.abspath(path)
-    write_files(os.path.dirname(path), {os.path.basename(path): [text]})
-
-
 # Rows per block when writing CSV. Only one block's cell strings are alive
 # at a time, so that memory does not grow with the row count.
 _BLOCK_ROWS = 2048
 
 
-def _row_lines(columns: list[np.ndarray]):
-    """The CSV lines, without newlines, of the rows that ``np.column_stack(columns)``
-    would give; the rows are stacked and formatted one block at a time."""
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        rows = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        cells = []
-        for column in np.asarray(rows, dtype=np.float64).view(np.int64).T:
-            keys, inverse = np.unique(column, return_inverse=True)
+@dataclass(frozen=True)
+class Csv:
+    """A CSV file: its head (comment lines and header, each ending in a newline)
+    and the float64 columns, of one length, that its rows print left to right.
+    A text file is a head without columns."""
+
+    head: str
+    columns: tuple[np.ndarray, ...] = ()
+
+    @property
+    def rows(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+
+def _csv(header: list[str], arrays: list[np.ndarray], comments=()) -> Csv:
+    """The :class:`Csv` of the rows of ``np.column_stack(arrays)``; each (n, k)
+    array gives its k columns as views."""
+    columns = []
+    for array in arrays:
+        array = np.asarray(array, dtype=np.float64)
+        columns.extend(array.T if array.ndim == 2 else [array])
+    return Csv("".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n",
+               tuple(columns))
+
+
+def _key(column: np.ndarray) -> tuple:
+    """Equal for two views of the same memory, which print the same cells."""
+    return column.__array_interface__["data"][0], column.strides, column.shape
+
+
+def _format_rows(csvs: list[Csv], lo: int, hi: int) -> list[str]:
+    """The lines of rows lo..hi of each CSV, each line ending in a newline. A
+    column array that several CSVs print is formatted once."""
+    cells = {}
+    for column in (c for csv in csvs for c in csv.columns):
+        if _key(column) not in cells:
+            keys, inverse = np.unique(column[lo:hi].view(np.int64), return_inverse=True)
             texts = list(map(repr, keys.view(np.float64).tolist()))
-            cells.append([texts[i] for i in inverse.tolist()])
-        lines = list(map(",".join, zip(*cells)))
-        del cells  # not held while the lines are taken
-        yield from lines
+            cells[_key(column)] = [texts[i] for i in inverse.tolist()]
+    blocks = []
+    for csv in csvs:
+        block = "\n".join(map(",".join, zip(*(cells[_key(c)] for c in csv.columns))))
+        blocks.append(block + "\n" if block else "")
+    return blocks
 
 
-def _csv_chunks(header: list[str], lines: Iterator[str], comments=()) -> Iterator[str]:
-    """A CSV text in chunks: the comments and header, then one chunk per block of lines."""
-    yield "".join(f"# {c}\n" for c in comments) + ",".join(header) + "\n"
-    while block := list(islice(lines, _BLOCK_ROWS)):
-        yield "\n".join(block) + "\n"
+def _write_blocks(csvs: list[Csv], handles: list, starts: list[int],
+                  tokens: int | None = None) -> int:
+    """Rows start..start + ``_BLOCK_ROWS`` of each CSV, for each start in turn, to
+    its binary handle, each block after one byte read from the pipe ``tokens``
+    when given; the number of blocks written."""
+    for count, lo in enumerate(starts):
+        if tokens is not None and not os.read(tokens, 1):
+            return count
+        for handle, text in zip(handles, _format_rows(csvs, lo, lo + _BLOCK_ROWS)):
+            handle.write(text.encode())
+    return len(starts)
+
+
+def _csv_text(csv: Csv) -> str:
+    return csv.head + "".join(_format_rows([csv], lo, lo + _BLOCK_ROWS)[0]
+                              for lo in range(0, csv.rows, _BLOCK_ROWS))
+
+
+def _fork_writer(csvs: list[Csv], temps: list[str], parts: list[str],
+                 starts: list[int]) -> tuple[int, int, np.ndarray] | None:
+    """(pid, pipe, byte counts) of a child that takes blocks from the back of
+    ``starts``, or None when there is no child. The pipe holds one byte per
+    block and has no writer: each process reads a byte before it takes a
+    block, until the pipe reads empty. The child writes its blocks, last
+    first, to the ``parts`` files and each block's byte counts to its row of
+    a shared map, and exits 0, or 1 on any error. It is forked only on
+    Linux, with two usable CPUs or more, no thread alive but the caller's
+    once rowmap's idle pool is shut down, and a pipe that holds a byte for
+    every block. A child whose parent has died removes the ``temps`` and
+    ``parts`` files before its next block and exits."""
+    if not (sys.platform == "linux" and numdiff._usable_cpus() >= 2
+            and numdiff.stop_idle_pool()):
+        return None
+    tokens, fill = os.pipe()
+    os.set_blocking(fill, False)
+    try:
+        full = os.write(fill, bytes(len(starts))) == len(starts)
+    except BlockingIOError:
+        full = False
+    os.close(fill)
+    pid, parent = None, os.getpid()
+    sizes = np.frombuffer(mmap.mmap(-1, 8 * len(starts) * len(csvs)), np.int64)
+    sizes = sizes.reshape(len(starts), len(csvs))
+    if full:
+        with suppress(OSError):
+            pid = os.fork()
+    if pid is None:
+        os.close(tokens)
+        return None
+    if pid:
+        return pid, tokens, sizes
+    status = 1
+    try:  # the child never returns: the parent's stack and handles are not its own
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(part, "xb")) for part in parts]
+            for block in reversed(range(len(starts))):
+                if os.getppid() != parent or not os.read(tokens, 1):
+                    break
+                texts = _format_rows(csvs, starts[block], starts[block] + _BLOCK_ROWS)
+                for k, (handle, text) in enumerate(zip(handles, texts)):
+                    sizes[block, k] = handle.write(text.encode())
+        status = int(os.getppid() != parent)
+    finally:
+        if os.getppid() != parent:
+            for path in temps + parts:
+                with suppress(OSError):
+                    os.unlink(path)
+        os._exit(status)
+
+
+def _append_parts(handles: list, parts: list[str], sizes: np.ndarray) -> None:
+    """Append to each handle its part file, whose blocks were written last block
+    first with the byte counts ``sizes`` (a row per block, a column per part),
+    in row order."""
+    for handle, part, counts in zip(handles, parts, sizes.T):
+        offsets = counts[::-1].cumsum()[::-1] - counts
+        with open(part, "rb") as source:
+            for offset, count in zip(offsets.tolist(), counts.tolist()):
+                handle.write(os.pread(source.fileno(), count, offset))
+
+
+def write_files(directory: str, files: dict[str, Csv | str]) -> None:
+    """Write ``files`` (name: a :class:`Csv` or a text) in ``directory``, made if
+    missing, through a temp file each (with the mode ``open(path, "w")`` gives);
+    all are renamed into place after the last block, and on an error the temp
+    files are removed and existing files are left as they were.
+
+    Each block of rows is formatted for every CSV at once. For two blocks or
+    more, when :func:`_fork_writer` forks, this process takes blocks from the
+    front and its child from the back, one at a time, until every block is
+    taken, so the faster of the two writes more of them; the child writes
+    into part files beside the temp files, and this process then appends the
+    parts of a child that exited 0. In every other case, a failed child
+    included, this process writes the blocks, so an error is raised as by the
+    inline writer. The child is reaped, and killed first when this process is
+    interrupted, before the call ends. When this process is killed, so that
+    no ``finally`` runs, the child stops before its next block and removes
+    the temp and part files.
+    """
+    os.makedirs(directory, exist_ok=True)
+    csvs = [f if isinstance(f, Csv) else Csv(f) for f in files.values()]
+    temps = [os.path.join(directory, f".tmp-{os.urandom(8).hex()}") for _ in files]
+    parts = [f"{tmp}.part" for tmp in temps]
+    starts = list(range(0, max((csv.rows for csv in csvs), default=0), _BLOCK_ROWS))
+    pid = tokens = None
+    try:
+        with ExitStack() as stack:
+            handles = [stack.enter_context(open(tmp, "xb")) for tmp in temps]
+            for handle, csv in zip(handles, csvs):
+                handle.write(csv.head.encode())
+                handle.flush()  # a forked child inherits no unwritten bytes
+            if len(starts) >= 2:
+                pid, tokens, sizes = _fork_writer(csvs, temps, parts, starts) or (None,) * 3
+            done = _write_blocks(csvs, handles, starts, tokens)
+            if pid:
+                status = os.waitpid(pid, 0)[1]
+                pid = None
+                if os.waitstatus_to_exitcode(status) != 0:
+                    _write_blocks(csvs, handles, starts[done:])
+                else:
+                    _append_parts(handles, parts, sizes[done:])
+        for tmp, name in zip(temps, files):
+            os.replace(tmp, os.path.join(directory, name))
+    finally:
+        if tokens is not None:
+            os.close(tokens)
+        if pid:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for path in temps + parts:
+            if os.path.exists(path):
+                os.unlink(path)
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write-temp-rename so partially written files are never observed."""
+    path = os.path.abspath(path)
+    write_files(os.path.dirname(path), {os.path.basename(path): text})
 
 
 def _parse_csv(lines: Iterable[str], expected_header: list[str],
@@ -182,19 +326,19 @@ def curve_from_json(text: str) -> CurveSpec:
 # SampledCurve CSV
 
 
-def _curve_lines(curve: SampledCurve) -> Iterator[str]:
+def _curve_arrays(curve: SampledCurve) -> list[np.ndarray]:
     if curve.frames is None:
         raise SpecificationError("CSV export requires a curve with frames")
     f = curve.frames
-    return _row_lines([curve.grid, curve.positions, f.T, f.N, f.B, f.kappa, f.tau])
+    return [curve.grid, curve.positions, f.T, f.N, f.B, f.kappa, f.tau]
 
 
-def sampled_curve_chunks(curve: SampledCurve) -> Iterator[str]:
-    return _csv_chunks(_CURVE_COLUMNS, _curve_lines(curve))
+def sampled_curve_csv(curve: SampledCurve) -> Csv:
+    return _csv(_CURVE_COLUMNS, _curve_arrays(curve))
 
 
 def sampled_curve_to_csv(curve: SampledCurve) -> str:
-    return "".join(sampled_curve_chunks(curve))
+    return _csv_text(sampled_curve_csv(curve))
 
 
 def sampled_curve_from_csv(text: str) -> SampledCurve:
@@ -211,15 +355,15 @@ def sampled_curve_from_csv(text: str) -> SampledCurve:
 # LambdaSolution CSV
 
 
-def lambda_chunks(sol: LambdaSolution) -> Iterator[str]:
+def lambda_csv(sol: LambdaSolution) -> Csv:
     constants = " ".join(f"{k}={float(v)!r}" for k, v in sorted(sol.constants.items()))
     comments = [f"provenance={sol.provenance}" + (f" {constants}" if constants else "")]
-    lines = _row_lines([sol.grid, sol.lam, sol.lam_prime, sol.lam_double_prime])
-    return _csv_chunks(_LAMBDA_COLUMNS, lines, comments)
+    arrays = [sol.grid, sol.lam, sol.lam_prime, sol.lam_double_prime]
+    return _csv(_LAMBDA_COLUMNS, arrays, comments)
 
 
 def lambda_to_csv(sol: LambdaSolution) -> str:
-    return "".join(lambda_chunks(sol))
+    return _csv_text(lambda_csv(sol))
 
 
 def lambda_from_lines(lines: Iterable[str]) -> LambdaSolution:
@@ -247,26 +391,17 @@ def lambda_from_csv(text: str) -> LambdaSolution:
 # PredictedMate CSV
 
 
-def mate_chunks(pred: PredictedMate, base_lines: Iterable[str] | None = None) -> Iterator[str]:
-    """The mate CSV in chunks. Each row is the base CSV's line for the same
-    grid point, then the mate columns; ``base_lines`` are those lines without
-    newlines, formatted from ``pred.base`` when not given."""
-    base = _curve_lines(pred.base) if base_lines is None else base_lines
-    mate = _row_lines([pred.lam.lam, pred.mate.positions, pred.T_star, pred.N_star,
-                       pred.B_star, pred.kappa_star, pred.tau_star])
+def mate_csv(pred: PredictedMate) -> Csv:
+    """Each row is the base CSV's row for the same grid point, then the mate columns."""
+    arrays = _curve_arrays(pred.base) + [pred.lam.lam, pred.mate.positions, pred.T_star,
+                                         pred.N_star, pred.B_star, pred.kappa_star,
+                                         pred.tau_star]
     comments = [f"family={pred.family.code} classification={pred.classification}"]
-    return _csv_chunks(_MATE_COLUMNS, map("{},{}".format, base, mate), comments)
-
-
-def base_and_mate_chunks(pred: PredictedMate) -> tuple[Iterator[str], Iterator[str]]:
-    """The chunks of ``pred.base``'s CSV and of the mate CSV, each base line formatted
-    once for both; advanced together, as by ``write_files``, they hold one block."""
-    lines, shared = tee(_curve_lines(pred.base))
-    return _csv_chunks(_CURVE_COLUMNS, lines), mate_chunks(pred, shared)
+    return _csv(_MATE_COLUMNS, arrays, comments)
 
 
 def mate_to_csv(pred: PredictedMate) -> str:
-    return "".join(mate_chunks(pred))
+    return _csv_text(mate_csv(pred))
 
 
 def mate_positions_from_lines(lines: Iterable[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

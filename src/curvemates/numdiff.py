@@ -10,12 +10,14 @@ tolerances; that rule trims its second-order edge rows. ``norm3`` and
 
 ``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows on
 the usable CPUs, into arrays sized by a 7-row probe, with one call's bits.
+``stop_idle_pool`` shuts its idle pool down before a caller forks.
 """
 from __future__ import annotations
 
 import contextvars
 import os
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
@@ -28,6 +30,7 @@ _BLOCK_ROWS = 2**15
 # diff3, the widest stencil, needs 7 rows: a shorter tail joins the block before it.
 _MIN_BLOCK_ROWS = 7
 _POOL: ThreadPoolExecutor | None = None
+_POOL_PREFIX = "curvemates-rowmap"
 _POOL_LOCK = threading.Lock()
 _WORKER = threading.local()
 
@@ -163,7 +166,7 @@ def _pool() -> ThreadPoolExecutor:
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="curvemates-rowmap",
+            _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix=_POOL_PREFIX,
                                        initializer=_mark_worker)
         return _POOL
 
@@ -173,6 +176,31 @@ def _forget_pool() -> None:
     that believes they do would queue blocks that never run."""
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+def stop_idle_pool() -> bool:
+    """Shut the pool down when its workers are the only threads but the caller's
+    (the next rowmap makes a new pool), and return whether the caller is then
+    the only thread alive. In a worker, rowmap's caller is another thread, so
+    a pool in use is never shut down. A joined worker can still be in the
+    task list of Linux's /proc for a moment (in 36 of 200 shutdowns of a
+    2-worker pool), where Python 3.12's fork check counts it, so this waits,
+    up to 0.1 s, until it has left."""
+    global _POOL
+    me = threading.current_thread()
+    others = [t for t in threading.enumerate() if t is not me]
+    if any(not t.name.startswith(_POOL_PREFIX) for t in others):
+        return False
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown()
+    tasks = [f"/proc/self/task/{t.native_id}" for t in others]
+    for _ in range(1000):
+        if not any(map(os.path.exists, tasks)):
+            break
+        time.sleep(1e-4)
+    return threading.active_count() == 1 and not any(map(os.path.exists, tasks))
 
 
 if hasattr(os, "register_at_fork"):

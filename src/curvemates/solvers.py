@@ -80,6 +80,15 @@ class LambdaSolution:
         if not same_grid(self.grid, grid):
             raise AlignmentError("lambda grid does not match the curve grid")
 
+    def require_bounded(self) -> None:
+        """Raise SpecificationError at the first s where |lambda| > BLOWUP_CAP, the
+        bound RK4 enforces; NaN is not within it either."""
+        if not np.max(np.abs(self.lam)) <= BLOWUP_CAP:
+            i = int(np.argmin(np.abs(self.lam) <= BLOWUP_CAP))
+            s = float(self.grid[i])
+            raise SpecificationError(f"lambda = {float(self.lam[i])!r} lies outside |lambda| <="
+                                     f" BLOWUP_CAP = {BLOWUP_CAP:g} at s={s:.6g}", s=s)
+
     def is_constant(self) -> bool:
         """Whether max |lambda'| <= 1e-8 max(1, max |lambda|): the one test of a
         constant offset, for family prerequisites and classification alike."""

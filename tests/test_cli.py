@@ -331,6 +331,22 @@ def test_offset_beyond_the_rk4_cap_exit_65(family, flag, value, s, tmp_path, cap
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("curve, family, flag", [
+    (HELIX, "NP", "--lambda0"), (HELIX, "NO", "--c1"), (CIRCLE, "TO", "--c1"),
+])
+def test_solve_lambda_refuses_the_offset_that_associate_refuses(curve, family, flag, tmp_path,
+                                                                capsys):
+    # One bound, one message: solve-lambda writes no lambda.csv that associate
+    # would refuse, and says what verify says for the same start.
+    argv = ["--curve", curve, "--family", family, flag, "1e300", "--grid", "0:3:201"]
+    assert main(["verify", *argv, "--out", str(tmp_path / "verify")]) == 65
+    refused = capsys.readouterr().err
+    assert main(["solve-lambda", *argv, "--out", str(tmp_path / "solve")]) == 65
+    assert capsys.readouterr().err == refused
+    assert refused.startswith("error: lambda = ") and " lies outside |lambda| <= " in refused
+    assert os.listdir(tmp_path) == []
+
+
 def test_offset_at_the_rk4_cap_is_not_refused(tmp_path):
     assert main(["verify", "--curve", HELIX, "--family", "NP", "--lambda0", "1e6",
                  "--grid", "0:3:201", "--out", str(tmp_path)]) != 65

@@ -2,16 +2,19 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from io import StringIO
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from curvemates import (AssociationSpec, CurveSpec, SampledCurve, associate, sample_curve,
                         verify_mate)
-from curvemates import cli
+from curvemates import cli, numdiff
 from curvemates.errors import InsufficientDataError, ParseError, SpecificationError
 from curvemates import io as cio
 from curvemates.geometry import curvature_derivatives
@@ -40,7 +43,7 @@ def _reference_row_lines(columns):
 
 def _blocked_csv(header, rows, comments=()):
     """The library's blocked writer on a table of rows."""
-    return "".join(cio._csv_chunks(header, cio._row_lines([rows]), comments))
+    return cio._csv_text(cio._csv(header, [rows], comments))
 
 
 def _reference_parse_csv(text, expected_header):
@@ -280,7 +283,7 @@ _EXAMPLE_HEADERS = {"base.csv": cio._CURVE_COLUMNS, "lambda.csv": cio._LAMBDA_CO
                     "mate.csv": cio._MATE_COLUMNS}
 
 
-def _reference_example_texts(base, sol, pred, monkeypatch):
+def _reference_example_texts(base, sol, pred):
     """An example's three CSV files, every cell formatted on its own."""
     f = base.frames
     base_rows = np.column_stack([base.grid, base.positions, f.T, f.N, f.B, f.kappa, f.tau])
@@ -288,9 +291,9 @@ def _reference_example_texts(base, sol, pred, monkeypatch):
                                  pred.T_star, pred.N_star, pred.B_star,
                                  pred.kappa_star, pred.tau_star])
     mate_comment = f"family={pred.family.code} classification={pred.classification}"
-    with monkeypatch.context() as patch:
-        patch.setattr(cio, "_row_lines", _reference_row_lines)
-        lambda_text = cio.lambda_to_csv(sol)
+    lambda_rows = [sol.grid, sol.lam, sol.lam_prime, sol.lam_double_prime]
+    lambda_text = cio.lambda_csv(sol).head + "".join(
+        f"{line}\n" for line in _reference_row_lines(lambda_rows))
     return {"base.csv": _reference_rows_to_csv(cio._CURVE_COLUMNS, base_rows),
             "lambda.csv": lambda_text,
             "mate.csv": _reference_rows_to_csv(cio._MATE_COLUMNS, mate_rows, [mate_comment])}
@@ -307,26 +310,26 @@ def _example_inputs(index, n):
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
-def test_example_csv_matches_per_cell_writer(index, monkeypatch):
+def test_example_csv_matches_per_cell_writer(index):
     base, spec, sol = _example_inputs(index, 2001)
     pred = associate(base, spec, sol)
     texts = {"base.csv": cio.sampled_curve_to_csv(base), "lambda.csv": cio.lambda_to_csv(sol),
              "mate.csv": cio.mate_to_csv(pred)}
-    expected = _reference_example_texts(base, sol, pred, monkeypatch)
+    expected = _reference_example_texts(base, sol, pred)
     for name, text in texts.items():
         _assert_same_text(text, expected[name], name)
         _assert_same_parse(text, _EXAMPLE_HEADERS[name])
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
-def test_example_files_match_per_cell_writer_across_blocks(index, tmp_path, monkeypatch):
+def test_example_files_match_per_cell_writer_across_blocks(index, tmp_path):
     # mate.csv splices base.csv's lines into blocks of mate cells; a base row
     # lost or repeated at a block boundary would shift every later row.
     n = 2 * cio._BLOCK_ROWS + 1
     assert cli.main(["example", str(index), "--grid", f"0:{2.0 * math.pi!r}:{n}",
                      "--out", str(tmp_path)]) in (0, 1, 2)
     base, spec, sol = _example_inputs(index, n)
-    expected = _reference_example_texts(base, sol, associate(base, spec, sol), monkeypatch)
+    expected = _reference_example_texts(base, sol, associate(base, spec, sol))
     for name, text in expected.items():
         _assert_same_text((tmp_path / name).read_text(), text, name)
 
@@ -344,14 +347,13 @@ def _first_rows(obj, rows):
 
 
 def _example_files(pred):
-    """The chunk iterators of an example's three CSV files, as the CLI writes them."""
-    base_chunks, mate_chunks = cio.base_and_mate_chunks(pred)
-    return {"base.csv": base_chunks, "lambda.csv": cio.lambda_chunks(pred.lam),
-            "mate.csv": mate_chunks}
+    """An example's three CSV files, as the CLI writes them."""
+    return {"base.csv": cio.sampled_curve_csv(pred.base), "lambda.csv": cio.lambda_csv(pred.lam),
+            "mate.csv": cio.mate_csv(pred)}
 
 
 @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 3 * 2048 + 5])
-def test_streamed_files_match_text_and_per_cell_writers(rows, tmp_path, monkeypatch):
+def test_streamed_files_match_text_and_per_cell_writers(rows, tmp_path):
     # One row, a block less one, one block, a block plus one, three blocks plus five.
     assert cio._BLOCK_ROWS == 2048
     base, spec, sol = _example_inputs(1, 3 * 2048 + 5)
@@ -359,11 +361,11 @@ def test_streamed_files_match_text_and_per_cell_writers(rows, tmp_path, monkeypa
     base, sol = pred.base, pred.lam
     texts = {"base.csv": cio.sampled_curve_to_csv(base), "lambda.csv": cio.lambda_to_csv(sol),
              "mate.csv": cio.mate_to_csv(pred)}
-    expected = _reference_example_texts(base, sol, pred, monkeypatch)
+    expected = _reference_example_texts(base, sol, pred)
     cio.write_files(str(tmp_path / "example"), _example_files(pred))
-    # The standalone generators, as frenet and associate write them.
-    cio.write_files(str(tmp_path / "alone"), {"base.csv": cio.sampled_curve_chunks(base),
-                                              "mate.csv": cio.mate_chunks(pred)})
+    # Each file alone, as frenet and associate write them.
+    cio.write_files(str(tmp_path / "alone"), {"base.csv": cio.sampled_curve_csv(base),
+                                              "mate.csv": cio.mate_csv(pred)})
     for name, text in texts.items():
         assert text.count("\n") == rows + 1 + (name != "base.csv")
         _assert_same_text(text, expected[name], name)
@@ -373,23 +375,310 @@ def test_streamed_files_match_text_and_per_cell_writers(rows, tmp_path, monkeypa
     assert sorted(os.listdir(tmp_path / "example")) == sorted(texts)
 
 
-def _raising_after(chunks, count):
-    """The first ``count`` chunks of ``chunks``, then an error."""
-    yield from islice(chunks, count)
-    raise RuntimeError("no second block")
+def _raising_from(lo_bad, error=RuntimeError("no second block")):
+    """``cio._format_rows``, raising ``error`` for every block from row ``lo_bad`` on."""
+    format_rows = cio._format_rows
+
+    def rows(csvs, lo, hi):
+        if lo >= lo_bad:
+            raise error
+        return format_rows(csvs, lo, hi)
+    return rows
 
 
-def test_write_files_error_leaves_no_temp_and_old_files(tmp_path):
+def test_write_files_error_leaves_no_temp_and_old_files(tmp_path, monkeypatch):
     base, spec, sol = _example_inputs(1, 2 * 2048 + 1)
     files = _example_files(associate(base, spec, sol))
     for name in files:
         (tmp_path / name).write_text(f"old {name}\n")
-    files["mate.csv"] = _raising_after(files["mate.csv"], 2)  # the header and one block
+    monkeypatch.setattr(cio, "_format_rows", _raising_from(cio._BLOCK_ROWS))
     with pytest.raises(RuntimeError, match="no second block"):
         cio.write_files(str(tmp_path), files)
     assert sorted(os.listdir(tmp_path)) == sorted(files)  # no .tmp-* file is left
     for name in files:
         assert (tmp_path / name).read_text() == f"old {name}\n"
+
+
+# ---------------------------------------------------------------------------
+# The forked writer: a child takes blocks from the back of a write
+
+
+# Bit patterns: NaN payloads (quiet, signalling, negative), +-0.0, +-inf, the
+# smallest and largest subnormals, the largest double, and the neighbours of
+# repr's switches to exponent notation at 1e16 and 1e-4.
+EDGE_BITS = np.array([0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000,
+                      0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+EDGE_FLOATS = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                        2.225073858507201e-308, -2.225073858507201e-308,
+                        1.7976931348623157e308, -1.7976931348623157e308,
+                        1e16, 9999999999999998.0, -1e16, 1.0000000000000002e16,
+                        1e-4, 9.999999999999999e-05, -1e-4, 1.0000000000000002e-4])
+
+
+def _count_forks(monkeypatch):
+    """A list that gains one entry per ``os.fork`` call; the call still forks."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _write_with_cpus(files, directory, cpus, monkeypatch):
+    """The bytes of ``files`` written with ``cpus`` usable CPUs, and the number of forks."""
+    with monkeypatch.context() as patch:
+        patch.setattr(numdiff, "_usable_cpus", lambda: cpus)
+        forks = _count_forks(patch)
+        cio.write_files(str(directory), files)
+    _assert_no_child()
+    assert sorted(os.listdir(directory)) == sorted(files)  # no .tmp-* or part file
+    return {name: (directory / name).read_bytes() for name in files}, len(forks)
+
+
+def _sharing_blocks(directory, monkeypatch):
+    """Patch ``cio._format_rows`` so that the parent's first block waits, up to
+    30 s, until the child has formatted a block: each of the two then writes
+    one block at least. The returned function gives the blocks' first rows
+    that each process formatted: (parent's, child's)."""
+    parent, format_rows = os.getpid(), cio._format_rows
+    log = directory / "child-blocks"
+
+    def rows(csvs, lo, hi):
+        if os.getpid() == parent:
+            deadline = time.monotonic() + 30
+            while not log.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            mine.append(lo)
+            return format_rows(csvs, lo, hi)
+        text = format_rows(csvs, lo, hi)
+        with open(log, "a") as handle:
+            handle.write(f"{lo}\n")
+        return text
+    mine = []
+    monkeypatch.setattr(cio, "_format_rows", rows)
+    return lambda: (mine, [int(line) for line in log.read_text().split()])
+
+
+@pytest.mark.parametrize("blocks", [2, 4])
+def test_forked_and_inline_writers_give_the_same_bytes(blocks, tmp_path, monkeypatch):
+    # Two or four blocks, the last of 37 rows; every distinct column holds
+    # seeded random bit patterns, with the edge list at the start, across
+    # every block boundary and at the end. The parent writes blocks from the
+    # front, the child from the back, and each writes one at least.
+    rows = (blocks - 1) * cio._BLOCK_ROWS + 37
+    base, spec, sol = _example_inputs(1, rows)
+    pred = associate(base, spec, sol)
+    files = _example_files(pred)
+    edges = np.concatenate([EDGE_BITS, EDGE_FLOATS.view(np.uint64)])
+    rng = np.random.default_rng(29)
+    columns = {cio._key(c): c for f in files.values() for c in f.columns}
+    boundaries = [k * cio._BLOCK_ROWS - len(edges) // 2 for k in range(1, blocks)]
+    for k, column in enumerate(columns.values()):
+        bits = column.view(np.uint64)
+        bits[:] = np.frombuffer(rng.bytes(8 * rows), dtype=np.uint64)
+        shifted = np.roll(edges, k)
+        for start in [0, *boundaries, rows - len(edges)]:
+            bits[start:start + len(edges)] = shifted
+    with monkeypatch.context() as patch:
+        taken = _sharing_blocks(tmp_path, patch)
+        forked, forks = _write_with_cpus(files, tmp_path / "forked", 2, patch)
+    inline, no_forks = _write_with_cpus(files, tmp_path / "inline", 1, monkeypatch)
+    assert (forks, no_forks) == (1, 0)
+    mine, childs = taken()
+    starts = list(range(0, rows, cio._BLOCK_ROWS))
+    assert mine and childs and mine + childs[::-1] == starts
+    assert forked == inline
+    expected = _reference_example_texts(pred.base, pred.lam, pred)
+    for name, text in expected.items():
+        _assert_same_text(forked[name].decode(), text, name)
+
+
+def test_a_failing_block_in_the_child_raises_as_inline(tmp_path, monkeypatch):
+    # Five blocks: the child takes the last one first and fails there (or the
+    # parent meets the failing blocks itself); the parent then writes the
+    # child's blocks itself and raises the inline writer's error.
+    base, spec, sol = _example_inputs(1, 4 * cio._BLOCK_ROWS + 1)
+    files = _example_files(associate(base, spec, sol))
+    for name in files:
+        (tmp_path / name).write_text(f"old {name}\n")
+    errors = []
+    for cpus in (2, 1):
+        with monkeypatch.context() as patch:
+            patch.setattr(cio, "_format_rows", _raising_from(
+                3 * cio._BLOCK_ROWS, ValueError("block 3 cannot be formatted")))
+            with pytest.raises(ValueError) as err:
+                _write_with_cpus(files, tmp_path, cpus, patch)
+        errors.append((type(err.value), str(err.value)))
+        _assert_no_child()
+        assert sorted(os.listdir(tmp_path)) == sorted(files)  # no .tmp-* or part file
+        for name in files:
+            assert (tmp_path / name).read_text() == f"old {name}\n"
+    assert errors == [(ValueError, "block 3 cannot be formatted")] * 2
+
+
+def test_the_blocks_of_a_child_that_dies_are_written_inline(tmp_path, monkeypatch):
+    # Four blocks: the child writes block 3 and dies in block 2, which it has
+    # taken; the parent, held in block 0 until then, writes blocks 0 to 3.
+    base, spec, sol = _example_inputs(1, 3 * cio._BLOCK_ROWS + 1)
+    files = _example_files(associate(base, spec, sol))
+    parent, format_rows = os.getpid(), cio._format_rows
+    died = tmp_path / "died"
+
+    def rows(csvs, lo, hi):
+        if os.getpid() != parent and lo < 3 * cio._BLOCK_ROWS:
+            died.touch()
+            os._exit(3)
+        deadline = time.monotonic() + 30
+        while os.getpid() == parent and not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return format_rows(csvs, lo, hi)
+    with monkeypatch.context() as patch:
+        patch.setattr(cio, "_format_rows", rows)
+        forked, forks = _write_with_cpus(files, tmp_path / "forked", 2, patch)
+    assert forks == 1 and died.exists()
+    assert forked == {name: cio._csv_text(f).encode() for name, f in files.items()}
+
+
+def test_an_interrupt_in_the_parent_ends_the_child(tmp_path, monkeypatch):
+    # The child would sleep for a minute in its first block; the parent is
+    # interrupted in its own first block, kills the child and reaps it.
+    base, spec, sol = _example_inputs(1, 2 * cio._BLOCK_ROWS + 1)
+    files = _example_files(associate(base, spec, sol))
+    parent, format_rows = os.getpid(), cio._format_rows
+
+    def rows(csvs, lo, hi):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return format_rows(csvs, lo, hi)
+    monkeypatch.setattr(cio, "_format_rows", rows)
+    monkeypatch.setattr(numdiff, "_usable_cpus", lambda: 2)
+    forks = _count_forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cio.write_files(str(tmp_path), files)
+    assert time.monotonic() - start < 30 and len(forks) == 1
+    _assert_no_child()
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("case", ["one block", "one CPU", "not Linux", "a live thread",
+                                  "a short pipe"])
+def test_nothing_forks(case, tmp_path, monkeypatch):
+    # The CLI's default grid of 2 001 rows is one block. A pipe that takes
+    # fewer bytes than there are blocks stands for a write of more blocks
+    # than a pipe holds.
+    rows = 2001 if case == "one block" else 2 * cio._BLOCK_ROWS + 1
+    base, spec, sol = _example_inputs(1, rows)
+    files = _example_files(associate(base, spec, sol))
+    if case == "not Linux":
+        monkeypatch.setattr(sys, "platform", "darwin")
+    if case == "a short pipe":
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:1]))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    if case == "a live thread":
+        thread.start()
+    try:
+        written, forks = _write_with_cpus(files, tmp_path, 1 if case == "one CPU" else 2,
+                                          monkeypatch)
+    finally:
+        release.set()
+        if thread.ident is not None:
+            thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert forks == 0
+    assert written == {name: cio._csv_text(f).encode() for name, f in files.items()}
+
+
+_KILLED_WRITER = """
+import os, sys, time
+import numpy as np
+from curvemates import io as cio, numdiff
+
+out, parent, format_rows = sys.argv[1], os.getpid(), cio._format_rows
+
+def rows(csvs, lo, hi):
+    if os.getpid() == parent:
+        print(lo, flush=True)  # the parent's first block: the test kills it here
+        time.sleep(60)
+    else:
+        with open(os.path.join(out, "child.pid"), "w") as handle:
+            handle.write(str(os.getpid()))
+        time.sleep(1)
+    return format_rows(csvs, lo, hi)
+
+cio._format_rows = rows
+numdiff._usable_cpus = lambda: 2
+column = np.arange(8 * cio._BLOCK_ROWS, dtype=float)
+cio.write_files(out, {"a.csv": cio.Csv("a\\n", (column,))})
+"""
+
+
+def _gone(pid):
+    """Whether ``pid`` has exited (a zombie that nothing reaps has exited too)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the writer forks only on Linux")
+def test_a_killed_parent_leaves_no_child_and_no_file(tmp_path):
+    # SIGKILL runs no finally in the parent: its child, in the first of the
+    # seven one-second blocks left to it, stops before the next one (so
+    # within 3 s, not after 7) and removes the temp and part files.
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.Popen([sys.executable, "-c", _KILLED_WRITER, str(out)], env=env,
+                            stdout=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "0\n"
+        deadline = time.monotonic() + 30
+        while not (out / "child.pid").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.1)  # the child.pid file is whole
+        child = int((out / "child.pid").read_text())
+        assert len(list(out.glob(".tmp-*"))) == 2  # the parent's temp file, the child's part
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 3
+    while not _gone(child) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _gone(child)
+    assert os.listdir(out) == ["child.pid"]
+
+
+def test_the_idle_rowmap_pool_is_shut_down_for_a_fork(tmp_path, monkeypatch):
+    # The pool's workers are the only other threads: they are stopped, the
+    # write forks, and the next rowmap makes a new pool.
+    monkeypatch.setattr(numdiff, "_usable_cpus", lambda: 2)
+    n = 2 * numdiff._BLOCK_ROWS
+
+    def fn(lo, hi):
+        return (np.arange(lo, hi, dtype=float),)
+    numdiff.rowmap(fn, n)
+    assert threading.active_count() > 1
+    workers = [t.native_id for t in threading.enumerate() if t is not threading.current_thread()]
+    base, spec, sol = _example_inputs(1, 2 * cio._BLOCK_ROWS + 1)
+    files = _example_files(associate(base, spec, sol))
+    written, forks = _write_with_cpus(files, tmp_path, 2, monkeypatch)
+    assert forks == 1 and threading.active_count() == 1
+    # Gone from the kernel's task list too, where Python 3.12's fork check looks.
+    assert not any(os.path.exists(f"/proc/self/task/{i}") for i in workers)
+    assert written == {name: cio._csv_text(f).encode() for name, f in files.items()}
+    assert np.array_equal(numdiff.rowmap(fn, n)[0], np.arange(n, dtype=float))
 
 
 def test_streamed_write_and_parse_hold_one_block_of_text(tmp_path):
