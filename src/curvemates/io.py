@@ -22,6 +22,7 @@ import mmap
 import os
 import signal
 import sys
+import threading
 from collections.abc import Iterable
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, fields, is_dataclass
@@ -122,11 +123,11 @@ def _fork_writer(csvs: list[Csv], temps: list[str], parts: list[str],
     first, to the ``parts`` files and each block's byte counts to its row of
     a shared map, and exits 0, or 1 on any error. It is forked only on
     Linux, with two usable CPUs or more, no thread alive but the caller's
-    once rowmap's idle pool is shut down, and a pipe that holds a byte for
-    every block. A child whose parent has died removes the ``temps`` and
-    ``parts`` files before its next block and exits."""
+    (``numdiff.rowmap`` leaves none), and a pipe that holds a byte for every
+    block. A child whose parent has died removes the ``temps`` and ``parts``
+    files before its next block and exits."""
     if not (sys.platform == "linux" and numdiff._usable_cpus() >= 2
-            and numdiff.stop_idle_pool()):
+            and threading.active_count() == 1):
         return None
     tokens, fill = os.pipe()
     os.set_blocking(fill, False)

@@ -9,8 +9,8 @@ tolerances; that rule trims its second-order edge rows. ``norm3`` and
 ``cross3`` are the row norm and row cross product of (n, 3) arrays.
 
 ``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows on
-the usable CPUs, into arrays sized by a 7-row probe, with one call's bits.
-``stop_idle_pool`` shuts its idle pool down before a caller forks.
+the usable CPUs, into arrays sized by a 7-row probe, with one call's bits;
+its threads end before it returns.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import contextvars
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,14 +29,12 @@ from .errors import InsufficientDataError
 _BLOCK_ROWS = 2**15
 # diff3, the widest stencil, needs 7 rows: a shorter tail joins the block before it.
 _MIN_BLOCK_ROWS = 7
-_POOL: ThreadPoolExecutor | None = None
-_POOL_PREFIX = "curvemates-rowmap"
-_POOL_LOCK = threading.Lock()
 _WORKER = threading.local()
 
 
 def uniform_spacing(grid: np.ndarray) -> float:
-    """Return the spacing of a uniform grid, validating uniformity."""
+    """Return the spacing of a uniform grid, validating uniformity and a step
+    whose cube is a normal float."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2:
         raise InsufficientDataError("grid needs at least 2 points")
@@ -44,6 +42,8 @@ def uniform_spacing(grid: np.ndarray) -> float:
     h = float(steps[0])
     if h <= 0 or not np.allclose(steps, h, rtol=1e-8, atol=0.0):
         raise InsufficientDataError("grid must be uniform and increasing")
+    if h ** 3 < np.finfo(float).tiny:  # diff3 divides by h**3
+        raise InsufficientDataError(f"grid step h={h!r} is too small for the stencils")
     return h
 
 
@@ -157,54 +157,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker() -> None:
+def _mark_worker(ids: list[int]) -> None:
     _WORKER.active = True
-
-
-def _pool() -> ThreadPoolExecutor:
-    """The module's executor, made on first use with one worker per usable CPU."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix=_POOL_PREFIX,
-                                       initializer=_mark_worker)
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's workers do not exist there, and a pool
-    that believes they do would queue blocks that never run."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-def stop_idle_pool() -> bool:
-    """Shut the pool down when its workers are the only threads but the caller's
-    (the next rowmap makes a new pool), and return whether the caller is then
-    the only thread alive. In a worker, rowmap's caller is another thread, so
-    a pool in use is never shut down. A joined worker can still be in the
-    task list of Linux's /proc for a moment (in 36 of 200 shutdowns of a
-    2-worker pool), where Python 3.12's fork check counts it, so this waits,
-    up to 0.1 s, until it has left."""
-    global _POOL
-    me = threading.current_thread()
-    others = [t for t in threading.enumerate() if t is not me]
-    if any(not t.name.startswith(_POOL_PREFIX) for t in others):
-        return False
-    with _POOL_LOCK:
-        pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown()
-    tasks = [f"/proc/self/task/{t.native_id}" for t in others]
-    for _ in range(1000):
-        if not any(map(os.path.exists, tasks)):
-            break
-        time.sleep(1e-4)
-    return threading.active_count() == 1 and not any(map(os.path.exists, tasks))
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    ids.append(threading.get_native_id())
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -240,12 +195,13 @@ def rowmap(
     it runs as a block would and discards (its last rows are one-sided):
     glibc keeps memory in the arena of the thread that allocated it, and
     arrays made by a worker raised ``oracle-large``'s peak RSS from 201 to
-    283 MB. Blocks run on a shared thread pool, one worker per usable CPU,
-    each in a copy of the caller's ``contextvars`` context and ``np.errstate``.
-    With one block or one usable CPU, and inside a block or the probe,
-    ``fn(0, n)`` runs inline and no thread is started. A failing probe raises
-    before any block is submitted; else, once every block has stopped, the
-    first failing block in row order does.
+    283 MB. Blocks run on threads started by this call, one per usable CPU at
+    most, each in a copy of the caller's ``contextvars`` context and
+    ``np.errstate``; the call returns once they have ended and left Linux's
+    /proc task list, so none outlives it. With one block or one usable CPU,
+    and inside a block or the probe, ``fn(0, n)`` runs inline and no thread
+    is started. A failing probe raises before any block is submitted; else,
+    once every block has stopped, the first failing block in row order does.
     """
     blocks = _blocks(n)
     if len(blocks) < 2 or getattr(_WORKER, "active", False) or _usable_cpus() < 2:
@@ -256,10 +212,16 @@ def rowmap(
                      for part in fn(0, _MIN_BLOCK_ROWS))
     finally:
         _WORKER.active = False
-    pool, err = _pool(), np.geterr()
-    futures = [pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b, err,
-                           outs) for a, b in blocks]
-    wait(futures)
+    err, ids = np.geterr(), []
+    with ThreadPoolExecutor(_usable_cpus(), initializer=_mark_worker, initargs=(ids,)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b,
+                               err, outs) for a, b in blocks]
+    # A joined thread can stay in Linux's /proc task list for a moment (in 36 of
+    # 200 shutdowns of two workers), where Python 3.12's fork check counts it.
+    tasks = [f"/proc/self/task/{i}" for i in ids]
+    deadline = time.monotonic() + 0.1
+    while any(map(os.path.exists, tasks)) and time.monotonic() < deadline:
+        time.sleep(1e-4)
     for future in futures:
         future.result()
     return outs

@@ -347,6 +347,22 @@ def test_solve_lambda_refuses_the_offset_that_associate_refuses(curve, family, f
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, h", [
+    (["--curve", CIRCLE, "--family", "TO", "--coeffs=1,1", "--grid=0:1e-300:7"],
+     "1.6666666666666667e-301"),
+    (["--curve", HELIX, "--family", "TP", "--grid=0:1e-200:2001"], "5e-204"),
+])
+def test_a_grid_step_too_small_for_the_stencils_exit_65(argv, h, tmp_path, capsys):
+    # h**3 underflows, and diff3 would divide by zero; the refusal comes
+    # before any stencil, so with no numpy warning and no vacuous pass.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["verify", *argv, "--out", str(tmp_path)])
+    assert code == 65 and caught == []
+    assert capsys.readouterr() == ("", f"error: grid step h={h} is too small for the stencils\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_offset_at_the_rk4_cap_is_not_refused(tmp_path):
     assert main(["verify", "--curve", HELIX, "--family", "NP", "--lambda0", "1e6",
                  "--grid", "0:3:201", "--out", str(tmp_path)]) != 65

@@ -660,25 +660,17 @@ def test_a_killed_parent_leaves_no_child_and_no_file(tmp_path):
     assert os.listdir(out) == ["child.pid"]
 
 
-def test_the_idle_rowmap_pool_is_shut_down_for_a_fork(tmp_path, monkeypatch):
-    # The pool's workers are the only other threads: they are stopped, the
-    # write forks, and the next rowmap makes a new pool.
+def test_a_write_right_after_a_rowmap_forks(tmp_path, monkeypatch):
+    # rowmap's threads end with the call, so the write that follows it forks.
     monkeypatch.setattr(numdiff, "_usable_cpus", lambda: 2)
-    n = 2 * numdiff._BLOCK_ROWS
-
-    def fn(lo, hi):
-        return (np.arange(lo, hi, dtype=float),)
-    numdiff.rowmap(fn, n)
-    assert threading.active_count() > 1
-    workers = [t.native_id for t in threading.enumerate() if t is not threading.current_thread()]
     base, spec, sol = _example_inputs(1, 2 * cio._BLOCK_ROWS + 1)
     files = _example_files(associate(base, spec, sol))
+    n = 3 * numdiff._BLOCK_ROWS
+    assert np.array_equal(numdiff.rowmap(lambda lo, hi: (np.arange(lo, hi, dtype=float),), n)[0],
+                          np.arange(n, dtype=float))
     written, forks = _write_with_cpus(files, tmp_path, 2, monkeypatch)
-    assert forks == 1 and threading.active_count() == 1
-    # Gone from the kernel's task list too, where Python 3.12's fork check looks.
-    assert not any(os.path.exists(f"/proc/self/task/{i}") for i in workers)
+    assert forks == 1
     assert written == {name: cio._csv_text(f).encode() for name, f in files.items()}
-    assert np.array_equal(numdiff.rowmap(fn, n)[0], np.arange(n, dtype=float))
 
 
 def test_streamed_write_and_parse_hold_one_block_of_text(tmp_path):

@@ -244,7 +244,7 @@ def test_rowmap_raises_the_first_failing_block_in_row_order():
 
 def test_rowmap_all_blocks_raise_and_the_pool_serves_the_next_call():
     # The probe passes and every block fails; the first failure in row order
-    # propagates, and the pool must be free again, or the next call would hang.
+    # propagates, and the next call must still run its blocks, not hang.
     def fail(lo, hi):
         if hi == 7:  # the probe
             return (np.zeros(hi - lo),)
@@ -305,15 +305,13 @@ def test_rowmap_failing_probe_raises_before_any_block():
     assert calls == [first]
 
 
-def test_rowmap_concurrent_callers_share_one_pool(monkeypatch):
-    # Four callers, more than the CPUs here, race to make the pool; each must
-    # get its own rows back, and all must share the one pool that is made.
-    monkeypatch.setattr(numdiff, "_POOL", None)
-    n, results, pools = 3 * BLOCK, {}, set()
+def test_rowmap_concurrent_callers_get_their_own_rows():
+    # Four callers, more than the CPUs here, each start their own threads at
+    # once; each must get its own rows back, bit for bit.
+    n, results = 3 * BLOCK, {}
 
     def call(k):
         results[k] = numdiff.rowmap(lambda lo, hi: (np.arange(lo, hi) * k,), n)[0]
-        pools.add(numdiff._POOL)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -326,10 +324,7 @@ def test_rowmap_concurrent_callers_share_one_pool(monkeypatch):
         assert not any(t.is_alive() for t in callers)
     finally:
         sys.setswitchinterval(interval)
-        if numdiff._POOL is not None:
-            numdiff._POOL.shutdown()
     assert all(_same_bits(results[k], np.arange(n) * k) for k in range(1, 5))
-    assert len(pools) == 1
 
 
 def _run_script(script):
@@ -342,8 +337,8 @@ def _run_script(script):
 
 
 def test_rowmap_runs_in_a_forked_child():
-    # The child has none of the parent's workers; it makes its own pool. An
-    # alarm ends a child whose blocks would wait forever.
+    # The child starts its own threads. An alarm ends a child whose blocks
+    # would wait forever.
     out = _run_script("""
 import os, signal
 import numpy as np
@@ -360,20 +355,46 @@ print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     assert out.split() == ["0"]
 
 
+@pytest.mark.skipif(sys.platform != "linux" or numdiff._usable_cpus() < 2,
+                    reason="rowmap starts threads only on two CPUs or more; /proc is Linux's")
+def test_no_thread_outlives_a_rowmap_call():
+    # Right after a 3-block rowmap the caller is the only thread, in threading
+    # and in the kernel's count that the parent reads right after a fork
+    # (field 20 of /proc/self/stat, which Python 3.12's fork warning reads).
+    out = _run_script("""
+import os, threading
+import numpy as np
+from curvemates import numdiff
+for _ in range(20):
+    numdiff.rowmap(lambda lo, hi: (np.arange(lo, hi),), 3 * numdiff._BLOCK_ROWS)
+    alive = threading.active_count()
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    with open("/proc/self/stat") as stat:
+        tasks = stat.read().rsplit(")", 1)[1].split()[17]
+    os.waitpid(pid, 0)
+    print(alive, tasks)
+""")
+    assert out.split() == ["1"] * 40
+
+
 def test_rowmap_small_grids_start_no_thread():
-    # Grids of one block (every workload but the 200 001-point one) never
-    # reach the pool: no thread, and the pool is never made.
+    # Grids of one block (every workload but the 200 001-point one) run
+    # inline: no thread is started.
     script = """
 import argparse, math, threading
 import numpy as np
-from curvemates import AssociationSpec, CurveSpec, associate, numdiff, sample_curve, verify_mate
+from curvemates import AssociationSpec, CurveSpec, associate, sample_curve, verify_mate
 from curvemates.cli import _solve_family_lambda
+started, start = [], threading.Thread.start
+threading.Thread.start = lambda thread: (started.append(thread), start(thread))[1]
 s2 = 1.0 / math.sqrt(2.0)
 curve = CurveSpec.helix(s2, s2)
 base = sample_curve(curve, np.linspace(0.0, 3.0, 2001))
 spec = AssociationSpec("B", "R", (1.0, 1.0))
 args = argparse.Namespace(c0=None, c1=None, c2=None, lambda0=None, lambda0_prime=None)
 report = verify_mate(associate(base, spec, _solve_family_lambda(spec, curve, base, args)))
-print(report.verdict, threading.active_count(), numdiff._POOL is None)
+print(report.verdict, threading.active_count(), len(started))
 """
-    assert _run_script(script).split()[1:] == ["1", "True"]
+    assert _run_script(script).split()[1:] == ["1", "0"]

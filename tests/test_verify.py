@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -271,22 +270,18 @@ def test_oracle_pass_matches_reference_at_block_sizes(code, n):
     assert _same_bits(list(report.curvature_deltas.values()), list(want.values()))
 
 
-@pytest.mark.skipif(numdiff._usable_cpus() < 2,
-                    reason="the inline path holds whole-grid temporaries by design")
 def test_oracle_peak_memory_stays_in_blocks(monkeypatch):
     # The mate's numeric frames alone would be 3 x 4.8 MB at this size. Each
-    # worker holds one block's temporaries, so the pool has two workers here
+    # worker holds one block's temporaries, so rowmap runs two workers here
     # whatever the CPU count: with four the peak is ~33 MiB, with eight ~45.
     pred = associate(*cli_default_inputs("TP", 200_001))
-    pool = ThreadPoolExecutor(2, initializer=numdiff._mark_worker)
-    monkeypatch.setattr(numdiff, "_POOL", pool)
+    monkeypatch.setattr(numdiff, "_usable_cpus", lambda: 2)
     tracemalloc.start()
     try:
         verify_mate(pred)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        pool.shutdown()
     assert peak <= 30 * 2**20
 
 
