@@ -118,7 +118,7 @@ def _leibniz(x, y, m):
     if m > 1:
         xy += (x[1] * y[0] + x[0] * y[1],)
     if m > 2:
-        xy += (x[2] * y[0] + 2.0 * x[1] * y[1] + x[0] * y[2],)
+        xy += (x[2] * y[0] + 2 * x[1] * y[1] + x[0] * y[2],)
     return xy
 
 
@@ -141,14 +141,14 @@ def _frenet_derivative(v, kappa, tau):
 
 def _velocity(vector, lam, kappa, tau):
     """alpha*', the module docstring's line for V, as jets of its base-frame
-    components as long as kappa's (0.0 where one vanishes); lam is one longer."""
+    components as long as kappa's (0 where one vanishes); lam is one longer."""
     m = len(kappa)
     if vector == "T":
-        return ((1.0 + lam[1], *lam[2:]), _leibniz(lam, kappa, m), (0.0,) * m)
+        return ((1 + lam[1], *lam[2:]), _leibniz(lam, kappa, m), (0,) * m)
     if vector == "N":
         lk = _leibniz(lam, kappa, m)
-        return ((1.0 - lk[0], *(-x for x in lk[1:])), lam[1:], _leibniz(lam, tau, m))
-    return ((1.0,) + (0.0,) * (m - 1), tuple(-x for x in _leibniz(lam, tau, m)), lam[1:])
+        return ((1 - lk[0], *(-x for x in lk[1:])), lam[1:], _leibniz(lam, tau, m))
+    return ((1,) + (0,) * (m - 1), tuple(-x for x in _leibniz(lam, tau, m)), lam[1:])
 
 
 def _mate_derivatives(vector, lam, kappa, tau):

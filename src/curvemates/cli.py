@@ -98,8 +98,8 @@ def _parse_grid(text: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError:
         raise UsageError(f"--grid expects min:max:n, got {text!r}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"--grid bounds must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):  # also false for a non-finite bound
+        raise UsageError(f"--grid bounds and max - min must be finite, got {text!r}")
     if not (lo < hi and n >= 7):
         raise UsageError("--grid requires min < max and n >= 7")
     return np.linspace(lo, hi, n)
@@ -377,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    except CurveMatesError as exc:
+    except (CurveMatesError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 65
 

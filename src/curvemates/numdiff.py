@@ -10,7 +10,7 @@ tolerances; that rule trims its second-order edge rows. ``norm3`` and
 
 ``rowmap`` runs a row-local computation in blocks of ``_BLOCK_ROWS`` rows on
 the usable CPUs, into arrays sized by a 7-row probe, with one call's bits;
-its threads end before it returns.
+each call starts its own threads, which end before it returns.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from .errors import InsufficientDataError
 _BLOCK_ROWS = 2**15
 # diff3, the widest stencil, needs 7 rows: a shorter tail joins the block before it.
 _MIN_BLOCK_ROWS = 7
-_WORKER = threading.local()
 
 
 def uniform_spacing(grid: np.ndarray) -> float:
@@ -157,11 +156,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mark_worker(ids: list[int]) -> None:
-    _WORKER.active = True
-    ids.append(threading.get_native_id())
-
-
 def _blocks(n: int) -> list[tuple[int, int]]:
     """Rows 0..n in blocks of ``_BLOCK_ROWS``; a tail shorter than
     ``_MIN_BLOCK_ROWS`` joins the block before it."""
@@ -199,21 +193,18 @@ def rowmap(
     most, each in a copy of the caller's ``contextvars`` context and
     ``np.errstate``; the call returns once they have ended and left Linux's
     /proc task list, so none outlives it. With one block or one usable CPU,
-    and inside a block or the probe, ``fn(0, n)`` runs inline and no thread
-    is started. A failing probe raises before any block is submitted; else,
-    once every block has stopped, the first failing block in row order does.
+    ``fn(0, n)`` runs inline and no thread is started; a rowmap inside a
+    block or the probe starts threads of its own. A failing probe raises
+    before any block is submitted; else, once every block has stopped, the
+    first failing block in row order does.
     """
     blocks = _blocks(n)
-    if len(blocks) < 2 or getattr(_WORKER, "active", False) or _usable_cpus() < 2:
+    if len(blocks) < 2 or _usable_cpus() < 2:
         return tuple(fn(0, n))
-    _WORKER.active = True  # a rowmap inside the probe runs inline, as in a block
-    try:
-        outs = tuple(np.empty((n,) + part.shape[1:], part.dtype)
-                     for part in fn(0, _MIN_BLOCK_ROWS))
-    finally:
-        _WORKER.active = False
+    outs = tuple(np.empty((n,) + part.shape[1:], part.dtype) for part in fn(0, _MIN_BLOCK_ROWS))
     err, ids = np.geterr(), []
-    with ThreadPoolExecutor(_usable_cpus(), initializer=_mark_worker, initargs=(ids,)) as pool:
+    with ThreadPoolExecutor(_usable_cpus(),
+                            initializer=lambda: ids.append(threading.get_native_id())) as pool:
         futures = [pool.submit(contextvars.copy_context().run, _run_block, fn, n, halo, a, b,
                                err, outs) for a, b in blocks]
     # A joined thread can stay in Linux's /proc task list for a moment (in 36 of

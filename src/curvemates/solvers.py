@@ -331,9 +331,9 @@ def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, ...
         raise SpecificationError(f"start {y0!r} lies outside |y| <= BLOWUP_CAP = {limit:g}"
                                  f" at s={points[0]:.6g}", s=points[0])
     path, path_p, top = [lam], [b], []
-    if second:
-        for s, s_next in zip(points, points[1:]):
-            try:
+    try:
+        if second:
+            for s, s_next in zip(points, points[1:]):
                 g1 = f(s, lam, b)
                 b2 = b + half * g1
                 g2 = f(s + half, lam + half * b, b2)
@@ -343,31 +343,26 @@ def _rk4_path(f, y0: float | tuple[float, float], grid) -> tuple[np.ndarray, ...
                 g4 = f(s + h, lam + h * b3, b4)
                 lam = lam + sixth * (b + 2.0 * b2 + 2.0 * b3 + b4)
                 b = b + sixth * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-            except (OverflowError, ZeroDivisionError) as err:
-                raise escape(s_next) from err
-            if not (abs(lam) <= limit and abs(b) <= limit):
-                raise escape(s_next)
-            path.append(lam)
-            path_p.append(b)
-            top.append(g1)
-    else:
-        for s, s_next in zip(points, points[1:]):
-            try:
+                if not (abs(lam) <= limit and abs(b) <= limit):
+                    raise escape(s_next)
+                path.append(lam)
+                path_p.append(b)
+                top.append(g1)
+        else:
+            for s, s_next in zip(points, points[1:]):
                 k1 = f(s, lam)
                 k2 = f(s + half, lam + half * k1)
                 k3 = f(s + half, lam + half * k2)
                 k4 = f(s + h, lam + h * k3)
                 lam = lam + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            except (OverflowError, ZeroDivisionError) as err:
-                raise escape(s_next) from err
-            if not abs(lam) <= limit:
-                raise escape(s_next)
-            path.append(lam)
-            top.append(k1)
-    try:
-        top.append(f(points[-1], lam, b) if second else f(points[-1], lam))
+                if not abs(lam) <= limit:
+                    raise escape(s_next)
+                path.append(lam)
+                top.append(k1)
+        s_next = points[-1]
+        top.append(f(s_next, lam, b) if second else f(s_next, lam))
     except (OverflowError, ZeroDivisionError) as err:
-        raise escape(points[-1]) from err
+        raise escape(s_next) from err
     return tuple(np.array(column) for column in ((path, path_p, top) if second else (path, top)))
 
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from curvemates import (
     sample_curve,
 )
 from curvemates.association import (
+    _frenet_derivative,
     _mate_derivatives,
+    _velocity,
     klm_coefficients,
     plane_condition,
     predicted_curvature_arrays,
@@ -478,6 +481,22 @@ def test_frenet_jet_rule_matches_hand_written_components(vector):
     for got, want, size in ((w, want_w, sizes[1]), (d3, want_d3, sizes[2])):
         size = np.vectorize(lambda x: _Terms.of(x).size, otypes=[float])(size)
         assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("vector", ["T", "N", "B"])
+def test_frenet_jet_rule_keeps_fraction_jets_exact(vector):
+    # The jet rule holds no float literal, so Fraction jets of lambda (to
+    # lambda''') and of kappa and tau (to their second derivatives) give
+    # alpha*', alpha*'' and alpha*''' as Fractions, or the int 0 where a
+    # component vanishes: no float is mixed in.
+    lam = (Fraction(3, 7), Fraction(-2, 5), Fraction(5, 3), Fraction(1, 9))
+    kappa = (Fraction(4, 5), Fraction(-1, 3), Fraction(2, 9))
+    tau = (Fraction(3, 5), Fraction(1, 4), Fraction(-5, 11))
+    d1 = _velocity(vector, lam, kappa, tau)
+    d2 = _frenet_derivative(d1, kappa, tau)
+    d3 = _frenet_derivative(d2, kappa, tau)
+    assert [len(d[0]) for d in (d1, d2, d3)] == [3, 2, 1]
+    assert {type(x) for d in (d1, d2, d3) for jet in d for x in jet} <= {Fraction, int}
 
 
 # ---------------------------------------------------------------------------

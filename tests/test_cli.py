@@ -213,6 +213,15 @@ SAMPLED_HELIX = json.dumps({"kind": "samples", "points": [
 @pytest.mark.parametrize("argv, code, message", [
     (["frenet", "--curve", HELIX, "--grid", "1:1:9"], 64, "--grid requires min < max and n >= 7"),
     (["frenet", "--curve", HELIX, "--grid", "0:1:6"], 64, "--grid requires min < max and n >= 7"),
+    # A span of 2e308 is inf, where numpy warned and sampled the curve at nan.
+    (["verify", "--curve", HELIX, "--family", "TP", "--grid=-1e308:1e308:7"], 64,
+     "--grid bounds and max - min must be finite, got '-1e308:1e308:7'"),
+    # 1e14 rows (728 TiB) exceed the user address space of a 64-bit Linux
+    # process (128 TiB on x86-64), so numpy's MemoryError, a traceback and
+    # exit 1 before, comes before any page is touched.
+    (["frenet", "--curve", HELIX, "--grid", "0:1:100000000000000"], 65,
+     "Unable to allocate 728. TiB for an array with shape (100000000000000,)"
+     " and data type float64"),
     (["verify", "--curve", HELIX, "--family", "NP", "--coeffs", "1,x"], 64,
      "--coeffs expects two comma-separated reals, got '1,x'"),
     (["verify", "--curve", HELIX, "--family", "NP", "--coeffs", "1,1,1"], 64,
@@ -231,7 +240,8 @@ SAMPLED_HELIX = json.dumps({"kind": "samples", "points": [
      "samples must be finite"),
     (["frenet", "--curve", '{"kind":"samples","points":[[0,0,0,0]]}'], 64,
      "samples need at least 2 rows of (s, x, y, z)"),
-], ids=["grid min=max", "grid n=6", "coeffs not a number", "three coeffs", "unknown family",
+], ids=["grid min=max", "grid n=6", "grid span overflows", "grid beyond the address space",
+        "coeffs not a number", "three coeffs", "unknown family",
         "tol without =", "samples curve for BO", "mate on another grid", "TO with a = 0",
         "samples with NaN", "samples of one row"])
 def test_cli_error_branches(argv, code, message, tmp_path, capsys):

@@ -480,6 +480,21 @@ def test_rk4_overflow_is_finite_escape(solve, grid, escapes, cap, monkeypatch):
     assert str(err.value) == f"trajectory escaped |y| > {limit:g} near s={escapes[cap]:g}"
 
 
+@pytest.mark.parametrize("family, ratio", [("BO", 1.0), ("BR", None)])
+def test_an_overflow_in_the_last_slope_escapes_at_the_last_point(family, ratio):
+    # Every step passes; only the slope at the grid's last point, taken after
+    # the last step, overflows: (lambda tau) ** 2 raises at tau = 1e200. The
+    # escape is located at grid[-1] itself, which grid[-2] + h misses here.
+    grid = np.linspace(0.0, 1.0, 7)
+    end = float(grid[-1])
+    assert float(grid[-2]) + float(grid[1] - grid[0]) != end
+    tau = lambda s: 1e200 if s == end else INV_SQRT2  # noqa: E731
+    with pytest.raises(FiniteEscapeError) as err:
+        solve_constraint_ode(family, INV_SQRT2, tau, (0.3, 0.0), grid, ratio=ratio)
+    assert err.value.s == end and isinstance(err.value.__cause__, OverflowError)
+    assert str(err.value) == "trajectory escaped |y| > 1e+06 near s=1"
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: solve_constraint_ode("BO", INV_SQRT2, INV_SQRT2, (0.0, 0.0), GRID),
      "BO constraint needs ratio = a/b"),
